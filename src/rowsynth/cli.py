@@ -404,10 +404,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_schedule(argv: list[str]) -> list[str]:
+    """Join "--schedule S" into "--schedule=S".
+
+    argparse reads a separate value that starts with "-" as a flag, and a
+    schedule that opens with an idle ("-,X,...") does.
+    """
+    out: list[str] = []
+    tokens = iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok == "--schedule" else None
+        out.append(tok if value is None else f"{tok}={value}")
+    return out
+
+
 def main(argv=None) -> int:
     try:
         parser = build_parser()
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_schedule(sys.argv[1:] if argv is None else argv))
         if hasattr(args, "seed"):
             args.seed_given = args.seed is not None
             if args.seed is None:

@@ -34,14 +34,13 @@ class TableIntegrityError(RowSynthError, ValueError):
 
 
 class BudgetExceededError(RowSynthError, RuntimeError):
-    """An enumeration would exceed its size budget."""
+    """An enumeration or a solver table would exceed its size budget."""
 
-    def __init__(self, required: int, budget: int):
+    def __init__(self, required: int, budget: int, what: str = "enumeration",
+                 unit: str = "interleavings"):
         self.required = required
         self.budget = budget
-        super().__init__(
-            f"enumeration requires {required} interleavings, over the budget of {budget}"
-        )
+        super().__init__(f"{what} requires {required} {unit}, over the budget of {budget}")
 
 
 class ConfigError(RowSynthError, ValueError):

@@ -1,12 +1,24 @@
 """Exact offline solver and combinatorial bounds.
 
-dp_solve fills a table of optimal remaining completion times over states
-(i, j, r): symbols done in each strand and the currently emitted symbol.
-The recurrence mirrors the four possible slot outcomes (tie, only X, only
-Y, forced idle); the idle case refers to the same (i, j) at the next
-emission, so for each cell pair the emissions are filled walking backward
-cyclically from a symbol that enables progress, which is always computed
-first. Alongside the solver live two fully independent cross-checks: a
+The solver runs one wavefront over the progress cells (i, j), the symbols
+done in each strand. Idle slots are forced, so a state is only needed
+right after an advance: W(i, j, s) is the optimal remaining time at (i, j)
+when strand s in {X, Y} advanced last, which fixes the next emission at
+that strand's last symbol + 1. The start (0, 0) is the state just after
+symbol q - 1. A strand u waits offset_u = (next_u - emission) mod q idle
+slots and then advances, so
+
+    W(i, j, s) = min over incomplete u of offset_u + 1 + W(next cell, u).
+
+Taking the minimum over both strands, not only the one with the smaller
+offset, gives the same value: idling past a usable slot never helps,
+because dropping one advance from a schedule leaves a valid schedule of the
+smaller instance. Every term lies on the anti-diagonal i + j + 1, so one
+diagonal is one numpy step with no loop over cells. t_star keeps a single
+diagonal per state, O(len_x + len_y) memory; dp_solve keeps them all and
+expands them into the (i, j, r) table that reconstruct walks.
+
+Alongside the solver live two fully independent cross-checks: a
 brute-force minimum over all interleavings, and the binary runs/LCS
 machinery that bounds the optimum combinatorially.
 """
@@ -15,7 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+
+import numpy as np
 
 from .errors import (
     BudgetExceededError,
@@ -34,6 +48,18 @@ from .model import (
     solo_time,
     validate_strand,
 )
+
+# Largest (len_x + 1) * (len_y + 1) * q table dp_solve builds. The table
+# tuple takes 8 bytes per state and the kept wavefront 16 bytes per cell,
+# so this is at most about 0.3 GB.
+MAX_TABLE_STATES = 2 * 10**7
+
+# Stands for W at a cell past the end of a strand; larger than any
+# completion time, so a term through such a cell never wins a minimum.
+_UNREACHABLE = 1 << 60
+
+# Table entries dp_solve expands from numpy to Python ints at a time.
+_EXPAND_BLOCK = 1 << 16
 
 
 def find_first_progress_symbol(x, y, i: int, j: int) -> int:
@@ -67,51 +93,130 @@ class DpTable:
         return self.value(*state)
 
 
+def _strand_arrays(z: Strand, q: int):
+    """Per-position arrays of one strand, indexed by its progress k in [0, len].
+
+    key[k]: the symbol advanced from k, plus q - 1 (the placeholder symbol
+    at k = len is 0); last[k]: the symbol advanced into k, q - 1 before the
+    first. The cost of advancing from k right after symbol s is
+    _advance_costs(q)[key[k] - s].
+    """
+    key = np.array(z + (0,), dtype=np.int64) + (q - 1)
+    last = np.concatenate(([q - 1], key[:-1] - (q - 1)))
+    return key, last
+
+
+def _advance_costs(q: int) -> np.ndarray:
+    """offset + 1 slots to advance symbol a right after symbol s, at a - s + q - 1.
+
+    The offset (a - s - 1) mod q counts the idle slots before a is emitted.
+    """
+    return (np.arange(2 * q - 1, dtype=np.int64) - q) % q + 1
+
+
+def _wavefront(x: Strand, y: Strand, q: int):
+    """Yield (d, lo, wx, wy) for each anti-diagonal d = len_x + len_y, ..., 0.
+
+    wx[k] and wy[k] are W(i, d - i, X) and W(i, d - i, Y) at i = lo + k.
+    They are views of buffers the next step overwrites, so copy what must
+    outlive it. A strand that has not advanced yet (X at i = 0, Y at j = 0)
+    counts as having advanced symbol q - 1; only the start cell (0, 0)
+    reads such an entry, and the last diagonal yields the optimum at wx[0].
+    """
+    lx, ly = len(x), len(y)
+    cost = _advance_costs(q)
+    x_key, x_last = _strand_arrays(x, q)
+    y_key, y_last = _strand_arrays(y, q)
+    x_self = cost[x_key - x_last]
+    # y arrays reversed, so that y at j = d - i is a forward slice in i
+    y_key, y_last = y_key[::-1], y_last[::-1]
+    y_self = cost[y_key - y_last]
+    # wx[i] and wy[i] hold the diagonal d + 1 while d is computed. A strand
+    # that is complete reads _UNREACHABLE: X at i = lx reads wx[lx + 1], and
+    # Y at j = ly reads wy[d - ly], set just before.
+    wx = np.zeros(lx + 2, dtype=np.int64)
+    wy = np.zeros(lx + 2, dtype=np.int64)
+    wx[lx + 1] = _UNREACHABLE
+    yield lx + ly, lx, wx[lx:lx + 1], wy[lx:lx + 1]
+    for d in range(lx + ly - 1, -1, -1):
+        lo, hi = max(0, d - ly), min(d, lx)
+        if d >= ly:
+            wy[lo] = _UNREACHABLE
+        cx = slice(lo, hi + 1)
+        cy = slice(ly - d + lo, ly - d + hi + 1)
+        via_x = wx[lo + 1:hi + 2]
+        via_y = wy[cx]
+        xx = x_self[cx] + via_x
+        xy = cost[y_key[cy] - x_last[cx]] + via_y
+        yx = cost[x_key[cx] - y_last[cy]] + via_x
+        yy = y_self[cy] + via_y
+        wx_d = wx[cx]
+        wy_d = wy[cx]
+        np.minimum(xx, xy, out=wx_d)
+        np.minimum(yx, yy, out=wy_d)
+        yield d, lo, wx_d, wy_d
+
+
 def dp_solve(x, y, q: int) -> DpTable:
     """Fill the full table of optimal remaining times for a strand pair.
 
-    Iterates i and j downward; for each (i, j) the emission index runs
-    backward cyclically from a progress-enabling symbol, so the idle case's
-    dependence on the next emission is always on an entry already computed.
+    Keeps every diagonal of the wavefront, then expands each row i of
+    cells into value(i, j, r) = min over incomplete u of offset_u + 1 +
+    W(next cell, u), with offset_u = (next_u - r) mod q. Refuses, before
+    allocating, tables of more than MAX_TABLE_STATES states.
     O(len_x * len_y * q) time and space.
     """
     x = validate_strand(x, q)
     y = validate_strand(y, q)
     lx, ly = len(x), len(y)
-    stride_j = q
-    stride_i = (ly + 1) * q
-    dp = [0] * ((lx + 1) * (ly + 1) * q)
-    for i in range(lx, -1, -1):
-        base_i = i * stride_i
-        xi = x[i] if i < lx else -1
-        for j in range(ly, -1, -1):
-            if i == lx and j == ly:
-                continue  # terminal row: all zeros
-            yj = y[j] if j < ly else -1
-            base = base_i + j * stride_j
-            start_r = xi if xi >= 0 else yj
-            for k in range(q):
-                r = (start_r - k) % q
-                rn = (r + 1) % q
-                can_x = xi == r
-                can_y = yj == r
-                if can_x and can_y:
-                    via_x = dp[base + stride_i + rn]
-                    via_y = dp[base + stride_j + rn]
-                    val = 1 + (via_x if via_x <= via_y else via_y)
-                elif can_x:
-                    val = 1 + dp[base + stride_i + rn]
-                elif can_y:
-                    val = 1 + dp[base + stride_j + rn]
-                else:
-                    val = 1 + dp[base + rn]
-                dp[base + r] = val
-    return DpTable(q, lx, ly, tuple(dp))
+    states = (lx + 1) * (ly + 1) * q
+    if states > MAX_TABLE_STATES:
+        raise BudgetExceededError(states, MAX_TABLE_STATES, what="solver table", unit="states")
+    # W over cells (i, j) as flat (lx + 2) x (ly + 2) arrays; cell (i, d - i)
+    # sits at i * (ly + 1) + d, so a diagonal is a strided slice
+    stride = ly + 1
+    wx_all = np.zeros((lx + 2) * (ly + 2), dtype=np.int64)
+    wy_all = np.zeros((lx + 2) * (ly + 2), dtype=np.int64)
+    for d, lo, wx, wy in _wavefront(x, y, q):
+        cells = slice(lo * stride + d, (lo + len(wx) - 1) * stride + d + 1, stride)
+        wx_all[cells] = wx
+        wy_all[cells] = wy
+    wx_all = wx_all.reshape(lx + 2, ly + 2)
+    wy_all = wy_all.reshape(lx + 2, ly + 2)
+    wx_all[lx + 1] = _UNREACHABLE
+    wy_all[:, ly + 1] = _UNREACHABLE
+    cost = _advance_costs(q)
+    before_r = (np.arange(q, dtype=np.int64) - 1) % q  # symbol before emission r
+    via_x_cost = cost[_strand_arrays(x, q)[0][:, None] - before_r]
+    via_y_cost = cost[_strand_arrays(y, q)[0][:, None] - before_r]
+    # rows of cells per expansion block, so numpy temporaries stay small
+    block = max(1, _EXPAND_BLOCK // ((ly + 1) * q))
+    # every entry is at most q slots per remaining symbol; the table shares
+    # one Python int per value instead of allocating one per state
+    ints = np.array(range(q * (lx + ly) + 1), dtype=object)
+
+    def rows():
+        for a in range(0, lx + 1, block):
+            b = min(a + block, lx + 1)
+            values = np.minimum(via_x_cost[a:b, None, :] + wx_all[a + 1:b + 1, :ly + 1, None],
+                                via_y_cost[None, :, :] + wy_all[a:b, 1:, None])
+            if b == lx + 1:
+                values[-1, ly] = 0
+            yield ints.take(values.ravel()).tolist()
+
+    return DpTable(q, lx, ly, tuple(chain.from_iterable(rows())))
 
 
 def t_star(x, y, q: int) -> int:
-    """Optimal completion time of the pair (the table entry at (0, 0, 0))."""
-    return dp_solve(x, y, q).value(0, 0, 0)
+    """Optimal completion time of the pair, in O(len_x + len_y) memory.
+
+    Equals dp_solve(x, y, q).value(0, 0, 0) without building the table.
+    """
+    x = validate_strand(x, q)
+    y = validate_strand(y, q)
+    for _, _, root, _ in _wavefront(x, y, q):
+        pass
+    return int(root[0])
 
 
 @dataclass(frozen=True)

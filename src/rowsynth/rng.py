@@ -28,7 +28,8 @@ class BlockDraws:
     """Buffered uniform draws on [0, base); numpy-Generator-shaped.
 
     Scalar Generator.integers calls dominate tight simulation loops; this
-    serves them from prefetched blocks instead.
+    serves integers(base) from prefetched blocks instead. Other sizes are
+    drawn from the generator directly, leaving the buffer untouched.
     """
 
     def __init__(self, gen: np.random.Generator, base: int, block: int = 8192):
@@ -38,7 +39,8 @@ class BlockDraws:
         self._buf: list[int] = []
 
     def integers(self, n: int) -> int:
+        if n != self._base:
+            return int(self._gen.integers(n))
         if not self._buf:
             self._buf = self._gen.integers(0, self._base, size=self._block).tolist()
-        v = self._buf.pop()
-        return v % n if n != self._base else v
+        return self._buf.pop()

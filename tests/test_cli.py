@@ -45,6 +45,14 @@ class TestSolve:
         assert "timestamp" in doc["metadata"]
 
 
+class TestSolveBudget:
+    def test_table_over_budget_exits_one(self, capsys):
+        code, _, err = run_cli(capsys, "solve", "--q", "2", "--x", "0" * 4000,
+                               "--y", "1" * 4000)
+        assert code == 1
+        assert "states" in err and "budget" in err
+
+
 class TestOracle:
     def test_ordering_example(self, capsys):
         doc = run_json(capsys, "oracle", "--q", "4", "--x", "1322", "--y", "0130",
@@ -64,6 +72,14 @@ class TestValidate:
         doc = run_json(capsys, "validate", "--q", "4", "--x", "1,3,2,2", "--y", "0,1,3,0",
                        "--schedule", "Y,Y,-,Y,Y,X,-,X,-,-,X,-,-,-,X", "--no-timestamp")
         assert doc["completionTime"] == 15
+
+    def test_solver_schedule_opening_with_idle_round_trips(self, capsys):
+        instance = ("--q", "4", "--x", "133", "--y", "123", "--no-timestamp")
+        solved = run_json(capsys, "solve", *instance)
+        assert solved["tStar"] == 12
+        assert solved["schedule"].startswith("-,")
+        doc = run_json(capsys, "validate", *instance, "--schedule", solved["schedule"])
+        assert doc["completionTime"] == 12
 
     def test_illegal_schedule_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--q", "4", "--x", "1,3,2,2",

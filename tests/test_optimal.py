@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from itertools import product
 
 import pytest
@@ -22,11 +23,14 @@ from rowsynth import (
     lcs_length,
     lcs_upper_bound,
     policy_catalog,
+    random_strand,
     reconstruct,
     runs_count,
     solo_time,
     t_star,
+    trial_rng,
 )
+from rowsynth.optimal import MAX_TABLE_STATES
 from conftest import random_pair
 
 X1 = (1, 3, 2, 2)
@@ -242,3 +246,60 @@ class TestSandwich:
                 if policy.name == "lf1" and q != 2:
                     continue
                 assert opt <= completion_time(x, y, policy, q, rng)
+
+
+def _seeded_pair(seed, q, len_x, len_y):
+    gen = trial_rng(seed, 0)
+    return random_strand(q, len_x, gen), random_strand(q, len_y, gen)
+
+
+class TestSolverGolden:
+    """Outputs of the original (i, j, r) triple-loop solver, pinned before it was replaced."""
+
+    @pytest.mark.parametrize("seed, q, len_x, len_y, expected", [
+        (2, 2, 200, 200, 433),
+        (4, 4, 300, 300, 941),
+        (3, 3, 150, 90, 320),
+        (5, 3, 0, 40, 80),
+        (6, 5, 25, 0, 67),
+    ])
+    def test_t_star(self, seed, q, len_x, len_y, expected):
+        x, y = _seeded_pair(seed, q, len_x, len_y)
+        assert t_star(x, y, q) == expected
+
+    @pytest.mark.parametrize("seed, len_x, len_y, size, digest", [
+        (7, 60, 60, 11163, "df5df3116cdb58c52c974d57c194342d041ad27c01e7a6bce31137a1513072cc"),
+        (8, 61, 47, 8928, "41395db070b3a398a7b39717f41fced19703bb5d661d130ecd0696ee4e8d5ee9"),
+    ])
+    def test_table_values(self, seed, len_x, len_y, size, digest):
+        x, y = _seeded_pair(seed, 3, len_x, len_y)
+        values = dp_solve(x, y, 3).values
+        assert len(values) == size
+        assert all(type(v) is int for v in values)
+        assert hashlib.sha256(",".join(map(str, values)).encode()).hexdigest() == digest
+
+
+class TestSolverDifferential:
+    def test_t_star_equals_table_root_equals_oracle_unequal_lengths(self, rng):
+        for _ in range(150):
+            q = int(rng.integers(2, 6))
+            len_x, len_y = (int(n) for n in rng.integers(0, 8, size=2))
+            x = tuple(rng.integers(0, q, size=len_x).tolist())
+            y = tuple(rng.integers(0, q, size=len_y).tolist())
+            opt = t_star(x, y, q)
+            assert opt == dp_solve(x, y, q).value(0, 0, 0) == enumerate_interleavings_min(x, y, q)
+
+
+class TestTableBudget:
+    def test_refuses_by_strand_length_before_allocating(self):
+        x = (0,) * 4000
+        with pytest.raises(BudgetExceededError) as err:
+            dp_solve(x, x, 2)
+        assert err.value.required == 4001 * 4001 * 2
+        assert err.value.budget == MAX_TABLE_STATES
+        assert "states" in str(err.value)
+        assert "interleavings" not in str(err.value)
+
+    def test_t_star_has_no_budget(self):
+        x = (1,) * 4000
+        assert t_star(x, x, 2) == 2 * 2 * 4000
