@@ -389,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=None, help="strand length L")
     p.add_argument("--policy", choices=policy_names(), default=None)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--workers", type=int, default=1,
+                   help="parallel worker processes (at most one per CPU and per trial)")
     add_common(p, "csv")
     p.set_defaults(func=_cmd_experiment)
 

@@ -11,6 +11,7 @@ runs that share a seed see identical strands trial by trial.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -48,16 +49,21 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Mean completion time over trials, with its standard error and slope."""
+    """Mean completion time over trials, with its standard error and slope.
+
+    ``stderr`` is None for a single trial, whose error is undefined.
+    """
 
     mean: float
-    stderr: float
+    stderr: float | None
     trials: int
     slope: float
     times: tuple[int, ...] = ()
 
     @property
-    def slope_stderr(self) -> float:
+    def slope_stderr(self) -> float | None:
+        if self.stderr is None:
+            return None
         return self.stderr / (self.mean / self.slope) if self.mean else 0.0
 
 
@@ -70,7 +76,7 @@ def random_strand(q: int, length: int, rng: np.random.Generator) -> Strand:
 def _summarize(times: list[int], length: int) -> EstimateResult:
     arr = np.asarray(times, dtype=float)
     mean = float(arr.mean())
-    stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
+    stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else None
     return EstimateResult(mean, stderr, len(arr), mean / length, tuple(times))
 
 
@@ -97,8 +103,19 @@ def _optimal_block(seed: int, q: int, length: int, lo: int, hi: int) -> list[int
     return out
 
 
+def pool_size(workers: int, trials: int) -> int:
+    """Worker processes to start: at most one per CPU and one per trial.
+
+    Raises ConfigError for fewer than one worker, before any work starts.
+    """
+    if workers < 1:
+        raise ConfigError(f"worker count must be >= 1, got {workers}")
+    return min(workers, os.cpu_count() or 1, trials)
+
+
 def _map_blocks(fn, args, trials: int, workers: int) -> list[int]:
-    if workers <= 1:
+    workers = pool_size(workers, trials)
+    if workers == 1:
         return fn(*args, 0, trials)
     chunk = -(-trials // workers)
     spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
@@ -250,8 +267,11 @@ def no_lookahead_floor_check(q: int, length: int, trials: int, policies,
 
     The floor holds asymptotically for any policy that resolves ties from
     past information alone; the tolerance covers Monte Carlo noise (four
-    standard errors plus 1% of the floor). Depth-1 policies are rejected.
+    standard errors plus 1% of the floor). Depth-1 policies are rejected,
+    and so are fewer than two trials, which leave the standard error undefined.
     """
+    if trials < 2:
+        raise ConfigError(f"the floor check needs at least 2 trials, got {trials}")
     floor = lf_slope(q)
     out = []
     for policy in policies:
@@ -280,7 +300,7 @@ def run_experiment_row(config: ExperimentConfig, workers: int = 1) -> dict:
     est = estimate_policy_time(config, workers=workers)
     target = analytic_slope(config.policy, config.q)
     delta_sigma = None
-    if target is not None and est.stderr > 0:
+    if target is not None and est.stderr:
         delta_sigma = (est.mean - target * config.length) / est.stderr
     return {
         "q": config.q,

@@ -8,9 +8,16 @@ symbol equals the emitted one. A schedule is the per-slot action list
 completion time: the slot of the final advance.
 
 The greedy simulator never idles when progress is possible; when both
-strands can advance it defers to the tie policy. Externally supplied
-schedules may idle freely and are merely validated and scored by
-apply_schedule.
+strands can advance it defers to the tie policy. Its loop runs once per
+advance, not once per slot: between ties each strand runs solo, its next
+advance coming ((z_k - z_{k-1} - 1) mod q) + 1 slots after the previous
+one, and a tie delays the losing strand by exactly q slots. So the loop
+keeps the slot of each strand's next advance, advances the earlier one,
+and asks the policy's positional tie rule when the two slots are equal;
+forced idles are never visited unless a schedule is requested, in which
+case each advance fills in the idles it skipped; the per-slot trace is
+then read off the schedule. Externally supplied schedules may idle freely
+and are merely validated and scored by apply_schedule.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from .errors import (
     InvalidStrandError,
     ScheduleError,
 )
-from .policies import HistoryDigest, TieContext, TieDecision, TiePolicy
+from .policies import HistoryDigest, TiePolicy
 from .rng import DEFAULT_SEED, master_rng
 
 Strand = tuple[int, ...]
@@ -39,10 +46,11 @@ def validate_alphabet(q: int) -> int:
 def validate_strand(strand, q: int) -> Strand:
     """Normalize to a tuple of ints and check every symbol lies in [0, q)."""
     validate_alphabet(q)
-    out = tuple(int(s) for s in strand)
-    for k, s in enumerate(out):
-        if not 0 <= s < q:
-            raise InvalidStrandError(f"symbol {s} at position {k} outside alphabet of size {q}")
+    out = tuple(map(int, strand))
+    if out and (min(out) < 0 or max(out) >= q):
+        for k, s in enumerate(out):
+            if not 0 <= s < q:
+                raise InvalidStrandError(f"symbol {s} at position {k} outside alphabet of size {q}")
     return out
 
 
@@ -223,6 +231,7 @@ class SimTrace:
 
 
 _ACTION_BY_INDEX = {0: IDLE, 1: ADVANCE_X, 2: ADVANCE_Y}
+_NEVER = float("inf")   # next-advance slot of a complete strand
 
 
 def _default_rng():
@@ -230,56 +239,74 @@ def _default_rng():
 
 
 def _run(x: Strand, y: Strand, policy: TiePolicy, q: int, rng,
-         actions: list | None, records: list | None) -> int:
-    """Shared greedy loop; appends to actions/records when given."""
+         actions: list | None = None) -> int:
+    """The greedy loop: one iteration per advance; returns the completion time.
+
+    ``tx``/``ty`` hold the slot of each strand's next advance (``_NEVER``
+    once it is complete). Running solo, a strand that advanced at slot t
+    advances next at t + 1 + ((next symbol - t) mod q); a tie at
+    ``tx == ty`` delays the loser by exactly q slots, to the next time its
+    symbol comes round. The earlier strand always advances first, so idle
+    slots cost nothing. When ``actions`` is given, each advance appends the
+    idles it skipped and then itself, so the list holds one action per slot.
+    """
     lx, ly = len(x), len(y)
-    i = j = 0
-    t = 0
-    r = 0
-    ties = 0
-    decide = policy.decide
+    i = j = ties = last = 0
+    tx = x[0] + 1 if lx else _NEVER
+    ty = y[0] + 1 if ly else _NEVER
+    rule = policy.tie_rule(q)
     want_look = policy.lookahead == 1
     uses_rng = policy.uses_rng
     if uses_rng and rng is None:
         rng = _default_rng()
-    while i < lx or j < ly:
-        t += 1
-        if records is not None:
-            a = (x[i] - r) % q if i < lx else None
-            b = (y[j] - r) % q if j < ly else None
-        can_x = i < lx and x[i] == r
-        can_y = j < ly and y[j] == r
-        if can_x and can_y:
+    while True:
+        if tx < ty:
+            t = tx
+            adv = 1
+        elif ty < tx:
+            t = ty
+            adv = 2
+        elif tx == _NEVER:
+            return last
+        else:
+            t = tx
             coin = int(rng.integers(2)) if uses_rng else 0
-            ctx = TieContext(
-                i, j, r, q,
-                x[i + 1] if want_look and i + 1 < lx else None,
-                y[j + 1] if want_look and j + 1 < ly else None,
-                HistoryDigest(ties, coin),
-            )
-            ties += 1
-            if decide(ctx) is TieDecision.ADVANCE_X:
+            la_x = x[i + 1] if want_look and i + 1 < lx else None
+            la_y = y[j + 1] if want_look and j + 1 < ly else None
+            if rule(i, j, (t - 1) % q, la_x, la_y, ties, coin):
                 adv = 1
-                i += 1
+                ty += q
             else:
                 adv = 2
-                j += 1
-        elif can_x:
-            adv = 1
-            i += 1
-        elif can_y:
-            adv = 2
-            j += 1
-        else:
-            adv = 0
+                tx += q
+            ties += 1
         if actions is not None:
+            actions.extend([IDLE] * (t - last - 1))
             actions.append(_ACTION_BY_INDEX[adv])
-        if records is not None:
-            records.append(StepRecord(t, r, _ACTION_BY_INDEX[adv], a, b))
-        r += 1
-        if r == q:
-            r = 0
-    return t
+        last = t
+        if adv == 1:
+            i += 1
+            tx = t + 1 + (x[i] - t) % q if i < lx else _NEVER
+        else:
+            j += 1
+            ty = t + 1 + (y[j] - t) % q if j < ly else _NEVER
+
+
+def _records(x: Strand, y: Strand, q: int, actions: list[Action]) -> list[StepRecord]:
+    """Per-slot trace records: emission, action and both offsets before the slot's action."""
+    lx, ly = len(x), len(y)
+    i = j = 0
+    records = []
+    for t, action in enumerate(actions, start=1):
+        r = (t - 1) % q
+        records.append(StepRecord(t, r, action,
+                                  (x[i] - r) % q if i < lx else None,
+                                  (y[j] - r) % q if j < ly else None))
+        if action is ADVANCE_X:
+            i += 1
+        elif action is ADVANCE_Y:
+            j += 1
+    return records
 
 
 def simulate(x, y, policy: TiePolicy, q: int, rng=None) -> tuple[Schedule, SimTrace]:
@@ -293,16 +320,15 @@ def simulate(x, y, policy: TiePolicy, q: int, rng=None) -> tuple[Schedule, SimTr
     x = validate_strand(x, q)
     y = validate_strand(y, q)
     actions: list[Action] = []
-    records: list[StepRecord] = []
-    _run(x, y, policy, q, rng, actions, records)
-    return Schedule(tuple(actions)), SimTrace(tuple(records))
+    _run(x, y, policy, q, rng, actions)
+    return Schedule(tuple(actions)), SimTrace(tuple(_records(x, y, q, actions)))
 
 
 def completion_time(x, y, policy: TiePolicy, q: int, rng=None) -> int:
     """Completion time of the greedy simulation, without materializing a trace."""
     x = validate_strand(x, q)
     y = validate_strand(y, q)
-    return _run(x, y, policy, q, rng, None, None)
+    return _run(x, y, policy, q, rng)
 
 
 def simulate_k(strands, policy: TiePolicy, q: int, rng=None) -> Schedule:
@@ -315,7 +341,7 @@ def simulate_k(strands, policy: TiePolicy, q: int, rng=None) -> Schedule:
     strands = [validate_strand(s, q) for s in strands]
     if len(strands) == 2:
         actions: list[Action] = []
-        _run(strands[0], strands[1], policy, q, rng, actions, None)
+        _run(strands[0], strands[1], policy, q, rng, actions)
         return Schedule(tuple(actions))
     if len(strands) > 2 and policy.choose is None:
         raise ConfigError(f"policy {policy.name!r} has no selection rule for k > 2 strands")

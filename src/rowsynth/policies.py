@@ -7,6 +7,10 @@ the information window it declares. Depth-0 policies may consult only past
 information (progress counts, tie history, an externally drawn coin);
 depth-1 policies additionally see each strand's symbol after the matching
 one.
+
+Each catalog rule is written once, as a positional function of
+(i, j, r, lookahead_x, lookahead_y, ties, coin) that the simulator calls
+at every tie; the public TieContext functions unpack the context into it.
 """
 
 from __future__ import annotations
@@ -55,6 +59,9 @@ class TieContext(NamedTuple):
 # k-strand selection rule: (candidate indices, progress counts, digest) -> chosen index
 KChooser = Callable[[Sequence[int], Sequence[int], HistoryDigest], int]
 
+# positional tie rule: (i, j, r, lookahead_x, lookahead_y, ties, coin) -> True for strand 1
+TieRule = Callable[[int, int, int, int | None, int | None, int, int], bool]
+
 
 @dataclass(frozen=True)
 class TiePolicy:
@@ -77,20 +84,73 @@ class TiePolicy:
         if self.lookahead not in (0, 1):
             raise ValueError(f"lookahead depth must be 0 or 1, got {self.lookahead}")
 
+    def tie_rule(self, q: int) -> TieRule:
+        """``decide`` at alphabet size q as a positional rule; True advances strand 1.
+
+        Catalog decide functions map to the rule they are written from, so
+        the simulator builds no TieContext. Any other decide (a custom
+        policy, or a wrapper such as a counting one) gets an adapter that
+        builds the context and calls it, as does lf1 away from q=2, so that
+        its UnsupportedAlphabetError is raised at the first tie.
+        """
+        decide = self.decide
+        for fn, rule in _RULES:
+            if fn is decide and (fn is not lf1 or q == 2):
+                return rule
+
+        def adapter(i, j, r, la_x, la_y, ties, coin):
+            ctx = TieContext(i, j, r, q, la_x, la_y, HistoryDigest(ties, coin))
+            return decide(ctx) is TieDecision.ADVANCE_X
+
+        return adapter
+
+
+def _x_first_rule(i, j, r, la_x, la_y, ties, coin):
+    return True
+
+
+def _y_first_rule(i, j, r, la_x, la_y, ties, coin):
+    return False
+
+
+def _laggard_rule(i, j, r, la_x, la_y, ties, coin):
+    return i <= j
+
+
+def _lf1_rule(i, j, r, la_x, la_y, ties, coin):
+    if la_x is not None and la_y is not None and la_x != la_y:
+        return la_x == (r + 1) % 2
+    return i <= j   # laggard-first
+
+
+def _round_robin_rule(i, j, r, la_x, la_y, ties, coin):
+    return ties % 2 == 0
+
+
+def _random_rule(i, j, r, la_x, la_y, ties, coin):
+    return coin % 2 == 0
+
+
+def _decide_by(rule: TieRule, ctx: TieContext) -> TieDecision:
+    h = ctx.history
+    if rule(ctx.i, ctx.j, ctx.r, ctx.lookahead_x, ctx.lookahead_y, h.ties, h.coin):
+        return TieDecision.ADVANCE_X
+    return TieDecision.ADVANCE_Y
+
 
 def x_first(ctx: TieContext) -> TieDecision:
     """Always advance strand 1."""
-    return TieDecision.ADVANCE_X
+    return _decide_by(_x_first_rule, ctx)
 
 
 def y_first(ctx: TieContext) -> TieDecision:
     """Always advance strand 2 (mirror of x_first)."""
-    return TieDecision.ADVANCE_Y
+    return _decide_by(_y_first_rule, ctx)
 
 
 def laggard_first(ctx: TieContext) -> TieDecision:
     """Advance the strand with fewer synthesized symbols; strand 1 on equality."""
-    return TieDecision.ADVANCE_Y if ctx.i > ctx.j else TieDecision.ADVANCE_X
+    return _decide_by(_laggard_rule, ctx)
 
 
 def lf1(ctx: TieContext) -> TieDecision:
@@ -105,21 +165,28 @@ def lf1(ctx: TieContext) -> TieDecision:
         raise UnsupportedAlphabetError(
             f"lf1 is defined only for the binary alphabet, got q={ctx.q}"
         )
-    la_x, la_y = ctx.lookahead_x, ctx.lookahead_y
-    if la_x is not None and la_y is not None and la_x != la_y:
-        nxt = (ctx.r + 1) % 2
-        return TieDecision.ADVANCE_X if la_x == nxt else TieDecision.ADVANCE_Y
-    return laggard_first(ctx)
+    return _decide_by(_lf1_rule, ctx)
 
 
 def round_robin(ctx: TieContext) -> TieDecision:
     """Alternate X, Y, X, ... across successive ties."""
-    return TieDecision.ADVANCE_X if ctx.history.ties % 2 == 0 else TieDecision.ADVANCE_Y
+    return _decide_by(_round_robin_rule, ctx)
 
 
 def random_tie(ctx: TieContext) -> TieDecision:
     """Resolve by the seeded coin the simulator placed in the history digest."""
-    return TieDecision.ADVANCE_X if ctx.history.coin % 2 == 0 else TieDecision.ADVANCE_Y
+    return _decide_by(_random_rule, ctx)
+
+
+# each catalog decide function and the positional rule it is written from
+_RULES = (
+    (x_first, _x_first_rule),
+    (y_first, _y_first_rule),
+    (laggard_first, _laggard_rule),
+    (lf1, _lf1_rule),
+    (round_robin, _round_robin_rule),
+    (random_tie, _random_rule),
+)
 
 
 def _choose_lowest(cands, progress, digest):

@@ -328,6 +328,37 @@ class TestLoadConfig:
             load_config(str(cfg))
 
 
+class TestSingleTrialError:
+    def test_conjecture_reports_null_stderr(self, capsys):
+        doc = run_json(capsys, "conjecture", "--q", "2", "--length", "5", "--trials", "1",
+                       "--no-timestamp")
+        assert doc["stderr"] is None
+
+    def test_experiment_json_reports_null_stderr(self, capsys):
+        doc = run_json(capsys, "experiment", "--q", "2", "--length", "5", "--trials", "1",
+                       "--format", "json", "--no-timestamp")
+        assert doc["rows"][0]["stderr"] is None
+        assert doc["rows"][0]["deltaSigma"] is None
+
+    def test_experiment_csv_leaves_stderr_cell_empty(self, capsys):
+        code, out, _ = run_cli(capsys, "experiment", "--q", "2", "--length", "5",
+                               "--trials", "1")
+        assert code == 0
+        header, row = out.strip().split("\n")
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["stderr"] == "" and cells["deltaSigma"] == ""
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("command", ["experiment", "conjecture"])
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_below_one_exits_one(self, capsys, command, workers):
+        code, out, err = run_cli(capsys, command, "--q", "2", "--length", "5",
+                                 "--trials", "3", "--workers", workers)
+        assert code == 1
+        assert "worker count" in err and out == ""
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "rowsynth.cli", "solve", "--q", "2", "--x", "0",

@@ -25,6 +25,7 @@ from rowsynth import (
 from rowsynth.experiments import (
     EXPERIMENT_COLUMNS,
     format_cell,
+    pool_size,
     rows_to_csv,
     run_experiment_row,
 )
@@ -221,3 +222,55 @@ class TestDominanceChain:
         assert opt.mean <= lf1.mean + lf1.stderr
         assert lf1.mean <= lf.mean + math.hypot(lf1.stderr, lf.stderr)
         assert lf.mean <= xf.mean + math.hypot(lf.stderr, xf.stderr)
+
+
+# times of ExperimentConfig(q, 40, 8, 2026, policy), pinned from the slot-by-slot simulator
+PINNED_TIMES = {
+    (2, "x-first"): (103, 113, 115, 104, 100, 108, 103, 116),
+    (2, "y-first"): (102, 111, 108, 117, 106, 102, 109, 106),
+    (2, "lf"): (89, 105, 95, 105, 96, 96, 105, 102),
+    (2, "lf1"): (87, 93, 87, 98, 90, 94, 103, 98),
+    (2, "round-robin"): (97, 109, 99, 102, 98, 96, 107, 106),
+    (2, "random"): (93, 97, 94, 103, 104, 94, 109, 100),
+    (4, "x-first"): (150, 158, 158, 136, 155, 167, 153, 159),
+    (4, "y-first"): (144, 157, 148, 158, 155, 176, 165, 151),
+    (4, "lf"): (120, 134, 130, 132, 135, 152, 141, 135),
+    (4, "round-robin"): (126, 134, 130, 144, 139, 148, 153, 151),
+    (4, "random"): (132, 137, 132, 134, 151, 151, 141, 155),
+}
+
+
+@pytest.mark.parametrize("q,policy", sorted(PINNED_TIMES))
+def test_pinned_times(q, policy):
+    est = estimate_policy_time(ExperimentConfig(q, 40, 8, 2026, policy))
+    assert est.times == PINNED_TIMES[q, policy]
+
+
+class TestSingleTrial:
+    def test_stderr_is_undefined(self):
+        est = estimate_policy_time(ExperimentConfig(2, 50, 1, 5, "lf"))
+        assert est.stderr is None and est.slope_stderr is None
+        assert est.mean == est.times[0]
+
+    def test_row_leaves_error_cells_empty(self):
+        row = run_experiment_row(ExperimentConfig(2, 50, 1, 5, "lf"))
+        assert row["stderr"] is None and row["deltaSigma"] is None
+
+    def test_floor_check_refuses(self):
+        with pytest.raises(ConfigError):
+            no_lookahead_floor_check(2, 50, 1, ["lf"])
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize("workers,trials,cpus,expected", [
+        (1, 100, 8, 1), (3, 100, 8, 3), (50, 100, 8, 8), (50, 5, 8, 5),
+        (4, 100, None, 1), (10**9, 10**9, 2, 2),
+    ])
+    def test_clamps_to_cpus_and_trials(self, monkeypatch, workers, trials, cpus, expected):
+        monkeypatch.setattr("rowsynth.experiments.os.cpu_count", lambda: cpus)
+        assert pool_size(workers, trials) == expected
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_rejects_fewer_than_one(self, workers):
+        with pytest.raises(ConfigError, match="worker count"):
+            pool_size(workers, 10)

@@ -2,18 +2,28 @@
 
 from __future__ import annotations
 
+import dataclasses
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowsynth import (
     Action,
     ConfigError,
+    HistoryDigest,
     IllegalActionError,
     IncompleteScheduleError,
     InvalidStrandError,
     Schedule,
     ScheduleError,
+    SimTrace,
+    StepRecord,
+    TieContext,
+    TieDecision,
+    TiePolicy,
+    UnsupportedAlphabetError,
     apply_schedule,
     completion_time,
     format_strand,
@@ -24,7 +34,9 @@ from rowsynth import (
     simulate,
     simulate_k,
     solo_time,
+    validate_strand,
 )
+from rowsynth.rng import master_rng
 from conftest import random_pair, reference_solo
 
 X1 = (1, 3, 2, 2)
@@ -251,3 +263,83 @@ class TestStrandText:
             parse_strand("1,a,2", 4)
         with pytest.raises(InvalidStrandError):
             parse_strand("xyz", 4)
+
+    def test_first_offending_position_is_named(self):
+        with pytest.raises(InvalidStrandError,
+                           match="^symbol 5 at position 1 outside alphabet of size 2$"):
+            validate_strand((0, 5, -1), 2)
+
+
+# --- the advance-driven simulator against a slot-by-slot reference ------------
+
+
+def reference_run(x, y, policy, q, rng):
+    """Slot-by-slot greedy loop, deciding every tie through policy.decide.
+
+    Returns the completion time, the schedule and the per-slot trace that
+    simulate() must reproduce.
+    """
+    i = j = t = ties = 0
+    actions, records = [], []
+    look = policy.lookahead == 1
+    while i < len(x) or j < len(y):
+        t += 1
+        r = (t - 1) % q
+        a = (x[i] - r) % q if i < len(x) else None
+        b = (y[j] - r) % q if j < len(y) else None
+        if a == 0 and b == 0:
+            coin = int(rng.integers(2)) if policy.uses_rng else 0
+            ctx = TieContext(i, j, r, q,
+                             x[i + 1] if look and i + 1 < len(x) else None,
+                             y[j + 1] if look and j + 1 < len(y) else None,
+                             HistoryDigest(ties, coin))
+            ties += 1
+            strand = 1 if policy.decide(ctx) is TieDecision.ADVANCE_X else 2
+        else:
+            strand = 1 if a == 0 else 2 if b == 0 else None
+        actions.append(Action(strand))
+        records.append(StepRecord(t, r, Action(strand), a, b))
+        if strand == 1:
+            i += 1
+        elif strand == 2:
+            j += 1
+    return t, Schedule(tuple(actions)), SimTrace(tuple(records))
+
+
+def _counted(policy):
+    """The policy with its decide wrapped, as an outside tracer rebuilds it."""
+    decide = policy.decide
+    return dataclasses.replace(policy, decide=lambda ctx: decide(ctx))
+
+
+def _mixed(ctx):
+    total = (ctx.i + 2 * ctx.j + ctx.r + ctx.history.ties + ctx.history.coin
+             + (ctx.lookahead_x or 0) - 2 * (ctx.lookahead_y or 0))
+    return TieDecision.ADVANCE_X if total % 3 else TieDecision.ADVANCE_Y
+
+
+KERNEL_POLICIES = [*policy_catalog(), _counted(get_policy("lf1")),
+                   TiePolicy("mixed", 1, _mixed, uses_rng=True)]
+
+
+@st.composite
+def strand_pairs(draw):
+    q = draw(st.integers(2, 6))
+    symbols = st.lists(st.integers(0, q - 1), max_size=14).map(tuple)
+    return q, draw(symbols), draw(symbols)
+
+
+class TestKernelAgainstReference:
+    @settings(max_examples=600, deadline=None)
+    @given(strand_pairs(), st.sampled_from(KERNEL_POLICIES), st.integers(0, 2**32 - 1))
+    def test_time_schedule_and_trace_match(self, pair, policy, seed):
+        q, x, y = pair
+        try:
+            t, sched, trace = reference_run(x, y, policy, q, master_rng(seed))
+        except UnsupportedAlphabetError:
+            with pytest.raises(UnsupportedAlphabetError):
+                completion_time(x, y, policy, q, master_rng(seed))
+            return
+        assert simulate(x, y, policy, q, master_rng(seed)) == (sched, trace)
+        assert completion_time(x, y, policy, q, master_rng(seed)) == t
+        assert simulate_k([x, y], policy, q, master_rng(seed)) == sched

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowsynth import (
     HistoryDigest,
     TieContext,
     TieDecision,
+    TiePolicy,
     UnsupportedAlphabetError,
     get_policy,
     laggard_first,
@@ -168,3 +173,36 @@ class TestPolicyBehaviourInSimulation:
         c, _ = simulate(x, y, get_policy("random"), 2, master_rng(6))
         assert a == b
         assert c.completion_time >= 2 * 40  # different seed still yields a valid schedule
+
+
+class TestPositionalRules:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(policy_catalog()), st.data())
+    def test_rule_agrees_with_decide(self, policy, data):
+        q = 2 if policy.name == "lf1" else data.draw(st.integers(2, 6))
+        symbol = st.none() | st.integers(0, q - 1)
+        args = (data.draw(st.integers(0, 60)), data.draw(st.integers(0, 60)),
+                data.draw(st.integers(0, q - 1)), data.draw(symbol), data.draw(symbol),
+                data.draw(st.integers(0, 100)), data.draw(st.integers(0, 2**30)))
+        i, j, r, la_x, la_y, ties, coin = args
+        decided = policy.decide(ctx(i, j, r, q, la_x, la_y, ties, coin))
+        assert policy.tie_rule(q)(*args) == (decided is TieDecision.ADVANCE_X)
+
+    def test_rule_follows_a_replaced_decide(self):
+        swapped = dataclasses.replace(get_policy("x-first"), decide=y_first)
+        assert swapped.tie_rule(2)(0, 0, 0, None, None, 0, 0) is False
+
+    def test_non_catalog_decide_sees_the_full_context(self):
+        seen = []
+
+        def spy(c):
+            seen.append(c)
+            return TieDecision.ADVANCE_Y
+
+        rule = TiePolicy("spy", 1, spy).tie_rule(5)
+        assert rule(3, 4, 2, 1, None, 7, 9) is False
+        assert seen == [ctx(3, 4, 2, 5, 1, None, 7, 9)]
+
+    def test_lf1_rule_off_binary_raises(self):
+        with pytest.raises(UnsupportedAlphabetError):
+            get_policy("lf1").tie_rule(3)(0, 0, 0, 1, 0, 0, 0)
