@@ -16,6 +16,7 @@ success, 1 on validation/configuration errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -87,6 +88,13 @@ def _emit_json(args, payload: dict) -> None:
     _emit(args, json.dumps(doc, indent=2) + "\n")
 
 
+def _emit_rows(args, rows: list[dict], columns) -> None:
+    if args.format == "json":
+        _emit_json(args, {"rows": rows})
+    else:
+        _emit(args, rows_to_csv(rows, columns))
+
+
 def _parse_q_list(text: str) -> list[int]:
     return [int(tok) for tok in str(text).split(",")]
 
@@ -117,7 +125,7 @@ def _cmd_solve(args) -> int:
     result = reconstruct(x, y, table)
     payload = {
         "q": args.q,
-        "L": len(x) if len(x) == len(y) else max(len(x), len(y)),
+        "L": max(len(x), len(y)),
         "tStar": result.t_star,
         "schedule": result.schedule.to_string(),
     }
@@ -169,10 +177,7 @@ def _cmd_rotations(args) -> int:
         })
     columns = ("q", "nRotations", "meanVX", "meanVY", "meanT",
                "stderrVX", "stderrVY", "stderrT", "closedVX", "closedVY", "closedT")
-    if args.format == "json":
-        _emit_json(args, {"rows": rows})
-    else:
-        _emit(args, rows_to_csv(rows, columns))
+    _emit_rows(args, rows, columns)
     return 0
 
 
@@ -222,10 +227,7 @@ def _cmd_bounds(args) -> int:
         })
     columns = ("q", "L", "soloExpected", "xFirstExpected", "lfExpected",
                "lf1Expected", "lowerMaxExpected", "trivialLower")
-    if args.format == "json":
-        _emit_json(args, {"rows": rows})
-    else:
-        _emit(args, rows_to_csv(rows, columns))
+    _emit_rows(args, rows, columns)
     return 0
 
 
@@ -247,6 +249,8 @@ def load_config(path: str) -> list[ExperimentConfig]:
 
     Keys: q, L, policy, trials, seed. List values expand to the cartesian
     product (in that key order), e.g. L=[250,1000,2000] gives three configs.
+    An empty list, or a q, L, trials or seed that is not an integer, raises
+    RowSynthError naming the key.
     """
     return expand_configs(_read_config_raw(path), path)
 
@@ -263,18 +267,16 @@ def expand_configs(raw: dict, source: str = "<flags>") -> list[ExperimentConfig]
     axes = []
     for key in _CONFIG_KEYS:
         value = raw.get(key, _CONFIG_DEFAULTS[key])
-        axes.append(value if isinstance(value, list) else [value])
-    configs = []
-    for q in axes[0]:
-        for length in axes[1]:
-            for policy in axes[2]:
-                for trials in axes[3]:
-                    for seed in axes[4]:
-                        configs.append(ExperimentConfig(
-                            q=int(q), length=int(length), trials=int(trials),
-                            seed=int(seed), policy=str(policy),
-                        ).validated())
-    return configs
+        values = value if isinstance(value, list) else [value]
+        if not values:
+            raise RowSynthError(f"{source}: {key} lists no values")
+        if key != "policy" and not all(type(v) is int for v in values):  # not bool
+            raise RowSynthError(f"{source}: {key} must be an integer or a list of integers, "
+                                f"got {value!r}")
+        axes.append(values)
+    return [ExperimentConfig(q=q, length=length, trials=trials, seed=seed,
+                             policy=str(policy)).validated()
+            for q, length, policy, trials, seed in itertools.product(*axes)]
 
 
 def _cmd_experiment(args) -> int:
@@ -291,15 +293,12 @@ def _cmd_experiment(args) -> int:
         raw["seed"] = args.seed
     configs = expand_configs(raw, args.config or "<flags>")
     rows = [run_experiment_row(cfg, workers=args.workers) for cfg in configs]
-    if args.format == "json":
-        _emit_json(args, {"rows": rows})
-    else:
-        _emit(args, rows_to_csv(rows, EXPERIMENT_COLUMNS))
+    _emit_rows(args, rows, EXPERIMENT_COLUMNS)
     return 0
 
 
 def _cmd_conjecture(args) -> int:
-    config = ExperimentConfig(args.q, args.length, args.trials, args.seed, "lf")
+    config = ExperimentConfig(args.q, args.length, args.trials, args.seed)
     est = estimate_optimal_time(config, workers=args.workers)
     _emit_json(args, {
         "q": args.q,

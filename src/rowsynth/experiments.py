@@ -14,6 +14,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -80,27 +81,28 @@ def _summarize(times: list[int], length: int) -> EstimateResult:
     return EstimateResult(mean, stderr, len(arr), mean / length, tuple(times))
 
 
-def _policy_block(seed: int, q: int, length: int, policy_name: str,
-                  lo: int, hi: int) -> list[int]:
+def _random_pair(gen: np.random.Generator, q: int, length: int) -> tuple[Strand, Strand]:
+    return random_strand(q, length, gen), random_strand(q, length, gen)
+
+
+def _policy_trial(gen: np.random.Generator, q: int, length: int, policy_name: str) -> int:
     policy = get_policy(policy_name)
-    out = []
-    for idx in range(lo, hi):
-        gen = trial_rng(seed, idx)
-        x = random_strand(q, length, gen)
-        y = random_strand(q, length, gen)
-        coins = BlockDraws(gen, 2) if policy.uses_rng else None
-        out.append(completion_time(x, y, policy, q, coins))
-    return out
+    x, y = _random_pair(gen, q, length)
+    coins = BlockDraws(gen, 2) if policy.uses_rng else None
+    return completion_time(x, y, policy, q, coins)
 
 
-def _optimal_block(seed: int, q: int, length: int, lo: int, hi: int) -> list[int]:
-    out = []
-    for idx in range(lo, hi):
-        gen = trial_rng(seed, idx)
-        x = random_strand(q, length, gen)
-        y = random_strand(q, length, gen)
-        out.append(t_star(x, y, q))
-    return out
+def _optimal_trial(gen: np.random.Generator, q: int, length: int) -> int:
+    return t_star(*_random_pair(gen, q, length), q)
+
+
+def _solo_trial(gen: np.random.Generator, q: int, length: int) -> int:
+    return solo_time(random_strand(q, length, gen), q, 0)
+
+
+def _max_of_solos_trial(gen: np.random.Generator, q: int, length: int) -> int:
+    x, y = _random_pair(gen, q, length)
+    return max(solo_time(x, q, 0), solo_time(y, q, 0))
 
 
 def pool_size(workers: int, trials: int) -> int:
@@ -113,28 +115,32 @@ def pool_size(workers: int, trials: int) -> int:
     return min(workers, os.cpu_count() or 1, trials)
 
 
-def _map_blocks(fn, args, trials: int, workers: int) -> list[int]:
+def _trial_block(measure, seed: int, args: tuple, lo: int, hi: int) -> list[int]:
+    return [measure(trial_rng(seed, idx), *args) for idx in range(lo, hi)]
+
+
+def _map_trials(measure, seed: int, args: tuple, trials: int, workers: int) -> list[int]:
+    """``measure(trial_rng(seed, idx), *args)`` for each trial index, in index order.
+
+    With more than one worker the indices are split into one contiguous
+    block per process; every trial still draws from its own substream.
+    """
     workers = pool_size(workers, trials)
     if workers == 1:
-        return fn(*args, 0, trials)
+        return _trial_block(measure, seed, args, 0, trials)
     chunk = -(-trials // workers)
-    spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    times: list[int] = [0] * trials
+    starts = range(0, trials, chunk)
+    block = partial(_trial_block, measure, seed, args)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [(lo, pool.submit(fn, *args, lo, hi)) for lo, hi in spans]
-        for lo, fut in futures:
-            block = fut.result()
-            times[lo:lo + len(block)] = block
-    return times
+        blocks = pool.map(block, starts, [min(lo + chunk, trials) for lo in starts])
+        return [t for times in blocks for t in times]
 
 
 def estimate_policy_time(config: ExperimentConfig, workers: int = 1) -> EstimateResult:
     """Mean completion time of the configured policy over random pairs."""
     config = config.validated()
-    times = _map_blocks(
-        _policy_block, (config.seed, config.q, config.length, config.policy),
-        config.trials, workers,
-    )
+    times = _map_trials(_policy_trial, config.seed, (config.q, config.length, config.policy),
+                        config.trials, workers)
     return _summarize(times, config.length)
 
 
@@ -145,22 +151,16 @@ def estimate_optimal_time(config: ExperimentConfig, workers: int = 1) -> Estimat
     the comparison is pointwise on identical instances.
     """
     config = config.validated()
-    times = _map_blocks(
-        _optimal_block, (config.seed, config.q, config.length),
-        config.trials, workers,
-    )
+    times = _map_trials(_optimal_trial, config.seed, (config.q, config.length),
+                        config.trials, workers)
     return _summarize(times, config.length)
 
 
 def estimate_solo_time(q: int, length: int, trials: int,
                        seed: int = DEFAULT_SEED) -> EstimateResult:
     """Mean unconstrained single-strand synthesis time; slope targets (q+1)/2."""
-    validate_alphabet(q)
-    times = []
-    for idx in range(trials):
-        gen = trial_rng(seed, idx)
-        times.append(solo_time(random_strand(q, length, gen), q, 0))
-    return _summarize(times, length)
+    ExperimentConfig(q, length, trials, seed).validated()
+    return _summarize(_map_trials(_solo_trial, seed, (q, length), trials, 1), length)
 
 
 def estimate_max_lower_bound(q: int, length: int, trials: int,
@@ -172,13 +172,8 @@ def estimate_max_lower_bound(q: int, length: int, trials: int,
     """
     if q <= 2:
         raise ConfigError("max-of-solos bound applies to q > 2; use the trivial 2L bound for q=2")
-    times = []
-    for idx in range(trials):
-        gen = trial_rng(seed, idx)
-        x = random_strand(q, length, gen)
-        y = random_strand(q, length, gen)
-        times.append(max(solo_time(x, q, 0), solo_time(y, q, 0)))
-    return _summarize(times, length)
+    ExperimentConfig(q, length, trials, seed).validated()
+    return _summarize(_map_trials(_max_of_solos_trial, seed, (q, length), trials, 1), length)
 
 
 # --- analytic targets --------------------------------------------------------

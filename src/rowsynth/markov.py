@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from itertools import islice
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -176,6 +177,27 @@ def _resolve_rng(rng) -> np.random.Generator:
     return master_rng(rng)
 
 
+def _rotations(q: int, tie_rule, draws) -> Iterator[tuple[int, int, int]]:
+    """Consecutive full rotations of the offset chain from (0, 0), as (v_x, v_y, slots).
+
+    ``tie_rule`` is consulted only at the (0, 0) slot that opens a rotation,
+    so a callable rule sees the counts of every rotation already yielded.
+    """
+    state = OffsetState(0, 0)
+    while True:
+        v_x = v_y = slots = 0
+        while True:
+            state, event = chain_step(state, q, tie_rule, draws)
+            slots += 1
+            if event is ChainEvent.ADVANCE_X:
+                v_x += 1
+            elif event is ChainEvent.ADVANCE_Y:
+                v_y += 1
+            if state == (0, 0):
+                break
+        yield v_x, v_y, slots
+
+
 def rotation_moments(q: int, n_rotations: int, rng, tie=TieDecision.ADVANCE_X) -> RotationStats:
     """Empirical rotation moments of the offset chain from (0, 0).
 
@@ -187,21 +209,9 @@ def rotation_moments(q: int, n_rotations: int, rng, tie=TieDecision.ADVANCE_X) -
     if n_rotations < 1:
         raise ValueError("need at least one rotation")
     draws = BlockDraws(_resolve_rng(rng), q)
-    tie_rule = _as_tie_rule(tie)
     s_vx = s_vy = s_t = 0
     s_vx2 = s_vy2 = s_t2 = s_xy = s_tx = 0
-    state = OffsetState(0, 0)
-    for _ in range(n_rotations):
-        v_x = v_y = t_len = 0
-        while True:
-            state, event = chain_step(state, q, tie_rule, draws)
-            t_len += 1
-            if event is ChainEvent.ADVANCE_X:
-                v_x += 1
-            elif event is ChainEvent.ADVANCE_Y:
-                v_y += 1
-            if state == (0, 0):
-                break
+    for v_x, v_y, t_len in islice(_rotations(q, _as_tie_rule(tie), draws), n_rotations):
         s_vx += v_x
         s_vy += v_y
         s_t += t_len
@@ -391,21 +401,15 @@ def drift_series(q: int, n_rotations: int, rng, policy: str = "lf") -> list[tupl
     checkpoints.add(n_rotations)
     x_tot = y_tot = 0
     sum_abs_d = 0
-    state = OffsetState(0, 0)
+
+    def laggard_first():
+        return TieDecision.ADVANCE_X if x_tot <= y_tot else TieDecision.ADVANCE_Y
+
+    tie = laggard_first if policy == "lf" else TieDecision.ADVANCE_X
     out: list[tuple[int, float]] = []
-    for n in range(1, n_rotations + 1):
-        if policy == "lf":
-            tie = TieDecision.ADVANCE_X if x_tot <= y_tot else TieDecision.ADVANCE_Y
-        else:
-            tie = TieDecision.ADVANCE_X
-        while True:
-            state, event = chain_step(state, q, tie, draws)
-            if event is ChainEvent.ADVANCE_X:
-                x_tot += 1
-            elif event is ChainEvent.ADVANCE_Y:
-                y_tot += 1
-            if state == (0, 0):
-                break
+    for n, (v_x, v_y, _) in enumerate(islice(_rotations(q, tie, draws), n_rotations), 1):
+        x_tot += v_x
+        y_tot += v_y
         sum_abs_d += abs(x_tot - y_tot)
         if n in checkpoints:
             out.append((n, sum_abs_d / n))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -212,6 +213,17 @@ class TestExperiment:
         code, _, err = run_cli(capsys, "experiment", "--config", str(cfg))
         assert code == 1
 
+    @pytest.mark.parametrize("key,value", [
+        ("policy", []), ("L", []), ("seed", []),
+        ("q", 2.7), ("L", 10.9), ("trials", True), ("seed", "5"), ("q", [2, 3.0]),
+    ])
+    def test_empty_or_non_integer_config_value_exits_one(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"q": 2, "L": 20, "trials": 2, key: value}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
+        assert code == 1
+        assert key in err and out == ""
+
     def test_json_format(self, capsys):
         doc = run_json(capsys, "experiment", "--q", "2", "--length", "60", "--trials", "4",
                        "--format", "json", "--no-timestamp")
@@ -249,6 +261,44 @@ class TestGoldenStability:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["tStar"] == 2
+
+
+SWEEP = {"q": [2, 4], "L": 40, "policy": ["lf", "random"], "trials": 6, "seed": 5}
+
+# SHA-256 of fixed-seed output bytes, pinned before the per-command row loops were merged
+PINNED_OUTPUT = [
+    (["rotations", "--q", "2,3,4,5", "--rotations", "300", "--seed", "7", "--format", "csv"],
+     "1eab306b1bc7fe6b88986bfcbe3b09c550564f64721efa8c990bb0160e73768b"),
+    (["rotations", "--q", "2,3,4,5", "--rotations", "300", "--seed", "7", "--format", "json"],
+     "1993be95ccb343fc71ca89a858eccccc2ebe9a781ef664cdf0387b673290b6f0"),
+    (["bounds", "--q", "2,3,4", "--length", "100", "--format", "csv"],
+     "10842f72539d30facea759e5dc75355b50b09bcfd88fed49ca8f40d33996ddc2"),
+    (["bounds", "--q", "2,3,4", "--length", "100", "--format", "json"],
+     "77f091aebe724a03a9e510362fd6c0dc9dca38b0e0be4cded4cf0244c239e06e"),
+    (["experiment", "--config", "{sweep}", "--workers", "1", "--format", "csv"],
+     "386713858e6fb365c4f980ea4ed1be1ef4dd61fe9747266a102763f7381b7530"),
+    (["experiment", "--config", "{sweep}", "--workers", "2", "--format", "csv"],
+     "386713858e6fb365c4f980ea4ed1be1ef4dd61fe9747266a102763f7381b7530"),
+    (["experiment", "--config", "{sweep}", "--workers", "1", "--format", "json"],
+     "f244f3c7ba08b9581644a2c655de924e26bb5177559b024d48fe998c47d4fbe2"),
+    (["experiment", "--config", "{sweep}", "--workers", "2", "--format", "json"],
+     "f244f3c7ba08b9581644a2c655de924e26bb5177559b024d48fe998c47d4fbe2"),
+    (["conjecture", "--q", "2", "--length", "30", "--trials", "6", "--seed", "9",
+      "--workers", "1"], "4d737def872de8030bb5237cc957da1c4ad93c633eec0c721ccecff007646e73"),
+    (["conjecture", "--q", "2", "--length", "30", "--trials", "6", "--seed", "9",
+      "--workers", "2"], "4d737def872de8030bb5237cc957da1c4ad93c633eec0c721ccecff007646e73"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_OUTPUT,
+                         ids=[" ".join(argv) for argv, _ in PINNED_OUTPUT])
+def test_pinned_output(capsys, tmp_path, argv, digest):
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps(SWEEP))
+    argv = [str(sweep) if tok == "{sweep}" else tok for tok in argv]
+    code, out, err = run_cli(capsys, *argv, "--no-timestamp")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestEnvironmentOverrides:

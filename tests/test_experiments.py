@@ -125,6 +125,15 @@ class TestSoloAndMaxBound:
         solo = estimate_solo_time(4, 200, 40, 13)
         assert all(m >= s for m, s in zip(mx.times, solo.times))
 
+    @pytest.mark.parametrize("estimate,q", [(estimate_solo_time, 2),
+                                            (estimate_max_lower_bound, 3)])
+    @pytest.mark.parametrize("length,trials,what", [(10, 0, "trial count"),
+                                                    (0, 3, "strand length"),
+                                                    (-4, 3, "strand length")])
+    def test_rejects_empty_samples(self, estimate, q, length, trials, what):
+        with pytest.raises(ConfigError, match=what):
+            estimate(q, length, trials, 1)
+
     def test_correction_term_value(self):
         assert max_bound_correction(4, 2000) == pytest.approx(
             math.sqrt(2000 * 15 / (12 * math.pi)))
@@ -244,6 +253,28 @@ PINNED_TIMES = {
 def test_pinned_times(q, policy):
     est = estimate_policy_time(ExperimentConfig(q, 40, 8, 2026, policy))
     assert est.times == PINNED_TIMES[q, policy]
+
+
+# times of estimate_solo_time(q, 40, 8, 2026) and estimate_max_lower_bound(q, 40, 8, 2026),
+# pinned from the hand-written loops in each estimator
+PINNED_SOLO_TIMES = {
+    2: (58, 63, 60, 61, 64, 60, 65, 64),
+    4: (96, 105, 100, 106, 103, 112, 109, 107),
+}
+PINNED_MAX_TIMES = {
+    3: (82, 85, 86, 90, 84, 90, 91, 90),
+    5: (127, 132, 125, 125, 129, 133, 126, 144),
+}
+
+
+@pytest.mark.parametrize("q", sorted(PINNED_SOLO_TIMES))
+def test_pinned_solo_times(q):
+    assert estimate_solo_time(q, 40, 8, 2026).times == PINNED_SOLO_TIMES[q]
+
+
+@pytest.mark.parametrize("q", sorted(PINNED_MAX_TIMES))
+def test_pinned_max_times(q):
+    assert estimate_max_lower_bound(q, 40, 8, 2026).times == PINNED_MAX_TIMES[q]
 
 
 class TestSingleTrial:

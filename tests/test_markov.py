@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -179,6 +180,33 @@ class TestRotationMoments:
         assert stats.mean_t == pytest.approx(float(t), rel=0.05)
 
 
+# astuple(rotation_moments(q, 400, 2026, tie)), pinned from the two hand-written rotation loops
+PINNED_ROTATION_STATS = {
+    ("ADVANCE_X", 2): (400, 1.6375, 0.3525, 2.5225, 0.6860937500000004, 0.44824375000000005,
+                       1.2594937499999999, 0.46528125, 0.8119062499999998),
+    ("ADVANCE_X", 3): (400, 2.335, 0.8, 4.645, 2.0977750000000004, 1.605, 8.038975, 1.6245,
+                       3.7289250000000003),
+    ("ADVANCE_X", 4): (400, 2.715, 1.105, 6.73, 3.3887750000000008, 2.618975, 18.4321,
+                       2.6149250000000004, 7.2555499999999995),
+    ("ADVANCE_X", 5): (400, 3.22, 1.55, 9.58, 4.486599999999999, 4.157499999999999,
+                       40.78360000000001, 3.854, 12.594899999999999),
+    ("ADVANCE_Y", 2): (400, 0.3525, 1.6375, 2.5225, 0.44824375000000005, 0.6860937500000004,
+                       1.2594937499999999, 0.46528125, 0.7258187500000001),
+    ("ADVANCE_Y", 3): (400, 0.8, 2.335, 4.645, 1.605, 2.0977750000000004, 8.038975, 1.6245,
+                       3.4840000000000004),
+    ("ADVANCE_Y", 4): (400, 1.105, 2.715, 6.73, 2.618975, 3.3887750000000008, 18.4321,
+                       2.6149250000000004, 6.725849999999999),
+    ("ADVANCE_Y", 5): (400, 1.55, 3.22, 9.58, 4.157499999999999, 4.486599999999999,
+                       40.78360000000001, 3.854, 12.526),
+}
+
+
+@pytest.mark.parametrize("tie,q", sorted(PINNED_ROTATION_STATS))
+def test_pinned_rotation_stats(tie, q):
+    stats = rotation_moments(q, 400, 2026, TieDecision[tie])
+    assert dataclasses.astuple(stats) == PINNED_ROTATION_STATS[tie, q]
+
+
 class TestClosedFormRotation:
     def test_binary(self):
         assert closed_form_rotation(2) == (Fraction(5, 3), Fraction(1, 3), Fraction(5, 2))
@@ -328,3 +356,21 @@ class TestDriftSeries:
         # |d_n| over n rotations approaches n * q/(q+1)
         series = dict(drift_series(2, 100_000, 3, policy="x-first"))
         assert series[100_000] == pytest.approx(100_000 * 2 / 3, rel=0.02)
+
+
+# drift_series(q, 1000, 2026, policy), pinned from the two hand-written rotation loops
+PINNED_DRIFT = {
+    ("lf", 2): [(1, 1.0), (2, 1.0), (5, 0.6), (10, 0.6), (20, 0.6), (50, 0.64), (100, 0.68),
+                (200, 0.71), (500, 0.75), (1000, 0.756)],
+    ("lf", 3): [(1, 2.0), (2, 1.0), (5, 1.0), (10, 1.1), (20, 0.95), (50, 0.98), (100, 0.92),
+                (200, 0.88), (500, 0.938), (1000, 0.931)],
+    ("x-first", 2): [(1, 1.0), (2, 2.0), (5, 3.8), (10, 6.8), (20, 12.7), (50, 31.12),
+                     (100, 63.44), (200, 128.27), (500, 320.806), (1000, 659.304)],
+    ("x-first", 3): [(1, 2.0), (2, 3.0), (5, 5.8), (10, 10.5), (20, 18.75), (50, 42.34),
+                     (100, 81.6), (200, 154.86), (500, 385.326), (1000, 771.901)],
+}
+
+
+@pytest.mark.parametrize("policy,q", sorted(PINNED_DRIFT))
+def test_pinned_drift_series(policy, q):
+    assert drift_series(q, 1000, 2026, policy) == PINNED_DRIFT[policy, q]
