@@ -232,6 +232,8 @@ class BoundsRow:
 
 def analytic_bounds(q: int, length: int) -> BoundsRow:
     validate_alphabet(q)
+    if length < 0:
+        raise ConfigError(f"strand length must be >= 0, got {length}")
     return BoundsRow(
         q=q,
         length=length,

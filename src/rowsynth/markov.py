@@ -13,6 +13,15 @@ This module simulates that chain, decomposes traces into rotations,
 evaluates the exact rotation moments, and builds the 16-state transition
 matrix of the binary one-symbol-lookahead rule together with its
 stationary distribution and per-slot synthesis rate.
+
+``chain_step`` is the slot-by-slot reference. The rotation sampler behind
+``rotation_moments`` and ``drift_series`` steps from advance to advance
+instead: the min(a, b) forced idles after an advance are one step, and
+the tie rule is asked once per rotation. An advance takes exactly one
+uniform draw, in the order ``chain_step`` takes it, so the draw stream
+and every fixed-seed result are those of the slot-by-slot chain. Exact
+stationary laws come from fraction-free Gauss-Jordan elimination on
+Python ints.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from .model import validate_alphabet
 from .policies import TieDecision
 from .rng import BlockDraws, master_rng
 
@@ -180,22 +190,35 @@ def _resolve_rng(rng) -> np.random.Generator:
 def _rotations(q: int, tie_rule, draws) -> Iterator[tuple[int, int, int]]:
     """Consecutive full rotations of the offset chain from (0, 0), as (v_x, v_y, slots).
 
-    ``tie_rule`` is consulted only at the (0, 0) slot that opens a rotation,
-    so a callable rule sees the counts of every rotation already yielded.
+    Steps from advance to advance: after each advance the forced idles,
+    min(a, b) of them, are skipped in one step, and a rotation closes when
+    that skip lands on (0, 0). Every advance takes one ``draws.integers(q)``
+    in the order ``chain_step`` takes it, so the rotations equal those of a
+    slot-by-slot ``chain_step`` loop on the same stream. ``tie_rule`` is
+    consulted only at the (0, 0) slot that opens a rotation, so a callable
+    rule sees the counts of every rotation already yielded.
     """
-    state = OffsetState(0, 0)
+    rule = _as_tie_rule(tie_rule)
+    draw = draws.integers
+    top = q - 1
     while True:
-        v_x = v_y = slots = 0
-        while True:
-            state, event = chain_step(state, q, tie_rule, draws)
-            slots += 1
-            if event is ChainEvent.ADVANCE_X:
+        if rule() is TieDecision.ADVANCE_X:
+            a, b, v_x, v_y = draw(q), top, 1, 0
+        else:
+            a, b, v_x, v_y = top, draw(q), 0, 1
+        slots = 1
+        while a != b:
+            if a < b:  # idle down to (0, b - a), then strand 1 advances
+                slots += a + 1
+                b -= a + 1
+                a = draw(q)
                 v_x += 1
-            elif event is ChainEvent.ADVANCE_Y:
+            else:
+                slots += b + 1
+                a -= b + 1
+                b = draw(q)
                 v_y += 1
-            if state == (0, 0):
-                break
-        yield v_x, v_y, slots
+        yield v_x, v_y, slots + a
 
 
 def rotation_moments(q: int, n_rotations: int, rng, tie=TieDecision.ADVANCE_X) -> RotationStats:
@@ -208,10 +231,11 @@ def rotation_moments(q: int, n_rotations: int, rng, tie=TieDecision.ADVANCE_X) -
     """
     if n_rotations < 1:
         raise ValueError("need at least one rotation")
+    validate_alphabet(q)
     draws = BlockDraws(_resolve_rng(rng), q)
     s_vx = s_vy = s_t = 0
     s_vx2 = s_vy2 = s_t2 = s_xy = s_tx = 0
-    for v_x, v_y, t_len in islice(_rotations(q, _as_tie_rule(tie), draws), n_rotations):
+    for v_x, v_y, t_len in islice(_rotations(q, tie, draws), n_rotations):
         s_vx += v_x
         s_vy += v_y
         s_t += t_len
@@ -311,26 +335,35 @@ def _is_exact_matrix(rows) -> bool:
     return all(isinstance(v, (Fraction, int)) for row in rows for v in row)
 
 
+def _exact_sum(values) -> Fraction:
+    den = math.lcm(*(v.denominator for v in values))
+    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
+
+
 def stationary(matrix) -> list[Fraction] | np.ndarray:
     """Stationary distribution of a row-stochastic matrix.
 
     Solves the left-eigenvector system with the normalization row replacing
     one balance equation. Matrices of Fractions (or ints) are solved
     exactly, so transient states come out exactly zero; float matrices go
-    through numpy. Raises ValueError when a row does not sum to 1.
+    through numpy. Raises ValueError when the matrix is empty or not
+    square, when a row does not sum to 1 or has a negative entry, and when
+    the stationary law is not unique.
     """
     rows = [list(row) for row in matrix]
     n = len(rows)
+    if n == 0:
+        raise ValueError("transition matrix is empty")
     if any(len(row) != n for row in rows):
         raise ValueError("transition matrix must be square")
     exact = _is_exact_matrix(rows)
     for k, row in enumerate(rows):
-        total = sum(row)
+        total = _exact_sum(row) if exact else sum(row)
         ok = (total == 1) if exact else abs(total - 1.0) <= 1e-9
         if not ok or any(v < 0 for v in row):
             raise ValueError(f"row {k} is not a probability distribution (sum {total})")
     if exact:
-        return _stationary_exact([[Fraction(v) for v in row] for row in rows])
+        return _stationary_exact(rows)
     a = np.asarray(rows, dtype=float).T - np.eye(n)
     a[-1, :] = 1.0
     rhs = np.zeros(n)
@@ -339,28 +372,42 @@ def stationary(matrix) -> list[Fraction] | np.ndarray:
     return pi
 
 
-def _stationary_exact(rows: list[list[Fraction]]) -> list[Fraction]:
+def _stationary_exact(rows) -> list[Fraction]:
+    """Exact stationary law of a stochastic matrix of Fractions or ints.
+
+    Balance equation i, sum_j pi_j (P[j][i] - [i = j]) = 0, is scaled by the
+    LCM of column i's denominators into a row of Python ints; the last one
+    is replaced by sum(pi) = 1, and the right-hand side rides along as
+    column n. Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp.
+    1968) divides every update exactly by the previous pivot, so entries
+    stay minors of the system: every diagonal entry ends as its
+    determinant d (up to the sign of the row swaps), with d * pi beside it.
+    """
     n = len(rows)
-    # columns of (P^T - I), last balance equation replaced by sum(pi) = 1
-    m = [[rows[j][i] - (Fraction(1) if i == j else Fraction(0)) for j in range(n)]
-         for i in range(n)]
-    m[n - 1] = [Fraction(1)] * n
-    rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+    m = []
+    for i in range(n - 1):
+        col = [row[i] for row in rows]
+        den = math.lcm(*(v.denominator for v in col))
+        eq = [v.numerator * (den // v.denominator) for v in col]
+        eq[i] -= den
+        eq.append(0)
+        m.append(eq)
+    m.append([1] * (n + 1))
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
         if pivot is None:
             raise ValueError("singular balance system; chain has no unique stationary law")
-        m[col], m[pivot] = m[pivot], m[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        rhs[col] *= inv
+        m[k], m[pivot] = m[pivot], m[k]
+        prow = m[k]
+        p = prow[k]
         for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [vr - f * vc for vr, vc in zip(m[r], m[col])]
-                rhs[r] -= f * rhs[col]
-    return rhs
+            f = m[r][k]
+            if r == k or (not f and p == prev):
+                continue
+            m[r] = [(p * v - f * w) // prev for v, w in zip(m[r], prow)]
+        prev = p
+    return [Fraction(row[n], row[i]) for i, row in enumerate(m)]
 
 
 def synthesis_rate(pi) -> Fraction | float:
@@ -390,6 +437,7 @@ def drift_series(q: int, n_rotations: int, rng, policy: str = "lf") -> list[tupl
         raise ValueError("need at least 10 rotations")
     if policy not in ("lf", "x-first"):
         raise ValueError(f"unknown chain policy {policy!r}")
+    validate_alphabet(q)
     draws = BlockDraws(_resolve_rng(rng), q)
     checkpoints = set()
     base = 1

@@ -147,6 +147,13 @@ class TestBounds:
         assert code == 0
         assert len(out.strip().split("\n")) == 3
 
+    @pytest.mark.parametrize("q", ["2", "3"])
+    def test_negative_length_exits_one(self, capsys, q):
+        code, out, err = run_cli(capsys, "bounds", "--q", q, "--length", "-5")
+        assert code == 1
+        assert out == ""
+        assert "length" in err
+
 
 class TestRotations:
     def test_csv_shape_and_determinism(self, capsys):
@@ -159,6 +166,13 @@ class TestRotations:
         header = out1.strip().split("\n")[0]
         assert header == ("q,nRotations,meanVX,meanVY,meanT,stderrVX,stderrVY,stderrT,"
                           "closedVX,closedVY,closedT")
+
+    @pytest.mark.parametrize("q", ["0", "1"])
+    def test_small_alphabet_exits_one(self, capsys, q):
+        code, out, err = run_cli(capsys, "rotations", "--q", q)
+        assert code == 1
+        assert out == ""
+        assert "alphabet size" in err
 
 
 class TestExperiment:
@@ -287,6 +301,12 @@ PINNED_OUTPUT = [
       "--workers", "1"], "4d737def872de8030bb5237cc957da1c4ad93c633eec0c721ccecff007646e73"),
     (["conjecture", "--q", "2", "--length", "30", "--trials", "6", "--seed", "9",
       "--workers", "2"], "4d737def872de8030bb5237cc957da1c4ad93c633eec0c721ccecff007646e73"),
+    (["chain", "--format", "json"],
+     "9a9a501b4ff75f90054d8106263e72d997f8d94f6fc925f3bb29e4faaf5f2b24"),
+    (["chain", "--format", "csv"],
+     "870cf2554483b2221399db1a3121c13936de9c179e8590da56c584ec887fc70f"),
+    (["chain", "--stationary"],
+     "ddbece2e9fd580a0ef7aecd7e63d90a0969049bf4db3db2de92ba3dcfde98f58"),
 ]
 
 

@@ -156,6 +156,15 @@ class TestAnalyticBounds:
         assert row.lf1_expected is None
         assert row.lower_max_expected == pytest.approx(2500 + max_bound_correction(4, 1000))
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_negative_length_rejected(self, q):
+        with pytest.raises(ConfigError, match="length"):
+            analytic_bounds(q, -5)
+
+    def test_zero_length_gives_zero_times(self):
+        row = analytic_bounds(3, 0)
+        assert row.solo_expected == row.lf_expected == row.lower_max_expected == 0
+
     @pytest.mark.parametrize("q", list(range(2, 65)))
     def test_laggard_never_above_x_first(self, q):
         row = analytic_bounds(q, 1000)

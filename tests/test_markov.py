@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowsynth import (
     ChainEvent,
@@ -25,6 +28,9 @@ from rowsynth import (
     synthesis_rate,
     visit_values,
 )
+from rowsynth.errors import InvalidStrandError
+from rowsynth.markov import _rotations
+from rowsynth.rng import BlockDraws, master_rng
 from conftest import random_pair
 
 HALF = Fraction(1, 2)
@@ -374,3 +380,171 @@ PINNED_DRIFT = {
 @pytest.mark.parametrize("policy,q", sorted(PINNED_DRIFT))
 def test_pinned_drift_series(policy, q):
     assert drift_series(q, 1000, 2026, policy) == PINNED_DRIFT[policy, q]
+
+
+# --- advance-driven rotations against the slot-by-slot chain ----------------
+
+
+def _slot_by_slot_rotations(q, tie_rule, draws):
+    """Reference rotation stream: one chain_step per slot from (0, 0)."""
+    state = OffsetState(0, 0)
+    while True:
+        v_x = v_y = slots = 0
+        while True:
+            state, event = chain_step(state, q, tie_rule, draws)
+            slots += 1
+            v_x += event is ChainEvent.ADVANCE_X
+            v_y += event is ChainEvent.ADVANCE_Y
+            if state == (0, 0):
+                break
+        yield v_x, v_y, slots
+
+
+def _rotation_stream(producer, q, seed, tie, n, block):
+    """First n rotations of producer plus the next draw, under a fixed or laggard-first rule."""
+    draws = BlockDraws(master_rng(seed), q, block=block)
+    totals = [0, 0]
+
+    def laggard_first():
+        return TieDecision.ADVANCE_X if totals[0] <= totals[1] else TieDecision.ADVANCE_Y
+
+    rule = laggard_first if tie == "lf" else TieDecision[tie]
+    out = []
+    for v_x, v_y, slots in islice(producer(q, rule, draws), n):
+        totals[0] += v_x
+        totals[1] += v_y
+        out.append((v_x, v_y, slots))
+    return out, draws.integers(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
+       tie=st.sampled_from(["ADVANCE_X", "ADVANCE_Y", "lf"]),
+       n=st.integers(1, 300), block=st.sampled_from([1, 7, 64, 8192]))
+def test_rotations_equal_slot_by_slot_chain(q, seed, tie, n, block):
+    # same rotations and the same stream position afterwards
+    assert (_rotation_stream(_rotations, q, seed, tie, n, block)
+            == _rotation_stream(_slot_by_slot_rotations, q, seed, tie, n, block))
+
+
+def test_rotations_consult_tie_rule_once_per_rotation():
+    calls = []
+
+    def rule():
+        calls.append(1)
+        return TieDecision.ADVANCE_Y
+
+    rotations = list(islice(_rotations(4, rule, BlockDraws(master_rng(5), 4)), 50))
+    assert len(calls) == 50
+    assert all(v_y >= 1 for _, v_y, _ in rotations)
+
+
+class TestAlphabetCheckedBeforeDrawing:
+    @pytest.mark.parametrize("q", [1, 0, -3])
+    def test_rotation_moments(self, q):
+        gen = master_rng(1)
+        with pytest.raises(InvalidStrandError, match="alphabet size"):
+            rotation_moments(q, 200_000, gen)
+        assert gen.integers(2**32) == master_rng(1).integers(2**32)
+
+    @pytest.mark.parametrize("q", [1, 0])
+    def test_drift_series(self, q):
+        gen = master_rng(1)
+        with pytest.raises(InvalidStrandError, match="alphabet size"):
+            drift_series(q, 50_000, gen)
+        assert gen.integers(2**32) == master_rng(1).integers(2**32)
+
+
+# --- integer stationary solve against a Fraction reference ------------------
+
+
+def _fraction_stationary(rows):
+    """Reference: dense Gauss-Jordan on Fractions of the same balance system."""
+    n = len(rows)
+    m = [[Fraction(rows[j][i]) - (i == j) for j in range(n)] for i in range(n)]
+    m[n - 1] = [Fraction(1)] * n
+    rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular")
+        m[col], m[pivot] = m[pivot], m[col]
+        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
+        inv = 1 / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        rhs[col] *= inv
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [vr - f * vc for vr, vc in zip(m[r], m[col])]
+                rhs[r] -= f * rhs[col]
+    return rhs
+
+
+def _stochastic_row(weights):
+    total = sum(weights)
+    return [Fraction(w, total) if w % total else w // total for w in weights]
+
+
+@st.composite
+def stochastic_matrices(draw, max_size=8):
+    """Random rational row-stochastic matrices; zero weights make transient and
+    absorbing states, and entries 0 and 1 come as ints."""
+    n = draw(st.integers(1, max_size))
+    weights = st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any)
+    return [_stochastic_row(draw(weights)) for _ in range(n)]
+
+
+def _solve_or_raise(solver, matrix):
+    try:
+        return solver(matrix)
+    except ValueError:
+        return ValueError
+
+
+class TestExactStationaryDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(stochastic_matrices())
+    def test_equals_fraction_reference(self, matrix):
+        assert _solve_or_raise(stationary, matrix) == _solve_or_raise(_fraction_stationary, matrix)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stochastic_matrices(max_size=5), st.data())
+    def test_transient_states_are_exactly_zero(self, closed, data):
+        # extra states leak into state 0 of a closed block, so they are transient
+        k = len(closed)
+        extra = data.draw(st.integers(1, 3))
+        n = k + extra
+        matrix = [row + [0] * extra for row in closed]
+        for _ in range(extra):
+            weights = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+            weights[0] += 1
+            matrix.append(_stochastic_row(weights))
+        pi = _solve_or_raise(stationary, matrix)
+        assert pi == _solve_or_raise(_fraction_stationary, matrix)
+        if pi is not ValueError:
+            assert pi[k:] == [0] * extra
+            assert pi[:k] == stationary(closed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stochastic_matrices(max_size=4), stochastic_matrices(max_size=4))
+    def test_two_closed_classes_raise(self, first, second):
+        matrix = ([row + [0] * len(second) for row in first]
+                  + [[0] * len(first) + row for row in second])
+        with pytest.raises(ValueError):
+            stationary(matrix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stochastic_matrices(), st.data())
+    def test_rows_off_one_raise(self, matrix, data):
+        n = len(matrix)
+        r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        matrix[r][c] += data.draw(st.sampled_from([Fraction(1, 7), Fraction(-1, 1000), 1]))
+        with pytest.raises(ValueError):
+            stationary(matrix)
+
+    def test_rejects_empty_and_ragged(self):
+        with pytest.raises(ValueError, match="empty"):
+            stationary([])
+        with pytest.raises(ValueError, match="square"):
+            stationary([[Fraction(1)], [Fraction(1)]])
