@@ -63,6 +63,7 @@ from .optimal import (
     find_first_progress_symbol,
     lcs_length,
     lcs_upper_bound,
+    optimal_schedule,
     reconstruct,
     runs_count,
     t_star,

@@ -8,7 +8,9 @@ policy experiments, and report the measured optimal slope.
 
 All randomness flows from --seed (default 0xDA7A); ROWSYNTH_SEED and
 ROWSYNTH_FORMAT provide environment overrides, with flags taking
-precedence. JSON output always carries a metadata object; --no-timestamp
+precedence. Both are read on every main() call, after parsing, so the one
+parser a process builds on its first call still sees a changed
+environment. JSON output always carries a metadata object; --no-timestamp
 suppresses the timestamp for byte-stable golden files. Exit status: 0 on
 success, 1 on validation/configuration errors, 2 on usage errors.
 """
@@ -16,6 +18,7 @@ success, 1 on validation/configuration errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -35,8 +38,8 @@ from .experiments import (
     run_experiment_row,
 )
 from .markov import closed_form_rotation, lf1_matrix, rotation_moments, stationary, synthesis_rate
-from .model import Schedule, apply_schedule, format_strand, parse_strand, simulate
-from .optimal import dp_solve, enumerate_interleavings_min, reconstruct
+from .model import Schedule, apply_schedule, format_strand, parse_strand, simulate_k
+from .optimal import enumerate_interleavings_min, optimal_schedule
 from .policies import get_policy, policy_names
 from .rng import DEFAULT_SEED, master_rng
 
@@ -106,7 +109,7 @@ def _cmd_simulate(args) -> int:
     policy = get_policy(args.policy)
     x = parse_strand(args.x, args.q)
     y = parse_strand(args.y, args.q)
-    schedule, _ = simulate(x, y, policy, args.q, master_rng(args.seed))
+    schedule = simulate_k((x, y), policy, args.q, master_rng(args.seed))
     _emit_json(args, {
         "q": args.q,
         "policy": policy.name,
@@ -121,8 +124,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_solve(args) -> int:
     x = parse_strand(args.x, args.q)
     y = parse_strand(args.y, args.q)
-    table = dp_solve(x, y, args.q)
-    result = reconstruct(x, y, table)
+    result = optimal_schedule(x, y, args.q)
     payload = {
         "q": args.q,
         "L": max(len(x), len(y)),
@@ -329,8 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to a file instead of stdout")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp from JSON metadata (golden-file mode)")
-        p.add_argument("--format", choices=("csv", "json"),
-                       default=_env_format(fmt_default), help="output format")
+        p.add_argument("--format", choices=("csv", "json"), default=None,
+                       help=f"output format (default: ${ENV_FORMAT}, else {fmt_default})")
+        p.set_defaults(fmt_default=fmt_default)
         if with_seed:
             p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                            help=f"master seed (default {hex(DEFAULT_SEED)})")
@@ -346,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, "json")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("solve", help="exact optimal schedule via the solver table")
+    p = sub.add_parser("solve", help="exact optimal schedule via one tie bit per cell")
     add_instance(p)
     add_common(p, "json")
     p.set_defaults(func=_cmd_solve)
@@ -404,6 +407,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first main() call, not at import.
+
+    parse_args leaves a parser unchanged, so every later call can share it;
+    nothing that may change between calls, such as the environment, is read
+    while it is built.
+    """
+    return build_parser()
+
+
 def _bind_schedule(argv: list[str]) -> list[str]:
     """Join "--schedule S" into "--schedule=S".
 
@@ -420,8 +434,9 @@ def _bind_schedule(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(_bind_schedule(sys.argv[1:] if argv is None else argv))
+        args = _parser().parse_args(_bind_schedule(sys.argv[1:] if argv is None else argv))
+        if args.format is None:
+            args.format = _env_format(args.fmt_default)
         if hasattr(args, "seed"):
             args.seed_given = args.seed is not None
             if args.seed is None:

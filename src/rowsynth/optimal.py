@@ -15,8 +15,12 @@ offset, gives the same value: idling past a usable slot never helps,
 because dropping one advance from a schedule leaves a valid schedule of the
 smaller instance. Every term lies on the anti-diagonal i + j + 1, so one
 diagonal is one numpy step with no loop over cells. t_star keeps a single
-diagonal per state, O(len_x + len_y) memory; dp_solve keeps them all and
-expands them into the (i, j, r) table that reconstruct walks.
+diagonal per state, O(len_x + len_y) memory. An optimal schedule needs more
+only where both strands can advance in the same slot, and there it takes X
+iff W(i + 1, j, X) <= W(i, j + 1, Y): optimal_schedule keeps that one tie
+bit per cell, packed eight to a byte, and walks from (0, 0) one advance at
+a time. dp_solve keeps every diagonal and expands them into the (i, j, r)
+table that reconstruct walks slot by slot; the two are the reference API.
 
 Alongside the solver live two fully independent cross-checks: a
 brute-force minimum over all interleavings, and the binary runs/LCS
@@ -53,6 +57,10 @@ from .model import (
 # tuple takes 8 bytes per state and the kept wavefront 16 bytes per cell,
 # so this is at most about 0.3 GB.
 MAX_TABLE_STATES = 2 * 10**7
+
+# Largest (len_x + 1) * (len_y + 1) cell count optimal_schedule keeps a tie
+# bit for: 125 MB of bits, enough for two strands of about 31,600 symbols.
+MAX_TIE_BITS = 10**9
 
 # Stands for W at a cell past the end of a strand; larger than any
 # completion time, so a term through such a cell never wins a minimum.
@@ -114,7 +122,7 @@ def _advance_costs(q: int) -> np.ndarray:
     return (np.arange(2 * q - 1, dtype=np.int64) - q) % q + 1
 
 
-def _wavefront(x: Strand, y: Strand, q: int):
+def _wavefront(x: Strand, y: Strand, q: int, ties: list | None = None):
     """Yield (d, lo, wx, wy) for each anti-diagonal d = len_x + len_y, ..., 0.
 
     wx[k] and wy[k] are W(i, d - i, X) and W(i, d - i, Y) at i = lo + k.
@@ -122,6 +130,9 @@ def _wavefront(x: Strand, y: Strand, q: int):
     outlive it. A strand that has not advanced yet (X at i = 0, Y at j = 0)
     counts as having advanced symbol q - 1; only the start cell (0, 0)
     reads such an entry, and the last diagonal yields the optimum at wx[0].
+    When ``ties`` is given, each computed diagonal d < len_x + len_y appends
+    its tie bits, W(i + 1, j, X) > W(i, j + 1, Y) at bit k, packed
+    big-endian into bytes.
     """
     lx, ly = len(x), len(y)
     cost = _advance_costs(q)
@@ -150,6 +161,8 @@ def _wavefront(x: Strand, y: Strand, q: int):
         xy = cost[y_key[cy] - x_last[cx]] + via_y
         yx = cost[x_key[cx] - y_last[cy]] + via_x
         yy = y_self[cy] + via_y
+        if ties is not None:
+            ties.append(np.packbits(via_x > via_y).tobytes())
         wx_d = wx[cx]
         wy_d = wy[cx]
         np.minimum(xx, xy, out=wx_d)
@@ -273,6 +286,53 @@ def reconstruct(x, y, table: DpTable) -> OptimalResult:
         raise TableIntegrityError(
             f"reconstructed schedule takes {len(actions)} slots, table claims {target}"
         )
+    return OptimalResult(target, Schedule(tuple(actions)))
+
+
+def optimal_schedule(x, y, q: int) -> OptimalResult:
+    """An optimal schedule from one tie bit per cell, without the (i, j, r) table.
+
+    Equals reconstruct(x, y, dp_solve(x, y, q)). From (0, 0) the strand
+    whose next symbol comes round first advances after that many idles;
+    when both come round in the same slot, the tie bit of the cell picks X
+    iff W(i + 1, j, X) <= W(i, j + 1, Y), reconstruct's rule. Refuses,
+    before allocating, more than MAX_TIE_BITS cells, and raises
+    TableIntegrityError if the walk does not score the optimum.
+    O(len_x * len_y) time and bits.
+    """
+    x = validate_strand(x, q)
+    y = validate_strand(y, q)
+    lx, ly = len(x), len(y)
+    cells = (lx + 1) * (ly + 1)
+    if cells > MAX_TIE_BITS:
+        raise BudgetExceededError(cells, MAX_TIE_BITS, what="tie-bit table", unit="bits")
+    ties: list[bytes] = []  # diagonal d at ties[lx + ly - 1 - d]
+    for _, _, root, _ in _wavefront(x, y, q, ties):
+        pass
+    target = int(root[0])
+    top = lx + ly - 1
+    actions: list[Action] = []
+    i = j = t = 0
+    while i < lx or j < ly:
+        emit = t % q  # the symbol of slot t + 1
+        wait_x = (x[i] - emit) % q if i < lx else q
+        wait_y = (y[j] - emit) % q if j < ly else q
+        if wait_x == wait_y:
+            k = i - max(0, i + j - ly)
+            take_x = not (ties[top - i - j][k >> 3] >> (7 - (k & 7))) & 1
+        else:
+            take_x = wait_x < wait_y
+        wait = min(wait_x, wait_y)
+        actions.extend([IDLE] * wait)
+        if take_x:
+            actions.append(ADVANCE_X)
+            i += 1
+        else:
+            actions.append(ADVANCE_Y)
+            j += 1
+        t += wait + 1
+    if t != target:
+        raise TableIntegrityError(f"tie-bit walk takes {t} slots, the solver claims {target}")
     return OptimalResult(target, Schedule(tuple(actions)))
 
 

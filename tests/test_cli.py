@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
 from rowsynth import Schedule, apply_schedule, policy_names
+from rowsynth import cli
 from rowsynth.cli import load_config, main
 
 
@@ -23,6 +25,14 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def _strand(placeholder: str) -> str:
+    """The digits "{q<q>-<length>-<name>}" stands for, from a Mersenne Twister seeded by it."""
+    tag = placeholder.strip("{}")
+    q, length = (int(v) for v in tag[1:].split("-")[:2])
+    gen = random.Random(f"pin/{tag}")
+    return "".join(str(gen.randrange(q)) for _ in range(length))
 
 
 class TestSolve:
@@ -48,10 +58,17 @@ class TestSolve:
 
 class TestSolveBudget:
     def test_table_over_budget_exits_one(self, capsys):
-        code, _, err = run_cli(capsys, "solve", "--q", "2", "--x", "0" * 4000,
-                               "--y", "1" * 4000)
+        code, _, err = run_cli(capsys, "solve", "--q", "2", "--x", "0" * 32000,
+                               "--y", "1" * 32000)
         assert code == 1
-        assert "states" in err and "budget" in err
+        assert "bits" in err and "budget" in err
+
+    def test_past_the_dp_table_budget_solves_and_validates(self, capsys):
+        instance = ("--q", "2", "--x", _strand("{q2-4000-x}"), "--y", _strand("{q2-4000-y}"),
+                    "--no-timestamp")
+        solved = run_json(capsys, "solve", *instance)
+        doc = run_json(capsys, "validate", *instance, "--schedule", solved["schedule"])
+        assert doc["completionTime"] == solved["tStar"]
 
 
 class TestOracle:
@@ -279,6 +296,7 @@ class TestGoldenStability:
 
 SWEEP = {"q": [2, 4], "L": 40, "policy": ["lf", "random"], "trials": 6, "seed": 5}
 
+
 # SHA-256 of fixed-seed output bytes, pinned before the per-command row loops were merged
 PINNED_OUTPUT = [
     (["rotations", "--q", "2,3,4,5", "--rotations", "300", "--seed", "7", "--format", "csv"],
@@ -307,6 +325,31 @@ PINNED_OUTPUT = [
      "870cf2554483b2221399db1a3121c13936de9c179e8590da56c584ec887fc70f"),
     (["chain", "--stationary"],
      "ddbece2e9fd580a0ef7aecd7e63d90a0969049bf4db3db2de92ba3dcfde98f58"),
+    # pinned on the table-walking solver and the trace-building simulate
+    (["solve", "--q", "2", "--x", "{q2-200-x}", "--y", "{q2-200-y}"],
+     "fd175f949654623ce55cc8fcc2b562fb9f1bb3402e3d8e2e1b94ac51877d0bab"),
+    (["solve", "--q", "4", "--x", "{q4-133-x}", "--y", "{q4-123-y}"],
+     "8c35a406db27e30df6c110771e7e01f57514d5a0c60924ceb03459c3d362302e"),
+    (["solve", "--q", "3", "--x", "", "--y", "{q3-60-y}"],
+     "0da2c11b863180652cf5a8cbfa4639782d4b264d925f22f955cc0bfefc4acc2c"),
+    (["solve", "--q", "4", "--x", "133", "--y", "123"],  # opens with an idle
+     "3b6f7ea39b44f919bf7eff6c27a78da735d90afa56288318b477bf43384336f1"),
+] + [
+    (["simulate", "--q", str(q), "--x", f"{{q{q}-300-x}}", "--y", f"{{q{q}-300-y}}",
+      "--policy", policy, "--seed", "5"], digest)
+    for q, policy, digest in (
+        (2, "x-first", "a5e196112c73bb13ffa312c233549cae545df0ef1a107cc615febdf55c79e021"),
+        (2, "y-first", "3e22fc5aaeb1fcd95bc042e8f1a655192a5d45f70965d407cb4746185313b55e"),
+        (2, "lf", "0445e6e425eb1ffbc1f7dd1c4c4002414d7718fce8d2f0dca8567667676cd3b4"),
+        (2, "lf1", "f27c3b82a6e4dc2a974b640fb9963a4907cf09acb4bca68138e645e9c7344d05"),
+        (2, "round-robin", "0f45f045444804c8154f69d5a478c893d8775f052f75b1b837f2095538381971"),
+        (2, "random", "222ae40d7c32e19e3a9712858720bd3e53883faee10c401d916a5108ed095dfa"),
+        (4, "x-first", "4072fc463467828c87a8fe51e0718b3ff4c4ce70c762f655005a60686d8e9254"),
+        (4, "y-first", "934784a1a574fc418127978821967573b99e2e41ef0fd12720a78c6aa2347cb0"),
+        (4, "lf", "c2fbd4aa9c9ed656375deaa6c5e264769f98515743663d7c2ecbb7d6b54587af"),
+        (4, "round-robin", "169ddb8d1e3bb2e400a3d350dbd5ab80c2b37d83abc23d01a2e7bdfb3611377a"),
+        (4, "random", "7579317fec62b0003f62924577f3ba7ca9c80c078b82f8df3d9ca3902ccb3837"),
+    )
 ]
 
 
@@ -315,7 +358,8 @@ PINNED_OUTPUT = [
 def test_pinned_output(capsys, tmp_path, argv, digest):
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps(SWEEP))
-    argv = [str(sweep) if tok == "{sweep}" else tok for tok in argv]
+    argv = [str(sweep) if tok == "{sweep}" else _strand(tok) if tok.startswith("{q") else tok
+            for tok in argv]
     code, out, err = run_cli(capsys, *argv, "--no-timestamp")
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -343,6 +387,56 @@ class TestEnvironmentOverrides:
         monkeypatch.setenv("ROWSYNTH_SEED", "not-a-number")
         code, _, err = run_cli(capsys, "solve", "--q", "2", "--x", "0", "--y", "1")
         assert code == 1
+
+
+class TestCachedParser:
+    """One parser per process; the environment is still read on every call."""
+
+    BOUNDS = ("bounds", "--q", "2", "--length", "10", "--no-timestamp")
+
+    def test_format_env_set_after_a_call_takes_effect(self, capsys, monkeypatch):
+        monkeypatch.delenv("ROWSYNTH_FORMAT", raising=False)
+        code, out, _ = run_cli(capsys, *self.BOUNDS)
+        assert code == 0 and out.startswith("q,L,")
+        monkeypatch.setenv("ROWSYNTH_FORMAT", "json")
+        assert run_json(capsys, *self.BOUNDS)["rows"][0]["lfExpected"] == 25.0
+        monkeypatch.setenv("ROWSYNTH_FORMAT", "csv")
+        code, out, _ = run_cli(capsys, *self.BOUNDS)
+        assert code == 0 and out.startswith("q,L,")
+        assert cli._parser.cache_info().misses == 1
+
+    def test_bad_format_env_after_a_good_call_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setenv("ROWSYNTH_FORMAT", "json")
+        run_json(capsys, *self.BOUNDS)
+        monkeypatch.setenv("ROWSYNTH_FORMAT", "xml")
+        code, out, err = run_cli(capsys, *self.BOUNDS)
+        assert code == 1 and out == ""
+        assert "ROWSYNTH_FORMAT" in err
+
+    @pytest.mark.parametrize("env", ["json", "xml"])
+    def test_format_flag_beats_env(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("ROWSYNTH_FORMAT", env)
+        code, out, _ = run_cli(capsys, *self.BOUNDS, "--format", "csv")
+        assert code == 0 and out.startswith("q,L,")
+
+    def test_usage_exits_unchanged_after_a_good_call(self, capsys):
+        run_cli(capsys, *self.BOUNDS)
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--help"])
+        assert exc.value.code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--frob"])
+        assert exc.value.code == 2
+        code, _, _ = run_cli(capsys, *self.BOUNDS)
+        assert code == 0
+
+    def test_not_built_at_import(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import rowsynth.cli as c; print(c._parser.cache_info().misses)"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "0"
 
 
 class TestUsageAndHelp:

@@ -6,6 +6,8 @@ import hashlib
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowsynth import (
     BudgetExceededError,
@@ -22,6 +24,7 @@ from rowsynth import (
     find_first_progress_symbol,
     lcs_length,
     lcs_upper_bound,
+    optimal_schedule,
     policy_catalog,
     random_strand,
     reconstruct,
@@ -30,7 +33,8 @@ from rowsynth import (
     t_star,
     trial_rng,
 )
-from rowsynth.optimal import MAX_TABLE_STATES
+from rowsynth import optimal
+from rowsynth.optimal import MAX_TABLE_STATES, MAX_TIE_BITS
 from conftest import random_pair
 
 X1 = (1, 3, 2, 2)
@@ -126,6 +130,58 @@ class TestReconstruct:
                       (table.values[0] + 5,) + table.values[1:])
         with pytest.raises(TableIntegrityError):
             reconstruct((0, 1), (1, 0), bad)
+
+
+@st.composite
+def solver_instances(draw):
+    q = draw(st.integers(2, 6))
+    strand = st.lists(st.integers(0, q - 1), max_size=14).map(tuple)
+    return q, draw(strand), draw(strand)
+
+
+class TestOptimalSchedule:
+    @settings(max_examples=400, deadline=None)
+    @given(solver_instances())
+    def test_equals_table_walk(self, instance):
+        q, x, y = instance
+        result = optimal_schedule(x, y, q)
+        reference = reconstruct(x, y, dp_solve(x, y, q))
+        assert result.t_star == reference.t_star
+        assert result.schedule == reference.schedule
+        assert apply_schedule(x, y, result.schedule, q) == result.t_star
+
+    def test_equals_table_walk_at_length_1000(self):
+        x, y = _seeded_pair(10, 2, 1000, 1000)
+        result = optimal_schedule(x, y, 2)
+        assert result == reconstruct(x, y, dp_solve(x, y, 2))
+        assert apply_schedule(x, y, result.schedule, 2) == result.t_star
+
+    def test_refuses_by_cell_count_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(optimal, "_wavefront", None)  # any solving step would fail
+        x = (0,) * 31623
+        with pytest.raises(BudgetExceededError) as err:
+            optimal_schedule(x, x, 2)
+        assert err.value.required == 31624 * 31624
+        assert err.value.budget == MAX_TIE_BITS
+        assert "bits" in str(err.value)
+
+    def test_rejects_tie_bits_that_miss_the_optimum(self, monkeypatch):
+        wavefront = optimal._wavefront
+
+        def flipped(x, y, q, ties):
+            yield from wavefront(x, y, q, ties)
+            ties[:] = [bytes(255 - b for b in row) for row in ties]
+
+        monkeypatch.setattr(optimal, "_wavefront", flipped)
+        with pytest.raises(TableIntegrityError):
+            optimal_schedule((0, 1), (0, 0), 2)
+
+    def test_t_star_builds_no_tie_bits(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("t_star packed tie bits")
+
+        monkeypatch.setattr(optimal.np, "packbits", refuse)
+        assert t_star(X1, Y1, 4) == 11
 
 
 class TestInterleavingOracle:
