@@ -25,7 +25,6 @@ from .errors import (
 from .model import (
     Action,
     Schedule,
-    SimState,
     SimTrace,
     StepRecord,
     apply_schedule,
@@ -60,7 +59,6 @@ from .optimal import (
     complement,
     dp_solve,
     enumerate_interleavings_min,
-    find_first_progress_symbol,
     lcs_length,
     lcs_upper_bound,
     optimal_schedule,

@@ -97,12 +97,12 @@ def _optimal_trial(gen: np.random.Generator, q: int, length: int) -> int:
 
 
 def _solo_trial(gen: np.random.Generator, q: int, length: int) -> int:
-    return solo_time(random_strand(q, length, gen), q, 0)
+    return solo_time(random_strand(q, length, gen), q)
 
 
 def _max_of_solos_trial(gen: np.random.Generator, q: int, length: int) -> int:
     x, y = _random_pair(gen, q, length)
-    return max(solo_time(x, q, 0), solo_time(y, q, 0))
+    return max(solo_time(x, q), solo_time(y, q))
 
 
 def pool_size(workers: int, trials: int) -> int:

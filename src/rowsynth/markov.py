@@ -10,9 +10,10 @@ up to (but not including) the next, and carries the per-strand advance
 counts and its length in slots.
 
 This module simulates that chain, decomposes traces into rotations,
-evaluates the exact rotation moments, and builds the 16-state transition
-matrix of the binary one-symbol-lookahead rule together with its
-stationary distribution and per-slot synthesis rate.
+evaluates the exact rotation moments, and builds exact transition matrices
+from the positional tie rule the simulator asks, with or without each
+strand's lookahead offset. lf1's rule at q=2 gives the 16-state binary
+lookahead chain, with its stationary law and per-slot synthesis rate.
 
 ``chain_step`` is the slot-by-slot reference. The rotation sampler behind
 ``rotation_moments`` and ``drift_series`` steps from advance to advance
@@ -30,13 +31,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .model import validate_alphabet
-from .policies import TieDecision
+from .policies import LF1, TieDecision, TieRule
 from .rng import BlockDraws, master_rng
 
 
@@ -59,10 +60,11 @@ class ChainStep(NamedTuple):
     advanced: int | None
 
 
-TieRule = Callable[[], TieDecision]
+# the rotation sampler's tie: () -> the advancing strand
+ChainTie = Callable[[], TieDecision]
 
 
-def _as_tie_rule(tie) -> TieRule:
+def _as_tie_rule(tie) -> ChainTie:
     if isinstance(tie, TieDecision):
         return lambda: tie
     return tie
@@ -289,11 +291,40 @@ def visit_values(q: int) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
     return a_side, b_side
 
 
-# --- the binary one-symbol-lookahead chain ----------------------------------
+# --- chains built from tie rules, and the binary one-symbol-lookahead chain --
 
 
-def lf1_state_index(a: int, b: int, c: int, d: int) -> int:
-    return 8 * a + 4 * b + 2 * c + 1 * d
+def _offset_chain(q: int, rule: TieRule, depth: int) -> list[list[Fraction]]:
+    """Exact transition rows of the offset chain under a positional tie rule.
+
+    A state holds the offsets (a, b), plus at depth 1 each strand's
+    lookahead offset (c, d), in lexicographic order (8a + 4b + 2c + d at
+    q=2). Each slot counts every offset down by one mod q. The advancing
+    strand takes its lookahead offset as its new offset, and the slot this
+    frees redraws, each value with probability 1/q. At (0, 0) the chain asks
+    rule(0, 0, 0, c, d, 0, 0): at emission 0 an offset is its symbol.
+    """
+    states = list(product(range(q), repeat=2 + 2 * depth))
+    index = {state: k for k, state in enumerate(states)}
+    share = Fraction(1, q)
+    rows = []
+    for a, b, *look in states:
+        row = [Fraction(0)] * len(states)
+        rows.append(row)
+        nxt = [(v - 1) % q for v in (a, b, *look)]
+        if a and b:
+            row[index[tuple(nxt)]] = Fraction(1)
+            continue
+        if a or b:
+            adv = 1 if a else 0  # the advancing strand: 0 for X, 1 for Y
+        else:
+            adv = 0 if rule(0, 0, 0, *(look or (None, None)), 0, 0) else 1
+        if depth:
+            nxt[adv] = nxt[adv + 2]
+        for v in range(q):
+            nxt[adv + 2 * depth] = v
+            row[index[tuple(nxt)]] += share
+    return rows
 
 
 def lf1_matrix() -> list[list[Fraction]]:
@@ -303,32 +334,10 @@ def lf1_matrix() -> list[list[Fraction]]:
     two current offsets plus each strand's lookahead offset (the distance
     from its following symbol to the emission). Fresh lookahead bits are
     uniform, so rows split 1/2 / 1/2 wherever a strand advances; double
-    idles are deterministic. Ties with equal lookahead bits advance strand
-    1, which leaves the per-slot synthesis rate unchanged.
+    idles are deterministic. Ties ask lf1's own rule, so equal lookahead
+    bits advance strand 1, which leaves the per-slot synthesis rate unchanged.
     """
-    rows = [[Fraction(0)] * 16 for _ in range(16)]
-    for s in range(16):
-        a, b, c, d = (s >> 3) & 1, (s >> 2) & 1, (s >> 1) & 1, s & 1
-
-        def put(a2, b2, c2, d2, p):
-            rows[s][lf1_state_index(a2, b2, c2, d2)] += p
-
-        half = Fraction(1, 2)
-        if a == 1 and b == 1:
-            put(0, 0, 1 - c, 1 - d, Fraction(1))
-        elif a == 0 and b == 1:
-            for u in (0, 1):  # strand 1 advances; fresh lookahead bit u
-                put(1 - c, 0, u, 1 - d, half)
-        elif a == 1 and b == 0:
-            for v in (0, 1):
-                put(0, 1 - d, 1 - c, v, half)
-        elif c == 0 and d == 1:
-            for v in (0, 1):  # only strand 2's lookahead matches the next slot
-                put(1, 1 - d, 1 - c, v, half)
-        else:
-            for u in (0, 1):  # lookahead favours strand 1, or equal bits
-                put(1 - c, 1, u, 1 - d, half)
-    return rows
+    return _offset_chain(2, LF1.tie_rule(2), 1)
 
 
 def _is_exact_matrix(rows) -> bool:

@@ -16,13 +16,16 @@ keeps the slot of each strand's next advance, advances the earlier one,
 and asks the policy's positional tie rule when the two slots are equal;
 forced idles are never visited unless a schedule is requested, in which
 case each advance fills in the idles it skipped; the per-slot trace is
-then read off the schedule. Externally supplied schedules may idle freely
-and are merely validated and scored by apply_schedule.
+then read off the schedule. The loop takes the tie rule, a coin source and
+a lookahead flag rather than a policy, so the exact solver runs the same
+walk with a rule that reads its tie bits. Externally supplied schedules
+may idle freely and are merely validated and scored by apply_schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .errors import (
     ConfigError,
@@ -31,7 +34,7 @@ from .errors import (
     InvalidStrandError,
     ScheduleError,
 )
-from .policies import HistoryDigest, TiePolicy
+from .policies import HistoryDigest, TiePolicy, TieRule
 from .rng import DEFAULT_SEED, master_rng
 
 Strand = tuple[int, ...]
@@ -44,11 +47,23 @@ def validate_alphabet(q: int) -> int:
 
 
 def validate_strand(strand, q: int) -> Strand:
-    """Normalize to a tuple of ints and check every symbol lies in [0, q)."""
+    """Normalize to a tuple of ints and check every symbol is an integer in [0, q).
+
+    Symbols convert with operator.index, so Python and numpy integers pass
+    while floats and strings are refused rather than truncated.
+    """
     validate_alphabet(q)
-    out = tuple(map(int, strand))
-    if out and (min(out) < 0 or max(out) >= q):
-        for k, s in enumerate(out):
+    strand = tuple(strand)
+    try:
+        out = tuple(map(index, strand))
+    except TypeError:
+        out = None
+    if out is None or out and (min(out) < 0 or max(out) >= q):
+        for k, s in enumerate(strand):
+            try:
+                s = index(s)
+            except TypeError:
+                raise InvalidStrandError(f"symbol {s!r} at position {k} is not an integer") from None
             if not 0 <= s < q:
                 raise InvalidStrandError(f"symbol {s} at position {k} outside alphabet of size {q}")
     return out
@@ -87,20 +102,17 @@ def periodic_symbol(q: int, t: int) -> int:
     return (t - 1) % q
 
 
-def solo_time(z, q: int, start_phase: int = 0) -> int:
-    """Slots needed to synthesize a single strand greedily.
+def solo_time(z, q: int) -> int:
+    """Slots needed to synthesize a single strand greedily from slot 1.
 
-    Slots 1, 2, ... emit start_phase, start_phase + 1, ... mod q. Each
-    symbol costs ((z_k - z_{k-1} - 1) mod q) + 1 slots after its
-    predecessor (the first one counted from the virtual symbol before slot
-    1), which is exactly the slot-by-slot greedy behaviour. Empty strands
-    take 0 slots.
+    Each symbol costs ((z_k - z_{k-1} - 1) mod q) + 1 slots after its
+    predecessor, the first one counted from symbol q - 1 before slot 1,
+    which is exactly the slot-by-slot greedy behaviour. Empty strands take
+    0 slots.
     """
     z = validate_strand(z, q)
-    if not 0 <= start_phase < q:
-        raise InvalidStrandError(f"start phase {start_phase} outside alphabet of size {q}")
     t = 0
-    cur = (start_phase - 1) % q
+    cur = q - 1
     for s in z:
         t += ((s - cur - 1) % q) + 1
         cur = s
@@ -190,16 +202,6 @@ class Schedule:
 
 
 @dataclass(frozen=True)
-class SimState:
-    """Progress snapshot: symbols done per strand, current slot and emission."""
-
-    i: int
-    j: int
-    t: int
-    r: int
-
-
-@dataclass(frozen=True)
 class StepRecord:
     """One simulated slot: emission, chosen action, and both strand offsets.
 
@@ -238,7 +240,20 @@ def _default_rng():
     return master_rng(DEFAULT_SEED)
 
 
-def _run(x: Strand, y: Strand, policy: TiePolicy, q: int, rng,
+def _tie_args(policy: TiePolicy, q: int, rng) -> tuple:
+    """``_run``'s tie arguments for a policy at q: its rule, coin source and lookahead flag.
+
+    The coin source is None for a policy that draws no coin, and the
+    default generator for one that does when no rng is given.
+    """
+    if not policy.uses_rng:
+        rng = None
+    elif rng is None:
+        rng = _default_rng()
+    return policy.tie_rule(q), rng, policy.lookahead == 1
+
+
+def _run(x: Strand, y: Strand, q: int, rule: TieRule, coins, look: bool,
          actions: list | None = None) -> int:
     """The greedy loop: one iteration per advance; returns the completion time.
 
@@ -247,18 +262,16 @@ def _run(x: Strand, y: Strand, policy: TiePolicy, q: int, rng,
     advances next at t + 1 + ((next symbol - t) mod q); a tie at
     ``tx == ty`` delays the loser by exactly q slots, to the next time its
     symbol comes round. The earlier strand always advances first, so idle
-    slots cost nothing. When ``actions`` is given, each advance appends the
-    idles it skipped and then itself, so the list holds one action per slot.
+    slots cost nothing. At a tie ``rule`` is asked (True advances strand
+    1), with a coin from ``coins.integers(2)`` when ``coins`` is not None
+    and each strand's following symbol when ``look`` is set. When
+    ``actions`` is given, each advance appends the idles it skipped and
+    then itself, so the list holds one action per slot.
     """
     lx, ly = len(x), len(y)
     i = j = ties = last = 0
     tx = x[0] + 1 if lx else _NEVER
     ty = y[0] + 1 if ly else _NEVER
-    rule = policy.tie_rule(q)
-    want_look = policy.lookahead == 1
-    uses_rng = policy.uses_rng
-    if uses_rng and rng is None:
-        rng = _default_rng()
     while True:
         if tx < ty:
             t = tx
@@ -270,9 +283,9 @@ def _run(x: Strand, y: Strand, policy: TiePolicy, q: int, rng,
             return last
         else:
             t = tx
-            coin = int(rng.integers(2)) if uses_rng else 0
-            la_x = x[i + 1] if want_look and i + 1 < lx else None
-            la_y = y[j + 1] if want_look and j + 1 < ly else None
+            coin = int(coins.integers(2)) if coins is not None else 0
+            la_x = x[i + 1] if look and i + 1 < lx else None
+            la_y = y[j + 1] if look and j + 1 < ly else None
             if rule(i, j, (t - 1) % q, la_x, la_y, ties, coin):
                 adv = 1
                 ty += q
@@ -320,7 +333,7 @@ def simulate(x, y, policy: TiePolicy, q: int, rng=None) -> tuple[Schedule, SimTr
     x = validate_strand(x, q)
     y = validate_strand(y, q)
     actions: list[Action] = []
-    _run(x, y, policy, q, rng, actions)
+    _run(x, y, q, *_tie_args(policy, q, rng), actions)
     return Schedule(tuple(actions)), SimTrace(tuple(_records(x, y, q, actions)))
 
 
@@ -328,7 +341,7 @@ def completion_time(x, y, policy: TiePolicy, q: int, rng=None) -> int:
     """Completion time of the greedy simulation, without materializing a trace."""
     x = validate_strand(x, q)
     y = validate_strand(y, q)
-    return _run(x, y, policy, q, rng)
+    return _run(x, y, q, *_tie_args(policy, q, rng))
 
 
 def simulate_k(strands, policy: TiePolicy, q: int, rng=None) -> Schedule:
@@ -341,7 +354,7 @@ def simulate_k(strands, policy: TiePolicy, q: int, rng=None) -> Schedule:
     strands = [validate_strand(s, q) for s in strands]
     if len(strands) == 2:
         actions: list[Action] = []
-        _run(strands[0], strands[1], policy, q, rng, actions)
+        _run(strands[0], strands[1], q, *_tie_args(policy, q, rng), actions)
         return Schedule(tuple(actions))
     if len(strands) > 2 and policy.choose is None:
         raise ConfigError(f"policy {policy.name!r} has no selection rule for k > 2 strands")

@@ -18,9 +18,11 @@ diagonal is one numpy step with no loop over cells. t_star keeps a single
 diagonal per state, O(len_x + len_y) memory. An optimal schedule needs more
 only where both strands can advance in the same slot, and there it takes X
 iff W(i + 1, j, X) <= W(i, j + 1, Y): optimal_schedule keeps that one tie
-bit per cell, packed eight to a byte, and walks from (0, 0) one advance at
-a time. dp_solve keeps every diagonal and expands them into the (i, j, r)
-table that reconstruct walks slot by slot; the two are the reference API.
+bit per cell, packed eight to a byte, and runs the greedy simulator's walk
+(model._run) with a tie rule that reads the bit, since an optimal schedule
+never idles while a strand can advance. dp_solve keeps every diagonal and
+expands them into the (i, j, r) table that reconstruct walks slot by slot;
+the two are the reference API.
 
 Alongside the solver live two fully independent cross-checks: a
 brute-force minimum over all interleavings, and the binary runs/LCS
@@ -47,8 +49,8 @@ from .model import (
     IDLE,
     Action,
     Schedule,
-    SimState,
     Strand,
+    _run,
     solo_time,
     validate_strand,
 )
@@ -68,19 +70,6 @@ _UNREACHABLE = 1 << 60
 
 # Table entries dp_solve expands from numpy to Python ints at a time.
 _EXPAND_BLOCK = 1 << 16
-
-
-def find_first_progress_symbol(x, y, i: int, j: int) -> int:
-    """A symbol that lets some strand advance from progress state (i, j).
-
-    Returns x's next symbol when x is incomplete, else y's. Raises when
-    both strands are already complete.
-    """
-    if i < len(x):
-        return x[i]
-    if j < len(y):
-        return y[j]
-    raise ValueError("both strands complete; no progress symbol exists")
 
 
 @dataclass(frozen=True)
@@ -258,11 +247,10 @@ def reconstruct(x, y, table: DpTable) -> OptimalResult:
     target = table.value(0, 0, 0)
     limit = q * (lx + ly) + q  # any advance waits at most q slots
     actions: list[Action] = []
-    state = SimState(0, 0, 1, 0)
-    while state.i < lx or state.j < ly:
+    i = j = r = 0
+    while i < lx or j < ly:
         if len(actions) > limit:
             raise TableIntegrityError("walk exceeded the maximal possible schedule length")
-        i, j, r = state.i, state.j, state.r
         rn = (r + 1) % q
         can_x = i < lx and x[i] == r
         can_y = j < ly and y[j] == r
@@ -281,7 +269,7 @@ def reconstruct(x, y, table: DpTable) -> OptimalResult:
             j += 1
         else:
             actions.append(IDLE)
-        state = SimState(i, j, state.t + 1, rn)
+        r = rn
     if len(actions) != target:
         raise TableIntegrityError(
             f"reconstructed schedule takes {len(actions)} slots, table claims {target}"
@@ -292,13 +280,13 @@ def reconstruct(x, y, table: DpTable) -> OptimalResult:
 def optimal_schedule(x, y, q: int) -> OptimalResult:
     """An optimal schedule from one tie bit per cell, without the (i, j, r) table.
 
-    Equals reconstruct(x, y, dp_solve(x, y, q)). From (0, 0) the strand
-    whose next symbol comes round first advances after that many idles;
-    when both come round in the same slot, the tie bit of the cell picks X
-    iff W(i + 1, j, X) <= W(i, j + 1, Y), reconstruct's rule. Refuses,
-    before allocating, more than MAX_TIE_BITS cells, and raises
-    TableIntegrityError if the walk does not score the optimum.
-    O(len_x * len_y) time and bits.
+    Equals reconstruct(x, y, dp_solve(x, y, q)). The schedule is the greedy
+    walk of model._run: the strand whose next symbol comes round first
+    advances after that many idles, and when both come round in the same
+    slot the tie bit of the cell picks X iff W(i + 1, j, X) <=
+    W(i, j + 1, Y), reconstruct's rule. Refuses, before allocating, more
+    than MAX_TIE_BITS cells, and raises TableIntegrityError if the walk
+    does not score the optimum. O(len_x * len_y) time and bits.
     """
     x = validate_strand(x, q)
     y = validate_strand(y, q)
@@ -311,26 +299,13 @@ def optimal_schedule(x, y, q: int) -> OptimalResult:
         pass
     target = int(root[0])
     top = lx + ly - 1
+
+    def tie_bit_rule(i, j, r, la_x, la_y, n, coin):
+        k = i - max(0, i + j - ly)  # cell (i, j) within its diagonal
+        return not (ties[top - i - j][k >> 3] >> (7 - (k & 7))) & 1
+
     actions: list[Action] = []
-    i = j = t = 0
-    while i < lx or j < ly:
-        emit = t % q  # the symbol of slot t + 1
-        wait_x = (x[i] - emit) % q if i < lx else q
-        wait_y = (y[j] - emit) % q if j < ly else q
-        if wait_x == wait_y:
-            k = i - max(0, i + j - ly)
-            take_x = not (ties[top - i - j][k >> 3] >> (7 - (k & 7))) & 1
-        else:
-            take_x = wait_x < wait_y
-        wait = min(wait_x, wait_y)
-        actions.extend([IDLE] * wait)
-        if take_x:
-            actions.append(ADVANCE_X)
-            i += 1
-        else:
-            actions.append(ADVANCE_Y)
-            j += 1
-        t += wait + 1
+    t = _run(x, y, q, tie_bit_rule, None, False, actions)
     if t != target:
         raise TableIntegrityError(f"tie-bit walk takes {t} slots, the solver claims {target}")
     return OptimalResult(target, Schedule(tuple(actions)))
@@ -365,7 +340,7 @@ def enumerate_interleavings_min(x, y, q: int, budget: int = 10**6) -> int:
             else:
                 merged.append(y[yi])
                 yi += 1
-        t = solo_time(merged, q, 0)
+        t = solo_time(merged, q)
         if best is None or t < best:
             best = t
     return 0 if best is None else best
@@ -378,10 +353,10 @@ def runs_count(z) -> int:
 
 
 def _require_binary(z, name: str) -> Strand:
-    z = tuple(int(s) for s in z)
+    z = tuple(z)
     if any(s not in (0, 1) for s in z):
         raise UnsupportedAlphabetError(f"{name} requires a binary strand")
-    return z
+    return validate_strand(z, 2)
 
 
 def binary_runs_time(z) -> int:
@@ -390,7 +365,7 @@ def binary_runs_time(z) -> int:
     A symbol change costs one slot and a repeat costs two, so a strand of
     length n with rho runs takes 2n - 1 - rho slots when it opens with the
     first emission (symbol 0), plus one slot when it opens with 1. Agrees
-    with solo_time(z, 2, 0) on every binary strand.
+    with solo_time(z, 2) on every binary strand.
     """
     z = _require_binary(z, "binary_runs_time")
     if not z:

@@ -168,7 +168,7 @@ def test_c08_runs_formula_exhaustive():
     checked = 0
     for n in range(1, 13):
         for z in product(range(2), repeat=n):
-            assert binary_runs_time(z) == solo_time(z, 2, 0)
+            assert binary_runs_time(z) == solo_time(z, 2)
             checked += 1
     assert checked == 8190
     print("ACCEPTANCE 8 PASS - runs formula equals slot accounting on all "
@@ -220,7 +220,7 @@ def test_c12_property_suite():
         x = tuple(rng.integers(0, q, size=length).tolist())
         y = tuple(rng.integers(0, q, size=length).tolist())
         opt = t_star(x, y, q)
-        assert max(solo_time(x, q, 0), solo_time(y, q, 0)) <= opt
+        assert max(solo_time(x, q), solo_time(y, q)) <= opt
         for policy in catalog:
             if policy.name == "lf1" and q != 2:
                 continue

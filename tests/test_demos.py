@@ -1,4 +1,4 @@
-"""Smoke runs of the chain demos as scripts, the way a reader runs them."""
+"""Smoke runs of the demos as scripts, the way a reader runs them."""
 
 from __future__ import annotations
 
@@ -22,8 +22,10 @@ def run_demo(name: str) -> subprocess.CompletedProcess:
 
 # demo script -> text its output must contain
 DEMOS = {
+    "01_scheduling_basics.py": ["optimal completion time = 11", "witness validates: True"],
     "03_rotation_analysis.py": [],
     "04_lookahead_chain.py": ["6/7"],
+    "05_optimal_and_bounds.py": [],
 }
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ from rowsynth import (
     visit_values,
 )
 from rowsynth.errors import InvalidStrandError
-from rowsynth.markov import _rotations
+from rowsynth.markov import _offset_chain, _rotations
 from rowsynth.rng import BlockDraws, master_rng
 from conftest import random_pair
 
@@ -320,6 +320,49 @@ class TestSynthesisRate:
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):
             synthesis_rate([1.0])
+
+
+def chain_rate(q, policy, depth):
+    """Exact advances per slot of the generated chain: pi summed over states with a zero offset."""
+    pi = stationary(_offset_chain(q, get_policy(policy).tie_rule(q), depth))
+    per_offsets = q ** (2 * depth)  # lookahead states sharing one (a, b)
+    return sum(p for k, p in enumerate(pi) if 0 in divmod(k // per_offsets, q))
+
+
+class FixedDraw:
+    def __init__(self, value):
+        self.value = value
+
+    def integers(self, n):
+        return self.value
+
+
+class TestOffsetChain:
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_depth_zero_rows_follow_chain_step(self, q):
+        rows = _offset_chain(q, get_policy("x-first").tie_rule(q), 0)
+        for a, b in product(range(q), repeat=2):
+            expected = [Fraction(0)] * (q * q)
+            draws = range(q) if a == 0 or b == 0 else [None]
+            for v in draws:
+                state, _ = chain_step(OffsetState(a, b), q, TieDecision.ADVANCE_X, FixedDraw(v))
+                expected[state.a * q + state.b] += Fraction(1, len(draws))
+            assert rows[a * q + b] == expected, (a, b)
+
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_laggard_first_rate_is_exactly_four_over_q_plus_three(self, q):
+        # the (q+3)L/2 slope as a rational; c03 and c04 check it by Monte Carlo
+        assert chain_rate(q, "lf", 0) == Fraction(4, q + 3)
+
+    @pytest.mark.parametrize("policy,rate", [("lf", Fraction(4, 5)), ("x-first", Fraction(4, 5)),
+                                             ("lf1", Fraction(6, 7))])
+    def test_binary_lookahead_rates(self, policy, rate):
+        # lookahead state buys nothing without a rule that reads it
+        assert chain_rate(2, policy, 1) == rate
+
+    def test_lookahead_state_under_laggard_first_at_q3(self):
+        assert len(_offset_chain(3, get_policy("lf").tie_rule(3), 1)) == 81
+        assert chain_rate(3, "lf", 1) == Fraction(2, 3)
 
 
 class TestDriftSeries:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,26 +65,23 @@ class TestPeriodicSymbol:
 
 class TestSoloTime:
     def test_small_binary(self):
-        assert solo_time((0, 1, 1), 2, 0) == 4
+        assert solo_time((0, 1, 1), 2) == 4
 
     def test_alternating_with_repeat(self):
-        assert solo_time((0, 1, 0, 1, 0, 1, 0, 0), 2, 0) == 9
+        assert solo_time((0, 1, 0, 1, 0, 1, 0, 0), 2) == 9
 
     def test_empty_strand(self):
-        assert solo_time((), 3, 0) == 0
+        assert solo_time((), 3) == 0
 
     def test_symbol_out_of_range(self):
         with pytest.raises(InvalidStrandError):
-            solo_time((0, 2), 2, 0)
-        with pytest.raises(InvalidStrandError):
-            solo_time((0,), 2, start_phase=5)
+            solo_time((0, 2), 2)
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_matches_slot_by_slot_oracle_exhaustively(self, q):
         for n in range(0, 9):
             for z in product(range(q), repeat=n):
-                for phase in (0, q - 1):
-                    assert solo_time(z, q, phase) == reference_solo(z, q, phase)
+                assert solo_time(z, q) == reference_solo(z, q)
 
 
 class TestSimulate:
@@ -268,6 +266,17 @@ class TestStrandText:
         with pytest.raises(InvalidStrandError,
                            match="^symbol 5 at position 1 outside alphabet of size 2$"):
             validate_strand((0, 5, -1), 2)
+
+    @pytest.mark.parametrize("strand,position", [([0.9, 1.7], 0), ((1, 0, 1.0), 2),
+                                                 ((0, "1"), 1), (np.array([0.0, 1.0]), 0)])
+    def test_non_integer_symbols_refused_not_truncated(self, strand, position):
+        with pytest.raises(InvalidStrandError, match=f" at position {position} is not an integer$"):
+            validate_strand(strand, 2)
+
+    def test_numpy_integer_symbols_accepted(self):
+        out = validate_strand(np.array([0, 3, 1], dtype=np.int64), 4)
+        assert out == (0, 3, 1)
+        assert all(type(s) is int for s in out)
 
 
 # --- the advance-driven simulator against a slot-by-slot reference ------------

@@ -21,7 +21,6 @@ from rowsynth import (
     completion_time,
     dp_solve,
     enumerate_interleavings_min,
-    find_first_progress_symbol,
     lcs_length,
     lcs_upper_bound,
     optimal_schedule,
@@ -39,21 +38,6 @@ from conftest import random_pair
 
 X1 = (1, 3, 2, 2)
 Y1 = (0, 1, 3, 0)
-
-
-class TestFindFirstProgressSymbol:
-    def test_prefers_first_strand(self):
-        assert find_first_progress_symbol(X1, Y1, 0, 0) == 1
-
-    def test_falls_to_second_when_first_exhausted(self):
-        assert find_first_progress_symbol((1,), (0,), 1, 0) == 0
-
-    def test_shared_symbol(self):
-        assert find_first_progress_symbol((2, 2), (2, 0), 0, 0) == 2
-
-    def test_rejects_fully_complete_state(self):
-        with pytest.raises(ValueError):
-            find_first_progress_symbol((1,), (0,), 1, 1)
 
 
 class TestDpSolve:
@@ -94,6 +78,10 @@ class TestTStar:
     def test_worst_case_strands(self, q, length):
         z = (q - 1,) * length
         assert t_star(z, z, q) == 2 * length * q
+
+    def test_refuses_float_symbols(self):
+        with pytest.raises(InvalidStrandError, match="position 0"):
+            t_star([0.9], [1.5], 2)
 
 
 class TestReconstruct:
@@ -245,10 +233,14 @@ class TestBinaryRunsTime:
         with pytest.raises(InvalidStrandError):
             binary_runs_time(())
 
+    def test_rejects_non_integer_symbols(self):
+        with pytest.raises(InvalidStrandError, match="position 1"):
+            binary_runs_time((0, 1.0))
+
     def test_equals_solo_time_up_to_length_ten(self):
         for n in range(1, 11):
             for z in product(range(2), repeat=n):
-                assert binary_runs_time(z) == solo_time(z, 2, 0)
+                assert binary_runs_time(z) == solo_time(z, 2)
 
 
 class TestLcs:
@@ -297,7 +289,7 @@ class TestSandwich:
             q = int(rng.integers(2, 5))
             x, y = random_pair(rng, q, int(rng.integers(1, 12)))
             opt = t_star(x, y, q)
-            assert max(solo_time(x, q, 0), solo_time(y, q, 0)) <= opt
+            assert max(solo_time(x, q), solo_time(y, q)) <= opt
             for policy in policy_catalog():
                 if policy.name == "lf1" and q != 2:
                     continue
