@@ -110,7 +110,11 @@ def solo_time(z, q: int) -> int:
     which is exactly the slot-by-slot greedy behaviour. Empty strands take
     0 slots.
     """
-    z = validate_strand(z, q)
+    return _solo_time(validate_strand(z, q), q)
+
+
+def _solo_time(z: Strand, q: int) -> int:
+    """solo_time of a strand already known to be valid."""
     t = 0
     cur = q - 1
     for s in z:

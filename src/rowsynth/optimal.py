@@ -14,15 +14,33 @@ Taking the minimum over both strands, not only the one with the smaller
 offset, gives the same value: idling past a usable slot never helps,
 because dropping one advance from a schedule leaves a valid schedule of the
 smaller instance. Every term lies on the anti-diagonal i + j + 1, so one
-diagonal is one numpy step with no loop over cells. t_star keeps a single
-diagonal per state, O(len_x + len_y) memory. An optimal schedule needs more
-only where both strands can advance in the same slot, and there it takes X
-iff W(i + 1, j, X) <= W(i, j + 1, Y): optimal_schedule keeps that one tie
-bit per cell, packed eight to a byte, and runs the greedy simulator's walk
-(model._run) with a tie rule that reads the bit, since an optimal schedule
-never idles while a strand can advance. dp_solve keeps every diagonal and
-expands them into the (i, j, r) table that reconstruct walks slot by slot;
-the two are the reference API.
+diagonal is one numpy step with no loop over cells.
+
+The wavefront runs on potential-shifted values. With xs[i] the cost of
+advancing x[i] right after x[i - 1] (ys[j] likewise), PX and PY their
+prefix sums and phi(i, j) = PX[i] + PY[j], the values U = W(., ., X) + phi
+and V = W(., ., Y) + phi obey
+
+    U(i, j) = min(U(i + 1, j), V(i, j + 1) + E(i, j))
+    V(i, j) = min(U(i + 1, j) + F(i, j), V(i, j + 1))
+
+with E = cost(y[j] after x[i - 1]) - ys[j] and F = cost(x[i] after
+y[j - 1]) - xs[i]: a strand that advances again after itself pays nothing.
+E and F depend only on the instance, so they are computed for a band of
+diagonals at a time, at most _BAND_CELLS cells per band, and a diagonal is
+then two adds and two minimums into preallocated buffers. At the root
+phi(0, 0) = 0, so U(0, 0) is the optimum. Several pairs of equal lengths
+solve as lanes of one wavefront: cell i of lane b sits at i * B + b, so
+every lane's diagonal is one contiguous slice. Memory is O((len_x + len_y)
+* B) plus one band. t_star keeps only the current diagonal. An optimal
+schedule needs more only where both strands can advance in the same slot,
+and there it takes X iff W(i + 1, j, X) <= W(i, j + 1, Y):
+optimal_schedule keeps that one tie bit per cell, packed eight to a byte,
+and runs the greedy simulator's walk (model._run) with a tie rule that
+reads the bit, since an optimal schedule never idles while a strand can
+advance. dp_solve keeps every diagonal, subtracts phi and expands them into
+the (i, j, r) table that reconstruct walks slot by slot; the two are the
+reference API.
 
 Alongside the solver live two fully independent cross-checks: a
 brute-force minimum over all interleavings, and the binary runs/LCS
@@ -51,7 +69,7 @@ from .model import (
     Schedule,
     Strand,
     _run,
-    solo_time,
+    _solo_time,
     validate_strand,
 )
 
@@ -64,12 +82,21 @@ MAX_TABLE_STATES = 2 * 10**7
 # bit for: 125 MB of bits, enough for two strands of about 31,600 symbols.
 MAX_TIE_BITS = 10**9
 
-# Stands for W at a cell past the end of a strand; larger than any
+# Stands for U or V at a cell past the end of a strand; larger than any
 # completion time, so a term through such a cell never wins a minimum.
 _UNREACHABLE = 1 << 60
 
 # Table entries dp_solve expands from numpy to Python ints at a time.
 _EXPAND_BLOCK = 1 << 16
+
+# Cells of E (and of F) the wavefront computes in one band of diagonals:
+# large enough that a band costs little per diagonal, small enough (64 KB
+# per array) that the band stays in cache and adds little to a process's
+# peak memory, which 256 KB bands raised by about 1 MB. Diagonals wider
+# than a quarter of this still get four per band, O(len_x + len_y) cells:
+# at L = 10^4 one per band was 15% slower than the unbanded wavefront, and
+# four were 20% faster.
+_BAND_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -108,63 +135,96 @@ def _advance_costs(q: int) -> np.ndarray:
 
     The offset (a - s - 1) mod q counts the idle slots before a is emitted.
     """
-    return (np.arange(2 * q - 1, dtype=np.int64) - q) % q + 1
+    return np.arange(2 * q - 1, dtype=np.int64) % q + 1
 
 
-def _wavefront(x: Strand, y: Strand, q: int, ties: list | None = None):
-    """Yield (d, lo, wx, wy) for each anti-diagonal d = len_x + len_y, ..., 0.
+def _wavefront(xs, ys, q: int, ties: list | None = None):
+    """Yield (d, lo, u, v) for each anti-diagonal d = len_x + len_y, ..., 0.
 
-    wx[k] and wy[k] are W(i, d - i, X) and W(i, d - i, Y) at i = lo + k.
-    They are views of buffers the next step overwrites, so copy what must
-    outlive it. A strand that has not advanced yet (X at i = 0, Y at j = 0)
-    counts as having advanced symbol q - 1; only the start cell (0, 0)
-    reads such an entry, and the last diagonal yields the optimum at wx[0].
-    When ``ties`` is given, each computed diagonal d < len_x + len_y appends
-    its tie bits, W(i + 1, j, X) > W(i, j + 1, Y) at bit k, packed
-    big-endian into bytes.
+    xs and ys hold B strands each, all of one length per side (already
+    validated); pair b is (xs[b], ys[b]). u[k * B + b] and v[k * B + b] are
+    U(i, d - i) and V(i, d - i) of lane b at i = lo + k, the potential-shifted
+    values of the module docstring. They are views of buffers the next step
+    overwrites, so copy what must outlive it. A strand that has not advanced
+    yet counts as having advanced symbol q - 1, and the last diagonal yields
+    each lane's optimum at u[b]. When ``ties`` is given, each computed
+    diagonal d < len_x + len_y appends its tie bits, W(i + 1, j, X) >
+    W(i, j + 1, Y) at bit k * B + b, packed big-endian into bytes.
     """
-    lx, ly = len(x), len(y)
+    lanes, lx, ly = len(xs), len(xs[0]), len(ys[0])
+    top = lx + ly
     cost = _advance_costs(q)
-    x_key, x_last = _strand_arrays(x, q)
-    y_key, y_last = _strand_arrays(y, q)
-    x_self = cost[x_key - x_last]
-    # y arrays reversed, so that y at j = d - i is a forward slice in i
-    y_key, y_last = y_key[::-1], y_last[::-1]
-    y_self = cost[y_key - y_last]
-    # wx[i] and wy[i] hold the diagonal d + 1 while d is computed. A strand
-    # that is complete reads _UNREACHABLE: X at i = lx reads wx[lx + 1], and
-    # Y at j = ly reads wy[d - ly], set just before.
-    wx = np.zeros(lx + 2, dtype=np.int64)
-    wy = np.zeros(lx + 2, dtype=np.int64)
-    wx[lx + 1] = _UNREACHABLE
-    yield lx + ly, lx, wx[lx:lx + 1], wy[lx:lx + 1]
-    for d in range(lx + ly - 1, -1, -1):
-        lo, hi = max(0, d - ly), min(d, lx)
-        if d >= ly:
-            wy[lo] = _UNREACHABLE
-        cx = slice(lo, hi + 1)
-        cy = slice(ly - d + lo, ly - d + hi + 1)
-        via_x = wx[lo + 1:hi + 2]
-        via_y = wy[cx]
-        xx = x_self[cx] + via_x
-        xy = cost[y_key[cy] - x_last[cx]] + via_y
-        yx = cost[x_key[cx] - y_last[cy]] + via_x
-        yy = y_self[cy] + via_y
+    # One (row, lane) array of symbols: x at rows 1..lx, y at rows
+    # y0 + 1..y0 + ly and q - 1 everywhere else, the symbol before each
+    # strand's first. A strand at progress k reads row p (x: p = i, y:
+    # p = y0 + j): last[p] is its last symbol, key[p] its next one plus
+    # q - 1, adv[p] the cost of that advance. The band views below also read
+    # the lx rows before y's and the lx after, at cells they never use.
+    y0 = lx + 1
+    sym = np.full((2 * lx + ly + 3, lanes), q - 1, dtype=np.int64)
+    sym.T[:, 1:lx + 1] = xs
+    sym.T[:, y0 + 1:y0 + ly + 1] = ys
+    last = sym[:-1]
+    key = sym[1:] + (q - 1)
+    adv = cost.take(key - last)
+    adv[lx] = 0  # x has no symbol at lx, so its advance costs are now xs then ys
+    # U of diagonal d sits at (d' + i) * B + b with d' = top - d, so U(i, d - i)
+    # overwrites U(i + 1, d - i) in place; V sits at i * B + b. Entries never
+    # written stay _UNREACHABLE, which is what the cells past the end read.
+    u = np.full((top + 1) * lanes, _UNREACHABLE, dtype=np.int64)
+    v = np.full((lx + 1) * lanes, _UNREACHABLE, dtype=np.int64)
+    end = u[lx * lanes:(lx + 1) * lanes]
+    adv[:top + 1].sum(0, out=end)  # phi(len_x, len_y)
+    v[lx * lanes:] = end
+    yield top, lx, end, v[lx * lanes:]
+    rows = max(4, _BAND_CELLS // ((lx + 1) * lanes))
+    band_lo = top
+    for d in range(top - 1, -1, -1):
+        if d < band_lo:
+            # E and F of diagonals d..band_lo over the cells i0 <= i < i1 they
+            # touch, as (diagonal, i, lane) arrays; the y side is a strided
+            # view of the rows y0 + d - i
+            band_hi, band_lo = d, max(0, d - rows + 1)
+            i0, i1 = max(0, band_lo - ly), min(d, lx) + 1
+            shape = (d - band_lo + 1, i1 - i0, lanes)
+            strides = (-8 * lanes, -8 * lanes, 8)
+            at = (y0 + d - i0) * lanes * 8
+            y_adv = np.ndarray(shape, np.int64, adv, at, strides)
+            e = cost.take(np.ndarray(shape, np.int64, key, at, strides) - last[i0:i1])
+            e -= y_adv
+            f = cost.take(key[i0:i1] - np.ndarray(shape, np.int64, last, at, strides))
+            f -= adv[i0:i1]
+            if ties is not None:
+                t = (y_adv - adv[i0:i1]).ravel()  # ys[j] - xs[i]
+            e, f = e.ravel(), f.ravel()
+            width, first = (i1 - i0) * lanes, i0 * lanes
+        lo = d - ly if d > ly else 0
+        a = lo * lanes
+        n = ((d if d < lx else lx) + 1) * lanes - a
+        o = (band_hi - d) * width + a - first
+        s = (top - d) * lanes + a
+        ud = u[s:s + n]  # U(i + 1, j), then U(i, j)
+        vd = v[a:a + n]  # V(i, j + 1), then V(i, j)
+        ed = e[o:o + n]
+        fd = f[o:o + n]
         if ties is not None:
-            ties.append(np.packbits(via_x > via_y).tobytes())
-        wx_d = wx[cx]
-        wy_d = wy[cx]
-        np.minimum(xx, xy, out=wx_d)
-        np.minimum(yx, yy, out=wy_d)
-        yield d, lo, wx_d, wy_d
+            td = t[o:o + n]
+            np.add(ud, td, out=td)
+            ties.append(np.packbits(np.greater(td, vd)).tobytes())
+        np.add(vd, ed, out=ed)
+        np.add(ud, fd, out=fd)
+        np.minimum(fd, vd, out=vd)
+        np.minimum(ud, ed, out=ud)
+        yield d, lo, ud, vd
 
 
 def dp_solve(x, y, q: int) -> DpTable:
     """Fill the full table of optimal remaining times for a strand pair.
 
-    Keeps every diagonal of the wavefront, then expands each row i of
-    cells into value(i, j, r) = min over incomplete u of offset_u + 1 +
-    W(next cell, u), with offset_u = (next_u - r) mod q. Refuses, before
+    Keeps every diagonal of the wavefront, subtracts the potential phi to
+    get W back, then expands each row i of cells into value(i, j, r) = min
+    over incomplete u of offset_u + 1 + W(next cell, u), with offset_u =
+    (next_u - r) mod q. Refuses, before
     allocating, tables of more than MAX_TABLE_STATES states.
     O(len_x * len_y * q) time and space.
     """
@@ -174,23 +234,30 @@ def dp_solve(x, y, q: int) -> DpTable:
     states = (lx + 1) * (ly + 1) * q
     if states > MAX_TABLE_STATES:
         raise BudgetExceededError(states, MAX_TABLE_STATES, what="solver table", unit="states")
-    # W over cells (i, j) as flat (lx + 2) x (ly + 2) arrays; cell (i, d - i)
-    # sits at i * (ly + 1) + d, so a diagonal is a strided slice
+    # U and V over cells (i, j) as flat (lx + 2) x (ly + 2) arrays; cell
+    # (i, d - i) sits at i * (ly + 1) + d, so a diagonal is a strided slice
     stride = ly + 1
     wx_all = np.zeros((lx + 2) * (ly + 2), dtype=np.int64)
     wy_all = np.zeros((lx + 2) * (ly + 2), dtype=np.int64)
-    for d, lo, wx, wy in _wavefront(x, y, q):
-        cells = slice(lo * stride + d, (lo + len(wx) - 1) * stride + d + 1, stride)
-        wx_all[cells] = wx
-        wy_all[cells] = wy
+    for d, lo, u, v in _wavefront((x,), (y,), q):
+        cells = slice(lo * stride + d, (lo + len(u) - 1) * stride + d + 1, stride)
+        wx_all[cells] = u
+        wy_all[cells] = v
     wx_all = wx_all.reshape(lx + 2, ly + 2)
     wy_all = wy_all.reshape(lx + 2, ly + 2)
+    cost = _advance_costs(q)
+    x_key, x_last = _strand_arrays(x, q)
+    y_key, y_last = _strand_arrays(y, q)
+    x_self = cost[x_key - x_last]
+    y_self = cost[y_key - y_last]
+    phi = (np.cumsum(x_self) - x_self)[:, None] + (np.cumsum(y_self) - y_self)
+    wx_all[:lx + 1, :ly + 1] -= phi
+    wy_all[:lx + 1, :ly + 1] -= phi
     wx_all[lx + 1] = _UNREACHABLE
     wy_all[:, ly + 1] = _UNREACHABLE
-    cost = _advance_costs(q)
     before_r = (np.arange(q, dtype=np.int64) - 1) % q  # symbol before emission r
-    via_x_cost = cost[_strand_arrays(x, q)[0][:, None] - before_r]
-    via_y_cost = cost[_strand_arrays(y, q)[0][:, None] - before_r]
+    via_x_cost = cost[x_key[:, None] - before_r]
+    via_y_cost = cost[y_key[:, None] - before_r]
     # rows of cells per expansion block, so numpy temporaries stay small
     block = max(1, _EXPAND_BLOCK // ((ly + 1) * q))
     # every entry is at most q slots per remaining symbol; the table shares
@@ -212,13 +279,28 @@ def dp_solve(x, y, q: int) -> DpTable:
 def t_star(x, y, q: int) -> int:
     """Optimal completion time of the pair, in O(len_x + len_y) memory.
 
-    Equals dp_solve(x, y, q).value(0, 0, 0) without building the table.
+    Equals dp_solve(x, y, q).value(0, 0, 0) without building the table. The
+    wavefront keeps one diagonal of the potential-shifted values U = W_X +
+    phi and V = W_Y + phi, where phi(i, j) is the solo cost of x[:i] plus
+    that of y[:j], and one band of at most _BAND_CELLS of its E and F terms
+    (module docstring); phi(0, 0) = 0, so U at the root is the optimum. The
+    Monte Carlo harness solves its equal-length trials as lanes of the same
+    wavefront (_t_star_lanes).
     """
     x = validate_strand(x, q)
     y = validate_strand(y, q)
-    for _, _, root, _ in _wavefront(x, y, q):
+    return _t_star_lanes((x,), (y,), q)[0]
+
+
+def _t_star_lanes(xs, ys, q: int) -> list[int]:
+    """Optimal completion time of each pair (xs[b], ys[b]), solved as lanes of one wavefront.
+
+    Every x has one length and every y one length, and the strands are
+    already valid: nothing is checked.
+    """
+    for _, _, root, _ in _wavefront(xs, ys, q):
         pass
-    return int(root[0])
+    return root.tolist()
 
 
 @dataclass(frozen=True)
@@ -295,7 +377,7 @@ def optimal_schedule(x, y, q: int) -> OptimalResult:
     if cells > MAX_TIE_BITS:
         raise BudgetExceededError(cells, MAX_TIE_BITS, what="tie-bit table", unit="bits")
     ties: list[bytes] = []  # diagonal d at ties[lx + ly - 1 - d]
-    for _, _, root, _ in _wavefront(x, y, q, ties):
+    for _, _, root, _ in _wavefront((x,), (y,), q, ties):
         pass
     target = int(root[0])
     top = lx + ly - 1
@@ -340,7 +422,7 @@ def enumerate_interleavings_min(x, y, q: int, budget: int = 10**6) -> int:
             else:
                 merged.append(y[yi])
                 yi += 1
-        t = solo_time(merged, q)
+        t = _solo_time(merged, q)
         if best is None or t < best:
             best = t
     return 0 if best is None else best
@@ -374,24 +456,22 @@ def binary_runs_time(z) -> int:
 
 
 def lcs_length(u, v) -> int:
-    """Length of the longest common subsequence (quadratic, rolling row)."""
-    u = tuple(u)
+    """Length of the longest common subsequence, bit-parallel (Allison & Dix 1986, Hyyrö 2004).
+
+    The DP row against v is one int, bit k clear where the row steps up at
+    v[k]; each symbol a of u updates it as hit = row & match[a], row =
+    ((row + hit) | (row - hit)) & mask, and the LCS counts the clear bits.
+    """
     v = tuple(v)
-    if not u or not v:
-        return 0
-    prev = [0] * (len(v) + 1)
+    mask = (1 << len(v)) - 1
+    match: dict = {}
+    for k, b in enumerate(v):
+        match[b] = match.get(b, 0) | 1 << k
+    row = mask
     for a in u:
-        cur = [0]
-        append = cur.append
-        for k, b in enumerate(v, start=1):
-            if a == b:
-                append(prev[k - 1] + 1)
-            else:
-                pk = prev[k]
-                ck = cur[k - 1]
-                append(pk if pk >= ck else ck)
-        prev = cur
-    return prev[-1]
+        hit = row & match.get(a, 0)
+        row = ((row + hit) | (row - hit)) & mask
+    return len(v) - row.bit_count()
 
 
 def complement(z) -> Strand:

@@ -20,8 +20,10 @@ from rowsynth import (
     max_bound_correction,
     no_lookahead_floor_check,
     random_strand,
+    t_star,
     trial_rng,
 )
+from rowsynth import experiments
 from rowsynth.experiments import (
     EXPERIMENT_COLUMNS,
     format_cell,
@@ -89,6 +91,12 @@ class TestEstimatePolicyTime:
         assert len(est.times) == 30
 
 
+def _drawn_pair(seed, idx, q, length):
+    """Trial idx's strands: x, then y, from its own substream."""
+    gen = trial_rng(seed, idx)
+    return random_strand(q, length, gen), random_strand(q, length, gen)
+
+
 class TestEstimateOptimalTime:
     def test_never_exceeds_policy_time_on_shared_seeds(self):
         cfg = ExperimentConfig(2, 120, 20, 77, "lf")
@@ -99,6 +107,38 @@ class TestEstimateOptimalTime:
     def test_worker_equality(self):
         cfg = ExperimentConfig(2, 80, 10, 3)
         assert estimate_optimal_time(cfg, workers=1) == estimate_optimal_time(cfg, workers=2)
+
+    # times of the per-trial t_star loop, recorded before trials were solved as lanes
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("config, times", [
+        (ExperimentConfig(2, 200, 12, 2024),
+         (450, 434, 444, 451, 454, 435, 429, 448, 436, 438, 448, 431)),
+        (ExperimentConfig(4, 300, 3, 2025), (926, 931, 927)),
+    ])
+    def test_pinned_times(self, config, times, workers):
+        assert estimate_optimal_time(config, workers=workers).times == times
+
+    @pytest.mark.parametrize("cap, length, trials", [
+        (experiments._LANE_CELLS, 200, 90),
+        (experiments._LANE_CELLS, 1, 5000),
+        (50, 60, 3),
+    ])
+    def test_lane_blocks_stay_under_the_cell_cap(self, monkeypatch, cap, length, trials):
+        blocks = []
+        solve = experiments._t_star_lanes
+
+        def counted(xs, ys, q):
+            blocks.append(len(xs))
+            assert len(xs) == len(ys) == 1 or len(xs) * (length + 1) <= cap
+            return solve(xs, ys, q)
+
+        monkeypatch.setattr(experiments, "_LANE_CELLS", cap)
+        monkeypatch.setattr(experiments, "_t_star_lanes", counted)
+        config = ExperimentConfig(2, length, trials, 8)
+        times = estimate_optimal_time(config).times
+        assert sum(blocks) == trials
+        assert max(blocks) == min(trials, max(1, cap // (length + 1)))
+        assert times == tuple(t_star(*_drawn_pair(8, idx, 2, length), 2) for idx in range(trials))
 
     def test_quaternary_slope_near_three(self):
         from rowsynth import DEFAULT_SEED

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +173,43 @@ class TestOptimalSchedule:
         assert t_star(X1, Y1, 4) == 11
 
 
+@st.composite
+def lane_instances(draw):
+    """B pairs sharing one x length and one y length, and a band size for the solver."""
+    q = draw(st.integers(2, 6))
+    lanes = draw(st.integers(1, 6))
+    symbols = st.integers(0, q - 1)
+
+    def strands(length):
+        strand = st.lists(symbols, min_size=length, max_size=length).map(tuple)
+        return draw(st.lists(strand, min_size=lanes, max_size=lanes))
+
+    xs = strands(draw(st.integers(0, 14)))
+    ys = strands(draw(st.integers(0, 14)))
+    return q, xs, ys, draw(st.integers(1, 64))
+
+
+class TestLanes:
+    @settings(max_examples=300, deadline=None)
+    @given(lane_instances())
+    def test_each_lane_equals_its_table_root_and_the_oracle(self, instance):
+        q, xs, ys, band = instance
+        with mock.patch.object(optimal, "_BAND_CELLS", band):
+            got = optimal._t_star_lanes(xs, ys, q)
+        assert got == [dp_solve(x, y, q).value(0, 0, 0) for x, y in zip(xs, ys)]
+        for x, y, t in zip(xs, ys, got):
+            if len(x) <= 6 and len(y) <= 6:
+                assert t == enumerate_interleavings_min(x, y, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(solver_instances(), st.integers(1, 64))
+    def test_band_size_changes_no_table_and_no_schedule(self, instance, band):
+        q, x, y = instance
+        reference = dp_solve(x, y, q), optimal_schedule(x, y, q)
+        with mock.patch.object(optimal, "_BAND_CELLS", band):
+            assert (dp_solve(x, y, q), optimal_schedule(x, y, q)) == reference
+
+
 class TestInterleavingOracle:
     def test_identical_binary_pair(self):
         assert enumerate_interleavings_min((0, 1, 1), (0, 1, 1), 2) == 8
@@ -243,7 +281,36 @@ class TestBinaryRunsTime:
                 assert binary_runs_time(z) == solo_time(z, 2)
 
 
+def reference_lcs(u, v) -> int:
+    """Quadratic rolling-row LCS DP, the reference for the bit-parallel lcs_length."""
+    prev = [0] * (len(v) + 1)
+    for a in u:
+        cur = [0]
+        for k, b in enumerate(v, start=1):
+            cur.append(prev[k - 1] + 1 if a == b else max(prev[k], cur[k - 1]))
+        prev = cur
+    return prev[-1]
+
+
+@st.composite
+def lcs_pairs(draw):
+    k = draw(st.integers(2, 3))
+    strand = st.lists(st.integers(0, k - 1), max_size=14).map(tuple)
+    return draw(strand), draw(strand)
+
+
 class TestLcs:
+    @settings(max_examples=400, deadline=None)
+    @given(lcs_pairs())
+    def test_equals_quadratic_dp(self, pair):
+        u, v = pair
+        assert lcs_length(u, v) == reference_lcs(u, v)
+
+    def test_equals_quadratic_dp_at_length_300(self, rng):
+        for q in (2, 4):
+            u, v = random_pair(rng, q, 300)
+            assert lcs_length(u, v) == reference_lcs(u, v)
+
     def test_known_pair(self):
         assert lcs_length((0, 1, 1, 0), (1, 0, 1, 1)) == 3
 
