@@ -29,7 +29,6 @@ from datetime import datetime, timezone
 from . import __version__
 from .errors import RowSynthError
 from .experiments import (
-    EXPERIMENT_COLUMNS,
     ExperimentConfig,
     analytic_bounds,
     conjectured_optimal_slope,
@@ -91,11 +90,12 @@ def _emit_json(args, payload: dict) -> None:
     _emit(args, json.dumps(doc, indent=2) + "\n")
 
 
-def _emit_rows(args, rows: list[dict], columns) -> None:
+def _emit_rows(args, rows: list[dict]) -> None:
+    """Emit rows as JSON or as CSV headed by the first row's keys; rows are never empty."""
     if args.format == "json":
         _emit_json(args, {"rows": rows})
     else:
-        _emit(args, rows_to_csv(rows, columns))
+        _emit(args, rows_to_csv(rows, tuple(rows[0])))
 
 
 def _parse_q_list(text: str) -> list[int]:
@@ -177,9 +177,7 @@ def _cmd_rotations(args) -> int:
             "closedVY": float(closed[1]),
             "closedT": float(closed[2]),
         })
-    columns = ("q", "nRotations", "meanVX", "meanVY", "meanT",
-               "stderrVX", "stderrVY", "stderrT", "closedVX", "closedVY", "closedT")
-    _emit_rows(args, rows, columns)
+    _emit_rows(args, rows)
     return 0
 
 
@@ -227,9 +225,7 @@ def _cmd_bounds(args) -> int:
             "lowerMaxExpected": b.lower_max_expected,
             "trivialLower": b.trivial_lower,
         })
-    columns = ("q", "L", "soloExpected", "xFirstExpected", "lfExpected",
-               "lf1Expected", "lowerMaxExpected", "trivialLower")
-    _emit_rows(args, rows, columns)
+    _emit_rows(args, rows)
     return 0
 
 
@@ -295,7 +291,7 @@ def _cmd_experiment(args) -> int:
         raw["seed"] = args.seed
     configs = expand_configs(raw, args.config or "<flags>")
     rows = [run_experiment_row(cfg, workers=args.workers) for cfg in configs]
-    _emit_rows(args, rows, EXPERIMENT_COLUMNS)
+    _emit_rows(args, rows)
     return 0
 
 
@@ -327,16 +323,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add_common(p, fmt_default, with_seed=True):
+    def add_common(p, fmt_default):
         p.add_argument("--out", help="write output to a file instead of stdout")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp from JSON metadata (golden-file mode)")
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help=f"output format (default: ${ENV_FORMAT}, else {fmt_default})")
         p.set_defaults(fmt_default=fmt_default)
-        if with_seed:
-            p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
-                           help=f"master seed (default {hex(DEFAULT_SEED)})")
+        p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
+                       help=f"master seed (default {hex(DEFAULT_SEED)})")
 
     def add_instance(p):
         p.add_argument("--q", type=int, default=DEFAULT_Q, help="alphabet size")
@@ -437,15 +432,11 @@ def main(argv=None) -> int:
         args = _parser().parse_args(_bind_schedule(sys.argv[1:] if argv is None else argv))
         if args.format is None:
             args.format = _env_format(args.fmt_default)
-        if hasattr(args, "seed"):
-            args.seed_given = args.seed is not None
-            if args.seed is None:
-                args.seed = _env_seed()
+        args.seed_given = args.seed is not None
+        if args.seed is None:
+            args.seed = _env_seed()
         return args.func(args)
-    except RowSynthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
+    except (RowSynthError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -22,7 +21,7 @@ from .errors import ConfigError
 from .model import Strand, _run, _solo_time, _tie_args, validate_alphabet
 from .optimal import _t_star_lanes
 from .policies import TiePolicy, get_policy, policy_names
-from .rng import BlockDraws, DEFAULT_SEED, trial_rng
+from .rng import BlockDraws, DEFAULT_SEED, trial_rng, validate_seed
 
 
 @dataclass(frozen=True)
@@ -39,6 +38,7 @@ class ExperimentConfig:
             raise ConfigError(f"strand length must be >= 1, got {self.length}")
         if self.trials < 1:
             raise ConfigError(f"trial count must be >= 1, got {self.trials}")
+        validate_seed(self.seed)
         if self.policy not in policy_names():
             raise ConfigError(
                 f"unknown policy {self.policy!r}; known: {', '.join(policy_names())}"
@@ -147,6 +147,7 @@ def _map_trials(block, seed: int, args: tuple, trials: int, workers: int) -> lis
     workers = pool_size(workers, trials)
     if workers == 1:
         return block(seed, args, 0, trials)
+    from concurrent.futures import ProcessPoolExecutor  # only a pool pays for its import
     chunk = -(-trials // workers)
     starts = range(0, trials, chunk)
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -34,13 +34,13 @@ solve as lanes of one wavefront: cell i of lane b sits at i * B + b, so
 every lane's diagonal is one contiguous slice. Memory is O((len_x + len_y)
 * B) plus one band. t_star keeps only the current diagonal. An optimal
 schedule needs more only where both strands can advance in the same slot,
-and there it takes X iff W(i + 1, j, X) <= W(i, j + 1, Y):
-optimal_schedule keeps that one tie bit per cell, packed eight to a byte,
-and runs the greedy simulator's walk (model._run) with a tie rule that
-reads the bit, since an optimal schedule never idles while a strand can
-advance. dp_solve keeps every diagonal, subtracts phi and expands them into
-the (i, j, r) table that reconstruct walks slot by slot; the two are the
-reference API.
+and there it takes X iff W(i + 1, j, X) <= W(i, j + 1, Y). Since an
+optimal schedule never idles while a strand can advance, both schedule
+builders run the greedy simulator's walk (model._run) with a tie rule that
+reads the solver: optimal_schedule keeps one tie bit per cell, packed
+eight to a byte, and reads the bit. dp_solve keeps every diagonal,
+subtracts phi and expands them into the (i, j, r) table, and reconstruct
+compares its two entries after the tie; the two are the reference API.
 
 Alongside the solver live two fully independent cross-checks: a
 brute-force minimum over all interleavings, and the binary runs/LCS
@@ -62,9 +62,6 @@ from .errors import (
     UnsupportedAlphabetError,
 )
 from .model import (
-    ADVANCE_X,
-    ADVANCE_Y,
-    IDLE,
     Action,
     Schedule,
     Strand,
@@ -309,6 +306,21 @@ class OptimalResult:
     schedule: Schedule
 
 
+def _walk(x: Strand, y: Strand, q: int, tie_rule, target: int, walk: str,
+          claim: str) -> OptimalResult:
+    """model._run's walk under a tie rule that reads the solver, as a schedule of ``target`` slots.
+
+    The walk always ends, since some strand advances within q slots. Raises
+    TableIntegrityError, naming the ``walk`` and the ``claim``ed source of
+    ``target``, unless it takes exactly ``target`` slots.
+    """
+    actions: list[Action] = []
+    t = _run(x, y, q, tie_rule, None, False, actions)
+    if t != target:
+        raise TableIntegrityError(f"{walk} takes {t} slots, {claim} claims {target}")
+    return OptimalResult(target, Schedule(tuple(actions)))
+
+
 def reconstruct(x, y, table: DpTable) -> OptimalResult:
     """Walk an optimal schedule out of a solved table.
 
@@ -326,37 +338,12 @@ def reconstruct(x, y, table: DpTable) -> OptimalResult:
             f"table was built for lengths ({table.len_x}, {table.len_y}), "
             f"got strands of lengths ({lx}, {ly})"
         )
-    target = table.value(0, 0, 0)
-    limit = q * (lx + ly) + q  # any advance waits at most q slots
-    actions: list[Action] = []
-    i = j = r = 0
-    while i < lx or j < ly:
-        if len(actions) > limit:
-            raise TableIntegrityError("walk exceeded the maximal possible schedule length")
+
+    def table_rule(i, j, r, la_x, la_y, ties, coin):
         rn = (r + 1) % q
-        can_x = i < lx and x[i] == r
-        can_y = j < ly and y[j] == r
-        if can_x and can_y:
-            if table.value(i + 1, j, rn) <= table.value(i, j + 1, rn):
-                actions.append(ADVANCE_X)
-                i += 1
-            else:
-                actions.append(ADVANCE_Y)
-                j += 1
-        elif can_x:
-            actions.append(ADVANCE_X)
-            i += 1
-        elif can_y:
-            actions.append(ADVANCE_Y)
-            j += 1
-        else:
-            actions.append(IDLE)
-        r = rn
-    if len(actions) != target:
-        raise TableIntegrityError(
-            f"reconstructed schedule takes {len(actions)} slots, table claims {target}"
-        )
-    return OptimalResult(target, Schedule(tuple(actions)))
+        return table.value(i + 1, j, rn) <= table.value(i, j + 1, rn)
+
+    return _walk(x, y, q, table_rule, table.value(0, 0, 0), "reconstructed schedule", "table")
 
 
 def optimal_schedule(x, y, q: int) -> OptimalResult:
@@ -379,18 +366,13 @@ def optimal_schedule(x, y, q: int) -> OptimalResult:
     ties: list[bytes] = []  # diagonal d at ties[lx + ly - 1 - d]
     for _, _, root, _ in _wavefront((x,), (y,), q, ties):
         pass
-    target = int(root[0])
     top = lx + ly - 1
 
     def tie_bit_rule(i, j, r, la_x, la_y, n, coin):
         k = i - max(0, i + j - ly)  # cell (i, j) within its diagonal
         return not (ties[top - i - j][k >> 3] >> (7 - (k & 7))) & 1
 
-    actions: list[Action] = []
-    t = _run(x, y, q, tie_bit_rule, None, False, actions)
-    if t != target:
-        raise TableIntegrityError(f"tie-bit walk takes {t} slots, the solver claims {target}")
-    return OptimalResult(target, Schedule(tuple(actions)))
+    return _walk(x, y, q, tie_bit_rule, int(root[0]), "tie-bit walk", "the solver")
 
 
 def enumerate_interleavings_min(x, y, q: int, budget: int = 10**6) -> int:

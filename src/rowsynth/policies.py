@@ -10,13 +10,15 @@ one.
 
 Each catalog rule is written once, as a positional function of
 (i, j, r, lookahead_x, lookahead_y, ties, coin) that the simulator calls
-at every tie; the public TieContext functions unpack the context into it.
+at every tie. The public TieContext function of the same name is made from
+it, unpacks the context into it and carries it for TiePolicy.tie_rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import UnsupportedAlphabetError
@@ -94,9 +96,10 @@ class TiePolicy:
         its UnsupportedAlphabetError is raised at the first tie.
         """
         decide = self.decide
-        for fn, rule in _RULES:
-            if fn is decide and (fn is not lf1 or q == 2):
-                return rule
+        rule = getattr(decide, "rule", None)
+        # a wrapper made with functools.wraps copies ``rule`` but is not its decide
+        if rule is not None and rule.decide is decide and (q == 2 or not rule.binary):
+            return rule
 
         def adapter(i, j, r, la_x, la_y, ties, coin):
             ctx = TieContext(i, j, r, q, la_x, la_y, HistoryDigest(ties, coin))
@@ -105,55 +108,50 @@ class TiePolicy:
         return adapter
 
 
-def _x_first_rule(i, j, r, la_x, la_y, ties, coin):
+def _catalog_decide(rule: TieRule, binary: bool = False) -> Callable[[TieContext], TieDecision]:
+    """The public TieContext function of a positional catalog rule.
+
+    It takes the rule's name and docstring and carries the rule itself as
+    ``rule``, for TiePolicy.tie_rule; the rule points back at it. A
+    ``binary`` rule refuses any alphabet but q=2 with UnsupportedAlphabetError.
+    """
+
+    def decide(ctx: TieContext) -> TieDecision:
+        if binary and ctx.q != 2:
+            raise UnsupportedAlphabetError(
+                f"{rule.__name__} is defined only for the binary alphabet, got q={ctx.q}"
+            )
+        h = ctx.history
+        if rule(ctx.i, ctx.j, ctx.r, ctx.lookahead_x, ctx.lookahead_y, h.ties, h.coin):
+            return TieDecision.ADVANCE_X
+        return TieDecision.ADVANCE_Y
+
+    decide.__name__ = decide.__qualname__ = rule.__name__
+    decide.__doc__ = rule.__doc__
+    decide.rule, rule.decide, rule.binary = rule, decide, binary
+    return decide
+
+
+@_catalog_decide
+def x_first(i, j, r, la_x, la_y, ties, coin):
+    """Always advance strand 1."""
     return True
 
 
-def _y_first_rule(i, j, r, la_x, la_y, ties, coin):
+@_catalog_decide
+def y_first(i, j, r, la_x, la_y, ties, coin):
+    """Always advance strand 2 (mirror of x_first)."""
     return False
 
 
-def _laggard_rule(i, j, r, la_x, la_y, ties, coin):
+@_catalog_decide
+def laggard_first(i, j, r, la_x, la_y, ties, coin):
+    """Advance the strand with fewer synthesized symbols; strand 1 on equality."""
     return i <= j
 
 
-def _lf1_rule(i, j, r, la_x, la_y, ties, coin):
-    if la_x is not None and la_y is not None and la_x != la_y:
-        return la_x == (r + 1) % 2
-    return i <= j   # laggard-first
-
-
-def _round_robin_rule(i, j, r, la_x, la_y, ties, coin):
-    return ties % 2 == 0
-
-
-def _random_rule(i, j, r, la_x, la_y, ties, coin):
-    return coin % 2 == 0
-
-
-def _decide_by(rule: TieRule, ctx: TieContext) -> TieDecision:
-    h = ctx.history
-    if rule(ctx.i, ctx.j, ctx.r, ctx.lookahead_x, ctx.lookahead_y, h.ties, h.coin):
-        return TieDecision.ADVANCE_X
-    return TieDecision.ADVANCE_Y
-
-
-def x_first(ctx: TieContext) -> TieDecision:
-    """Always advance strand 1."""
-    return _decide_by(_x_first_rule, ctx)
-
-
-def y_first(ctx: TieContext) -> TieDecision:
-    """Always advance strand 2 (mirror of x_first)."""
-    return _decide_by(_y_first_rule, ctx)
-
-
-def laggard_first(ctx: TieContext) -> TieDecision:
-    """Advance the strand with fewer synthesized symbols; strand 1 on equality."""
-    return _decide_by(_laggard_rule, ctx)
-
-
-def lf1(ctx: TieContext) -> TieDecision:
+@partial(_catalog_decide, binary=True)
+def lf1(i, j, r, la_x, la_y, ties, coin):
     """Binary one-symbol lookahead rule.
 
     When the two lookahead symbols differ, advance the strand whose
@@ -161,32 +159,21 @@ def lf1(ctx: TieContext) -> TieDecision:
     again immediately). When they are equal, or either strand has no symbol
     left after the matching one, fall back to laggard_first.
     """
-    if ctx.q != 2:
-        raise UnsupportedAlphabetError(
-            f"lf1 is defined only for the binary alphabet, got q={ctx.q}"
-        )
-    return _decide_by(_lf1_rule, ctx)
+    if la_x is not None and la_y is not None and la_x != la_y:
+        return la_x == (r + 1) % 2
+    return i <= j   # laggard-first
 
 
-def round_robin(ctx: TieContext) -> TieDecision:
+@_catalog_decide
+def round_robin(i, j, r, la_x, la_y, ties, coin):
     """Alternate X, Y, X, ... across successive ties."""
-    return _decide_by(_round_robin_rule, ctx)
+    return ties % 2 == 0
 
 
-def random_tie(ctx: TieContext) -> TieDecision:
+@_catalog_decide
+def random_tie(i, j, r, la_x, la_y, ties, coin):
     """Resolve by the seeded coin the simulator placed in the history digest."""
-    return _decide_by(_random_rule, ctx)
-
-
-# each catalog decide function and the positional rule it is written from
-_RULES = (
-    (x_first, _x_first_rule),
-    (y_first, _y_first_rule),
-    (laggard_first, _laggard_rule),
-    (lf1, _lf1_rule),
-    (round_robin, _round_robin_rule),
-    (random_tie, _random_rule),
-)
+    return coin % 2 == 0
 
 
 def _choose_lowest(cands, progress, digest):

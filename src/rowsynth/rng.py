@@ -10,11 +10,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 DEFAULT_SEED = 0xDA7A
 
 
+def validate_seed(seed: int) -> int:
+    """Refuse a negative master seed, which numpy's SeedSequence cannot take."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def master_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(validate_seed(seed))))
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:

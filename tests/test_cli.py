@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from rowsynth import Schedule, apply_schedule, policy_names
-from rowsynth import cli
+from rowsynth import cli, experiments
 from rowsynth.cli import load_config, main
 
 
@@ -387,6 +387,40 @@ class TestEnvironmentOverrides:
         monkeypatch.setenv("ROWSYNTH_SEED", "not-a-number")
         code, _, err = run_cli(capsys, "solve", "--q", "2", "--x", "0", "--y", "1")
         assert code == 1
+
+
+class TestNegativeSeed:
+    """A negative seed exits 1 naming it, before any trial runs or any pool starts."""
+
+    CASES = {
+        "simulate": ("simulate", "--x", "01", "--y", "10"),
+        "rotations": ("rotations", "--rotations", "10"),
+        "experiment": ("experiment", "--length", "10", "--trials", "4", "--workers", "2"),
+        "conjecture": ("conjecture", "--length", "10", "--trials", "4", "--workers", "2"),
+    }
+
+    @pytest.fixture(autouse=True)
+    def no_trials(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_map_trials", None)  # any trial would fail
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_flag(self, capsys, command):
+        code, out, err = run_cli(capsys, *self.CASES[command], "--seed", "-5")
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be a non-negative integer, got -5\n"
+
+    def test_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("ROWSYNTH_SEED", "-5")
+        code, out, err = run_cli(capsys, *self.CASES["experiment"])
+        assert (code, out) == (1, "")
+        assert "got -5" in err
+
+    def test_sweep_file(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"L": 10, "trials": 4, "seed": [3, -5]}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg), "--workers", "2")
+        assert (code, out) == (1, "")
+        assert "got -5" in err
 
 
 class TestCachedParser:

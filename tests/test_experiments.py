@@ -69,6 +69,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(2, 10, 0).validated()
 
+    def test_negative_seed_refused_before_any_trial(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_map_trials", None)  # any trial would fail
+        for estimate in (estimate_policy_time, estimate_optimal_time):
+            with pytest.raises(ConfigError, match="got -1"):
+                estimate(ExperimentConfig(2, 10, 5, -1), workers=2)
+        with pytest.raises(ConfigError, match="got -1"):
+            estimate_solo_time(2, 10, 5, seed=-1)
+
 
 class TestEstimatePolicyTime:
     def test_reproducible(self):

@@ -28,7 +28,7 @@ from rowsynth import (
     synthesis_rate,
     visit_values,
 )
-from rowsynth.errors import InvalidStrandError
+from rowsynth.errors import ConfigError, InvalidStrandError
 from rowsynth.markov import _offset_chain, _rotations
 from rowsynth.rng import BlockDraws, master_rng
 from conftest import random_pair
@@ -169,6 +169,12 @@ class TestRotationMoments:
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError):
             rotation_moments(2, 0, 1)
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ConfigError, match="got -1"):
+            rotation_moments(2, 100, -1)
+        with pytest.raises(ConfigError, match="got -1"):
+            drift_series(2, 100, -1)
 
     def test_slots_dominate_advances(self):
         stats = rotation_moments(3, 500, 11)

@@ -120,6 +120,17 @@ class TestReconstruct:
         with pytest.raises(TableIntegrityError):
             reconstruct((0, 1), (1, 0), bad)
 
+    def test_rejects_table_corrupted_at_a_tie(self):
+        # the opening slot is a tie that X wins strictly: 1 + 5 slots against 1 + 7
+        x, y = (0, 1, 1), (0, 0, 1)
+        table = dp_solve(x, y, 2)
+        assert (table.value(0, 0, 0), table.value(1, 0, 1), table.value(0, 1, 1)) == (6, 5, 7)
+        values = list(table.values)
+        values[(1 * (len(y) + 1) + 0) * 2 + 1] = 8  # value(1, 0, 1): now Y wins the tie
+        bad = DpTable(table.q, table.len_x, table.len_y, tuple(values))
+        with pytest.raises(TableIntegrityError, match="takes 8 slots, table claims 6"):
+            reconstruct(x, y, bad)
+
 
 @st.composite
 def solver_instances(draw):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
 from hypothesis import given, settings
@@ -191,6 +192,18 @@ class TestPositionalRules:
     def test_rule_follows_a_replaced_decide(self):
         swapped = dataclasses.replace(get_policy("x-first"), decide=y_first)
         assert swapped.tie_rule(2)(0, 0, 0, None, None, 0, 0) is False
+
+    def test_rule_follows_a_decide_wrapped_with_functools_wraps(self):
+        seen = []
+
+        @functools.wraps(laggard_first)
+        def counted(c):
+            seen.append(c)
+            return laggard_first(c)
+
+        rule = dataclasses.replace(get_policy("lf"), decide=counted).tie_rule(2)
+        assert rule(1, 0, 0, None, None, 0, 0) is False
+        assert seen == [ctx(1, 0, 0, 2)]
 
     def test_non_catalog_decide_sees_the_full_context(self):
         seen = []
