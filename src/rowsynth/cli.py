@@ -10,9 +10,11 @@ All randomness flows from --seed (default 0xDA7A); ROWSYNTH_SEED and
 ROWSYNTH_FORMAT provide environment overrides, with flags taking
 precedence. Both are read on every main() call, after parsing, so the one
 parser a process builds on its first call still sees a changed
-environment. JSON output always carries a metadata object; --no-timestamp
-suppresses the timestamp for byte-stable golden files. Exit status: 0 on
-success, 1 on validation/configuration errors, 2 on usage errors.
+environment; every command refuses a negative seed, and JSON-only
+commands take only --format json and ignore ROWSYNTH_FORMAT. JSON output
+always carries a metadata object; --no-timestamp suppresses the
+timestamp for byte-stable golden files. Exit status: 0 on success, 1 on
+validation/configuration errors, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .markov import closed_form_rotation, lf1_matrix, rotation_moments, stationa
 from .model import Schedule, apply_schedule, format_strand, parse_strand, simulate_k
 from .optimal import enumerate_interleavings_min, optimal_schedule
 from .policies import get_policy, policy_names
-from .rng import DEFAULT_SEED, master_rng
+from .rng import DEFAULT_SEED, master_rng, validate_seed
 
 ENV_SEED = "ROWSYNTH_SEED"
 ENV_FORMAT = "ROWSYNTH_FORMAT"
@@ -60,11 +62,11 @@ def _env_seed() -> int:
         raise RowSynthError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
 
 
-def _env_format(default: str) -> str:
+def _env_format(formats: tuple[str, ...]) -> str:
     raw = os.environ.get(ENV_FORMAT)
-    if raw is None:
-        return default
-    if raw not in ("csv", "json"):
+    if raw is None or len(formats) == 1:
+        return formats[0]
+    if raw not in formats:
         raise RowSynthError(f"{ENV_FORMAT} must be 'csv' or 'json', got {raw!r}")
     return raw
 
@@ -323,13 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add_common(p, fmt_default):
+    def add_common(p, formats):
         p.add_argument("--out", help="write output to a file instead of stdout")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp from JSON metadata (golden-file mode)")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help=f"output format (default: ${ENV_FORMAT}, else {fmt_default})")
-        p.set_defaults(fmt_default=fmt_default)
+        p.add_argument("--format", choices=formats, default=None,
+                       help=f"output format (default: ${ENV_FORMAT}, else {formats[0]})"
+                       if len(formats) > 1 else "output format (json only)")
+        p.set_defaults(formats=formats)
         p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                        help=f"master seed (default {hex(DEFAULT_SEED)})")
 
@@ -341,43 +344,43 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="greedy simulation of a pair under a tie policy")
     add_instance(p)
     p.add_argument("--policy", choices=policy_names(), default="lf")
-    add_common(p, "json")
+    add_common(p, ("json",))
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("solve", help="exact optimal schedule via one tie bit per cell")
     add_instance(p)
-    add_common(p, "json")
+    add_common(p, ("json",))
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("oracle", help="brute-force optimum over all interleavings")
     add_instance(p)
     p.add_argument("--budget", type=int, default=10**6,
                    help="maximum number of interleavings to enumerate")
-    add_common(p, "json")
+    add_common(p, ("json",))
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("validate", help="check and score an externally written schedule")
     add_instance(p)
     p.add_argument("--schedule", required=True,
                    help="comma-separated actions over X, Y and - (idle)")
-    add_common(p, "json")
+    add_common(p, ("json",))
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("rotations", help="empirical rotation moments vs closed forms")
     p.add_argument("--q", default=str(DEFAULT_Q), help="alphabet size(s), e.g. 2 or 2,3,4")
     p.add_argument("--rotations", type=int, default=100_000, help="rotations per alphabet")
-    add_common(p, "csv")
+    add_common(p, ("csv", "json"))
     p.set_defaults(func=_cmd_rotations)
 
     p = sub.add_parser("chain", help="lookahead chain: transition matrix, stationary law, rate")
     p.add_argument("--stationary", action="store_true", help="print only the stationary law")
-    add_common(p, "json")
+    add_common(p, ("json", "csv"))
     p.set_defaults(func=_cmd_chain)
 
     p = sub.add_parser("bounds", help="analytic expected-time table at one length")
     p.add_argument("--q", default=str(DEFAULT_Q), help="alphabet size(s), e.g. 2 or 2,4")
     p.add_argument("--length", type=int, default=DEFAULT_LENGTH, help="strand length L")
-    add_common(p, "csv")
+    add_common(p, ("csv", "json"))
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("experiment", help="Monte Carlo policy sweep to CSV/JSON")
@@ -388,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--workers", type=int, default=1,
                    help="parallel worker processes (at most one per CPU and per trial)")
-    add_common(p, "csv")
+    add_common(p, ("csv", "json"))
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("conjecture", help="measured optimal slope vs its conjectured value")
@@ -396,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=200, help="strand length L")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--workers", type=int, default=1)
-    add_common(p, "json")
+    add_common(p, ("json",))
     p.set_defaults(func=_cmd_conjecture)
 
     return parser
@@ -431,10 +434,11 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(_bind_schedule(sys.argv[1:] if argv is None else argv))
         if args.format is None:
-            args.format = _env_format(args.fmt_default)
+            args.format = _env_format(args.formats)
         args.seed_given = args.seed is not None
         if args.seed is None:
             args.seed = _env_seed()
+        validate_seed(args.seed)
         return args.func(args)
     except (RowSynthError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

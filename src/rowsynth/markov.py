@@ -267,8 +267,7 @@ def closed_form_rotation(q: int) -> tuple[Fraction, Fraction, Fraction]:
     Returns (E[V_X], E[V_Y], E[T]) = (q(q+3)/(2(q+1)), q(q-1)/(2(q+1)),
     q(q+3)/4).
     """
-    if q < 2:
-        raise ValueError("alphabet size must be >= 2")
+    validate_alphabet(q)
     e_vx = Fraction(q * (q + 3), 2 * (q + 1))
     e_vy = Fraction(q * (q - 1), 2 * (q + 1))
     e_t = Fraction(q * (q + 3), 4)
@@ -284,8 +283,7 @@ def visit_values(q: int) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
     recurrence A_{b+1} = 2 A_b - A_{b-1}, and the first-step identity
     E[V_X] = 1 + (1/q) * sum_r A_r recovers the closed-form rotation mean.
     """
-    if q < 2:
-        raise ValueError("alphabet size must be >= 2")
+    validate_alphabet(q)
     a_side = {b: Fraction(b, q + 1) + Fraction(q, 2) for b in range(1, q)}
     b_side = {a: -Fraction(a, q + 1) + Fraction(q, 2) for a in range(1, q)}
     return a_side, b_side

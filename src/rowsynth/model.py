@@ -15,11 +15,12 @@ one, and a tie delays the losing strand by exactly q slots. So the loop
 keeps the slot of each strand's next advance, advances the earlier one,
 and asks the policy's positional tie rule when the two slots are equal;
 forced idles are never visited unless a schedule is requested, in which
-case each advance fills in the idles it skipped; the per-slot trace is
-then read off the schedule. The loop takes the tie rule, a coin source and
-a lookahead flag rather than a policy, so the exact solver runs the same
-walk with a rule that reads its tie bits. Externally supplied schedules
-may idle freely and are merely validated and scored by apply_schedule.
+case each advance fills in the idles it skipped. The loop takes the tie
+rule, a coin source and a lookahead flag rather than a policy, so the
+exact solver runs the same walk with a rule that reads its tie bits;
+rows of three or more strands step by the same rule. The one per-slot
+loop is apply_schedule's replay, which checks any schedule, idles
+allowed, and reads simulate's trace off each schedule it simulates.
 """
 
 from __future__ import annotations
@@ -240,10 +241,6 @@ _ACTION_BY_INDEX = {0: IDLE, 1: ADVANCE_X, 2: ADVANCE_Y}
 _NEVER = float("inf")   # next-advance slot of a complete strand
 
 
-def _default_rng():
-    return master_rng(DEFAULT_SEED)
-
-
 def _tie_args(policy: TiePolicy, q: int, rng) -> tuple:
     """``_run``'s tie arguments for a policy at q: its rule, coin source and lookahead flag.
 
@@ -253,7 +250,7 @@ def _tie_args(policy: TiePolicy, q: int, rng) -> tuple:
     if not policy.uses_rng:
         rng = None
     elif rng is None:
-        rng = _default_rng()
+        rng = master_rng(DEFAULT_SEED)
     return policy.tie_rule(q), rng, policy.lookahead == 1
 
 
@@ -309,36 +306,20 @@ def _run(x: Strand, y: Strand, q: int, rule: TieRule, coins, look: bool,
             ty = t + 1 + (y[j] - t) % q if j < ly else _NEVER
 
 
-def _records(x: Strand, y: Strand, q: int, actions: list[Action]) -> list[StepRecord]:
-    """Per-slot trace records: emission, action and both offsets before the slot's action."""
-    lx, ly = len(x), len(y)
-    i = j = 0
-    records = []
-    for t, action in enumerate(actions, start=1):
-        r = (t - 1) % q
-        records.append(StepRecord(t, r, action,
-                                  (x[i] - r) % q if i < lx else None,
-                                  (y[j] - r) % q if j < ly else None))
-        if action is ADVANCE_X:
-            i += 1
-        elif action is ADVANCE_Y:
-            j += 1
-    return records
-
-
 def simulate(x, y, policy: TiePolicy, q: int, rng=None) -> tuple[Schedule, SimTrace]:
     """Greedy simulation of a strand pair under a tie policy.
 
     Each slot, the strand whose next symbol matches the emission advances;
     at a tie the policy decides; otherwise the machine idles. Stops at the
     slot completing the last strand. Returns the schedule plus a per-slot
-    trace of emissions, actions and offsets.
+    trace of emissions, actions and offsets, read off by apply_schedule's
+    replay, which also checks the schedule against the model.
     """
     x = validate_strand(x, q)
     y = validate_strand(y, q)
     actions: list[Action] = []
     _run(x, y, q, *_tie_args(policy, q, rng), actions)
-    return Schedule(tuple(actions)), SimTrace(tuple(_records(x, y, q, actions)))
+    return Schedule(tuple(actions)), SimTrace(tuple(_replay(x, y, q, actions, [])))
 
 
 def completion_time(x, y, policy: TiePolicy, q: int, rng=None) -> int:
@@ -354,6 +335,8 @@ def simulate_k(strands, policy: TiePolicy, q: int, rng=None) -> Schedule:
     At most one strand advances per slot; when several match, the policy's
     k-strand selection rule picks one. Rows of exactly two strands go
     through the same path as simulate(), so lookahead policies work there.
+    Other rows step from advance to advance by _run's rule, and every
+    strand that loses a tie is delayed by q slots.
     """
     strands = [validate_strand(s, q) for s in strands]
     if len(strands) == 2:
@@ -363,29 +346,64 @@ def simulate_k(strands, policy: TiePolicy, q: int, rng=None) -> Schedule:
     if len(strands) > 2 and policy.choose is None:
         raise ConfigError(f"policy {policy.name!r} has no selection rule for k > 2 strands")
     if policy.uses_rng and rng is None:
-        rng = _default_rng()
+        rng = master_rng(DEFAULT_SEED)
     done = [0] * len(strands)
+    nxt = [z[0] + 1 if z else _NEVER for z in strands]  # slot of each next advance
     actions = []
-    r = 0
-    ties = 0
-    while any(done[s] < len(strands[s]) for s in range(len(strands))):
-        cands = [s for s in range(len(strands))
-                 if done[s] < len(strands[s]) and strands[s][done[s]] == r]
+    ties = last = 0
+    while (t := min(nxt, default=_NEVER)) != _NEVER:
+        cands = [s for s, ts in enumerate(nxt) if ts == t]
+        chosen = cands[0]
         if len(cands) > 1:
             coin = int(rng.integers(1 << 30)) if policy.uses_rng else 0
             chosen = policy.choose(cands, done, HistoryDigest(ties, coin))
             ties += 1
-            done[chosen] += 1
-            actions.append(Action(chosen + 1))
-        elif cands:
-            done[cands[0]] += 1
-            actions.append(Action(cands[0] + 1))
-        else:
-            actions.append(IDLE)
-        r += 1
-        if r == q:
-            r = 0
+            for s in cands:
+                nxt[s] += q  # the winner's is set again below
+        actions.extend([IDLE] * (t - last - 1))
+        actions.append(Action(chosen + 1))
+        last = t
+        done[chosen] += 1
+        z, i = strands[chosen], done[chosen]
+        nxt[chosen] = t + 1 + (z[i] - t) % q if i < len(z) else _NEVER
     return Schedule(tuple(actions))
+
+
+def _replay(x: Strand, y: Strand, q: int, actions, records: list | None = None):
+    """apply_schedule's slot-by-slot check of a schedule; returns ``records``.
+
+    A ``records`` list gets each slot's StepRecord, with both offsets before
+    the slot's action; without one, an idle slot computes nothing.
+    """
+    strands = (x, y)
+    done = [0, 0]
+    for t, action in enumerate(actions, start=1):
+        s = action.strand
+        if records is not None:
+            r = (t - 1) % q
+            i, j = done
+            records.append(StepRecord(t, r, action,
+                                      (x[i] - r) % q if i < len(x) else None,
+                                      (y[j] - r) % q if j < len(y) else None))
+        if s is None:
+            continue
+        if s not in (1, 2):
+            raise IllegalActionError(t, f"schedule references strand {s}; only 1 and 2 exist")
+        strand, idx = strands[s - 1], done[s - 1]
+        if idx >= len(strand):
+            raise IllegalActionError(t, f"strand {action.token()} is already complete")
+        r = (t - 1) % q
+        if strand[idx] != r:
+            raise IllegalActionError(
+                t, f"strand {action.token()} needs symbol {strand[idx]} but slot emits {r}"
+            )
+        done[s - 1] += 1
+    if done[0] < len(x) or done[1] < len(y):
+        raise IncompleteScheduleError(
+            f"schedule ends with {len(x) - done[0]} symbols of X and "
+            f"{len(y) - done[1]} of Y unsynthesized"
+        )
+    return records
 
 
 def apply_schedule(x, y, schedule: Schedule, q: int) -> int:
@@ -397,29 +415,5 @@ def apply_schedule(x, y, schedule: Schedule, q: int) -> int:
     offending slot, or IncompleteScheduleError if the schedule ends with a
     strand unfinished. Returns the completion time (the schedule length).
     """
-    x = validate_strand(x, q)
-    y = validate_strand(y, q)
-    strands = (x, y)
-    done = [0, 0]
-    for t, action in enumerate(schedule, start=1):
-        if not action.is_advance:
-            continue
-        s = action.strand
-        if s not in (1, 2):
-            raise IllegalActionError(t, f"schedule references strand {s}; only 1 and 2 exist")
-        r = (t - 1) % q
-        idx = done[s - 1]
-        strand = strands[s - 1]
-        if idx >= len(strand):
-            raise IllegalActionError(t, f"strand {action.token()} is already complete")
-        if strand[idx] != r:
-            raise IllegalActionError(
-                t, f"strand {action.token()} needs symbol {strand[idx]} but slot emits {r}"
-            )
-        done[s - 1] += 1
-    if done[0] < len(x) or done[1] < len(y):
-        raise IncompleteScheduleError(
-            f"schedule ends with {len(x) - done[0]} symbols of X and "
-            f"{len(y) - done[1]} of Y unsynthesized"
-        )
+    _replay(validate_strand(x, q), validate_strand(y, q), q, schedule)
     return schedule.completion_time

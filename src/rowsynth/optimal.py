@@ -39,8 +39,10 @@ optimal schedule never idles while a strand can advance, both schedule
 builders run the greedy simulator's walk (model._run) with a tie rule that
 reads the solver: optimal_schedule keeps one tie bit per cell, packed
 eight to a byte, and reads the bit. dp_solve keeps every diagonal,
-subtracts phi and expands them into the (i, j, r) table, and reconstruct
-compares its two entries after the tie; the two are the reference API.
+subtracts phi, summed from the solo steps, and expands them into the
+(i, j, r) table, where advancing strand u costs (next_u - r) mod q + 1
+slots when r is the next emission; reconstruct compares its two entries
+after the tie. The two are the reference API.
 
 Alongside the solver live two fully independent cross-checks: a
 brute-force minimum over all interleavings, and the binary runs/LCS
@@ -114,27 +116,6 @@ class DpTable:
         return self.value(*state)
 
 
-def _strand_arrays(z: Strand, q: int):
-    """Per-position arrays of one strand, indexed by its progress k in [0, len].
-
-    key[k]: the symbol advanced from k, plus q - 1 (the placeholder symbol
-    at k = len is 0); last[k]: the symbol advanced into k, q - 1 before the
-    first. The cost of advancing from k right after symbol s is
-    _advance_costs(q)[key[k] - s].
-    """
-    key = np.array(z + (0,), dtype=np.int64) + (q - 1)
-    last = np.concatenate(([q - 1], key[:-1] - (q - 1)))
-    return key, last
-
-
-def _advance_costs(q: int) -> np.ndarray:
-    """offset + 1 slots to advance symbol a right after symbol s, at a - s + q - 1.
-
-    The offset (a - s - 1) mod q counts the idle slots before a is emitted.
-    """
-    return np.arange(2 * q - 1, dtype=np.int64) % q + 1
-
-
 def _wavefront(xs, ys, q: int, ties: list | None = None):
     """Yield (d, lo, u, v) for each anti-diagonal d = len_x + len_y, ..., 0.
 
@@ -150,7 +131,8 @@ def _wavefront(xs, ys, q: int, ties: list | None = None):
     """
     lanes, lx, ly = len(xs), len(xs[0]), len(ys[0])
     top = lx + ly
-    cost = _advance_costs(q)
+    # offset + 1 slots to advance symbol a right after symbol s, at a - s + q - 1
+    cost = np.arange(2 * q - 1, dtype=np.int64) % q + 1
     # One (row, lane) array of symbols: x at rows 1..lx, y at rows
     # y0 + 1..y0 + ly and q - 1 everywhere else, the symbol before each
     # strand's first. A strand at progress k reads row p (x: p = i, y:
@@ -218,10 +200,10 @@ def _wavefront(xs, ys, q: int, ties: list | None = None):
 def dp_solve(x, y, q: int) -> DpTable:
     """Fill the full table of optimal remaining times for a strand pair.
 
-    Keeps every diagonal of the wavefront, subtracts the potential phi to
-    get W back, then expands each row i of cells into value(i, j, r) = min
-    over incomplete u of offset_u + 1 + W(next cell, u), with offset_u =
-    (next_u - r) mod q. Refuses, before
+    Keeps every diagonal of the wavefront, subtracts the potential phi (the
+    solo times of x[:i] and y[:j]) to get W back, then expands each row i
+    of cells into value(i, j, r) = min over incomplete u of offset_u + 1 +
+    W(next cell, u), with offset_u = (next_u - r) mod q. Refuses, before
     allocating, tables of more than MAX_TABLE_STATES states.
     O(len_x * len_y * q) time and space.
     """
@@ -242,19 +224,19 @@ def dp_solve(x, y, q: int) -> DpTable:
         wy_all[cells] = v
     wx_all = wx_all.reshape(lx + 2, ly + 2)
     wy_all = wy_all.reshape(lx + 2, ly + 2)
-    cost = _advance_costs(q)
-    x_key, x_last = _strand_arrays(x, q)
-    y_key, y_last = _strand_arrays(y, q)
-    x_self = cost[x_key - x_last]
-    y_self = cost[y_key - y_last]
-    phi = (np.cumsum(x_self) - x_self)[:, None] + (np.cumsum(y_self) - y_self)
+    # each strand with a 0 after its end, which only meets _UNREACHABLE cells,
+    # its solo steps (z[k] - z[k - 1] - 1) mod q + 1, and phi(i, j) =
+    # solo_time(x[:i]) + solo_time(y[:j]) from their prefix sums
+    x_sym, y_sym = (np.array(z + (0,), dtype=np.int64) for z in (x, y))
+    x_step, y_step = ((np.diff(z, prepend=q - 1) - 1) % q + 1 for z in (x_sym, y_sym))
+    phi = (x_step.cumsum() - x_step)[:, None] + (y_step.cumsum() - y_step)
     wx_all[:lx + 1, :ly + 1] -= phi
     wy_all[:lx + 1, :ly + 1] -= phi
     wx_all[lx + 1] = _UNREACHABLE
     wy_all[:, ly + 1] = _UNREACHABLE
-    before_r = (np.arange(q, dtype=np.int64) - 1) % q  # symbol before emission r
-    via_x_cost = cost[x_key[:, None] - before_r]
-    via_y_cost = cost[y_key[:, None] - before_r]
+    r = np.arange(q, dtype=np.int64)  # the next emission
+    via_x_cost = (x_sym[:, None] - r) % q + 1
+    via_y_cost = (y_sym[:, None] - r) % q + 1
     # rows of cells per expansion block, so numpy temporaries stay small
     block = max(1, _EXPAND_BLOCK // ((ly + 1) * q))
     # every entry is at most q slots per remaining symbol; the table shares

@@ -423,6 +423,100 @@ class TestNegativeSeed:
         assert "got -5" in err
 
 
+class TestNegativeSeedWithoutDraws:
+    """Commands that draw nothing refuse a negative seed too, rather than echo it."""
+
+    CASES = {
+        "solve": ("solve", "--x", "01", "--y", "10"),
+        "oracle": ("oracle", "--q", "2", "--x", "0", "--y", "1"),
+        "validate": ("validate", "--x", "0", "--y", "1", "--schedule", "X,Y"),
+        "chain": ("chain", "--stationary"),
+        "bounds": ("bounds", "--format", "json"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_flag(self, capsys, command):
+        code, out, err = run_cli(capsys, *self.CASES[command], "--seed", "-5")
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be a non-negative integer, got -5\n"
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_env(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("ROWSYNTH_SEED", "-5")
+        code, out, err = run_cli(capsys, *self.CASES[command])
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be a non-negative integer, got -5\n"
+
+
+class TestJsonOnlyFormat:
+    """Commands that print only JSON take only --format json and ignore ROWSYNTH_FORMAT."""
+
+    CASES = {
+        "simulate": ("simulate", "--x", "01", "--y", "10"),
+        "solve": ("solve", "--x", "01", "--y", "10"),
+        "oracle": ("oracle", "--q", "2", "--x", "0", "--y", "1"),
+        "validate": ("validate", "--x", "0", "--y", "1", "--schedule", "X,Y"),
+        "conjecture": ("conjecture", "--length", "4", "--trials", "2"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_csv_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.CASES[command], "--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    @pytest.mark.parametrize("env", [None, "csv", "xml"])
+    def test_prints_json_whatever_the_env(self, capsys, monkeypatch, command, env):
+        if env is None:
+            monkeypatch.delenv("ROWSYNTH_FORMAT", raising=False)
+        else:
+            monkeypatch.setenv("ROWSYNTH_FORMAT", env)
+        argv = (*self.CASES[command], "--no-timestamp")
+        doc = run_json(capsys, *argv)
+        assert run_json(capsys, *argv, "--format", "json") == doc
+        assert "metadata" in doc
+
+    def test_help_offers_json_only(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        assert "--format {json}" in capsys.readouterr().out
+
+
+class TestReadmeCommands:
+    """The cheap command lines of README's command-line section, through main()."""
+
+    @pytest.fixture(autouse=True)
+    def default_format(self, monkeypatch):
+        monkeypatch.delenv("ROWSYNTH_FORMAT", raising=False)
+
+    def test_solve(self, capsys):
+        doc = run_json(capsys, "solve", "--q", "4", "--x", "1,3,2,2", "--y", "0,1,3,0")
+        assert doc["tStar"] == 11
+
+    def test_oracle(self, capsys):
+        doc = run_json(capsys, "oracle", "--q", "4", "--x", "1322", "--y", "0130")
+        assert doc["tStar"] == 11
+
+    def test_validate(self, capsys):
+        doc = run_json(capsys, "validate", "--q", "4", "--x", "1322", "--y", "0130",
+                       "--schedule", "Y,Y,-,Y,Y,X,-,X,-,-,X,-,-,-,X")
+        assert doc["completionTime"] == 15
+
+    def test_simulate(self, capsys):
+        doc = run_json(capsys, "simulate", "--q", "2", "--x", "0110", "--y", "1010",
+                       "--policy", "lf1")
+        assert doc["policy"] == "lf1"
+
+    def test_chain_stationary(self, capsys):
+        assert run_json(capsys, "chain", "--stationary")["rate"] == "6/7"
+
+    def test_bounds(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--q", "2,4", "--length", "1000")
+        assert code == 0 and out.startswith("q,L,") and len(out.splitlines()) == 3
+
+
 class TestCachedParser:
     """One parser per process; the environment is still read on every call."""
 

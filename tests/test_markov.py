@@ -237,7 +237,18 @@ class TestClosedFormRotation:
         assert vx + vy == q
 
 
+    @pytest.mark.parametrize("q", [1, 0, 2.5, 3.0])
+    def test_refuses_bad_alphabet(self, q):
+        with pytest.raises(InvalidStrandError, match="alphabet size must be an integer >= 2"):
+            closed_form_rotation(q)
+
+
 class TestVisitValues:
+    @pytest.mark.parametrize("q", [1, 0, 2.5, 3.0])
+    def test_refuses_bad_alphabet(self, q):
+        with pytest.raises(InvalidStrandError, match="alphabet size must be an integer >= 2"):
+            visit_values(q)
+
     def test_binary_values(self):
         a_side, b_side = visit_values(2)
         assert a_side == {1: Fraction(4, 3)}

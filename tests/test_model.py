@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rowsynth import model
 from rowsynth import (
     Action,
     ConfigError,
@@ -148,6 +150,16 @@ class TestSimulate:
         _, trace = simulate(x, y, get_policy("lf"), 3)
         assert [rec.t for rec in trace] == list(range(1, len(trace) + 1))
 
+    def test_simulated_schedule_is_checked_against_the_model(self, monkeypatch):
+        def illegal_run(x, y, q, rule, coins, look, actions=None):
+            actions.extend([Action(1), Action(2)])  # slot 2 emits 1; y needs 0
+            return 2
+
+        monkeypatch.setattr(model, "_run", illegal_run)
+        with pytest.raises(IllegalActionError) as err:
+            simulate((0,), (0,), get_policy("x-first"), 2)
+        assert err.value.slot == 2
+
     def test_fast_path_agrees_with_trace_path(self, rng):
         for _ in range(100):
             q = int(rng.integers(2, 5))
@@ -184,6 +196,39 @@ class TestSimulateK:
     def test_lookahead_policy_rejected_beyond_two_strands(self):
         with pytest.raises(ConfigError):
             simulate_k([(0,), (1,), (0,)], get_policy("lf1"), 2)
+
+    # sha256 of simulate_k(...).to_string() on seeded rows of k strands of
+    # 0-39 symbols each, as the slot-by-slot loop produced them
+    PINNED_K = {
+        ("x-first", 3, 2): "015d671ec2f231182079ca1f652acc51a63b5903ae85f1e12e8ca3ee260b599c",
+        ("x-first", 3, 4): "e70b944428f5b539a1fa25a28e15362f0ccdfdc5dcdb30b761c6f365ec3af760",
+        ("x-first", 5, 2): "41e7f72bf0493cf03a715d6075d4bc55a82f82b899e6c6fb1fbfa4bc62e8106f",
+        ("x-first", 5, 4): "fe722779ef005c969ba07dd41bcdabb03070958cf4cb2270af93574d27ee2517",
+        ("y-first", 3, 2): "f615861979c85a1ba41c1057750fc791716d01f637cc807847defa83e029f5ec",
+        ("y-first", 3, 4): "4d4f4e69366f6d2f1a97bf0b3db06a1353831925fc5a0b75e983a4b67327bbf2",
+        ("y-first", 5, 2): "a527536c81c6ac9ba6499e925be597e2dbe4efdde6e9f9840117b6e3e0144c8e",
+        ("y-first", 5, 4): "7d4cd96958c0952332179b31699797b8f58a60c7b700976352a5ff58cc769f89",
+        ("lf", 3, 2): "6d29a0ebce7af8f5914c2b4fca55cf31445a0b0d017d9237ba6eafbff5942273",
+        ("lf", 3, 4): "06136999450e0195dbc69a5e8558f3978c36e7b9a9b0d6126631443e3675c432",
+        ("lf", 5, 2): "e5c2e5cdbc0574bc60fec358645c528c54c2adb919799d381b366da8ec79d8c0",
+        ("lf", 5, 4): "49d7eae49084d8ff4655b72cf0a6616dc1835435e6967db59e4bc6ddc5bf8f53",
+        ("round-robin", 3, 2): "17c27fcfbcd8a40c6a244407c685c37263bc624df4a6de1ed54041e4e71f3aa7",
+        ("round-robin", 3, 4): "72ae788cb55b59107474dbafcefc88a5788801e69536155d44bfeb2fa93b471c",
+        ("round-robin", 5, 2): "969c49f079902d2762c3dd70a45fe92c5df9c02fbfbe9af11eafa04f06305e14",
+        ("round-robin", 5, 4): "b5ad350fd0cbc680f3b9ed229f9ebdecf92202186ac426573b98e643bc5b3287",
+        ("random", 3, 2): "3f910e688bdf259b420bf4a2a577719433e35266e90e6afb4b8838b5404ea379",
+        ("random", 3, 4): "d331e65a0110b74fe5e714e3edef005f4ff54ad57fd2bf815105ff09a2663265",
+        ("random", 5, 2): "63d727241d9aa62c583c80a2a07872bf24f01a702ad68ea61f83c522099c5d3e",
+        ("random", 5, 4): "ee0c209e22500c3ef8ac8f223b949a29b0155cb1e4506fa41017c8f5e8f2a695",
+    }
+
+    @pytest.mark.parametrize("name,k,q", sorted(PINNED_K))
+    def test_pinned_schedules(self, name, k, q):
+        seed = 1000 * k + 10 * q
+        gen = np.random.default_rng(seed)
+        row = [tuple(gen.integers(0, q, size=int(gen.integers(0, 40))).tolist()) for _ in range(k)]
+        sched = simulate_k(row, get_policy(name), q, master_rng(seed))
+        assert hashlib.sha256(sched.to_string().encode()).hexdigest() == self.PINNED_K[name, k, q]
 
 
 class TestApplySchedule:
@@ -352,3 +397,52 @@ class TestKernelAgainstReference:
         assert simulate(x, y, policy, q, master_rng(seed)) == (sched, trace)
         assert completion_time(x, y, policy, q, master_rng(seed)) == t
         assert simulate_k([x, y], policy, q, master_rng(seed)) == sched
+
+
+def reference_k(strands, policy, q, rng):
+    """Slot-by-slot greedy loop over a row of k != 2 strands, each tie through policy.choose.
+
+    Returns the schedule simulate_k() must reproduce.
+    """
+    done = [0] * len(strands)
+    actions = []
+    r = ties = 0
+    while any(done[s] < len(z) for s, z in enumerate(strands)):
+        cands = [s for s, z in enumerate(strands) if done[s] < len(z) and z[done[s]] == r]
+        if len(cands) > 1:
+            coin = int(rng.integers(1 << 30)) if policy.uses_rng else 0
+            cands = [policy.choose(cands, done, HistoryDigest(ties, coin))]
+            ties += 1
+        if cands:
+            done[cands[0]] += 1
+        actions.append(Action(cands[0] + 1) if cands else Action())
+        r = (r + 1) % q
+    return Schedule(tuple(actions))
+
+
+def _choose_mixed(cands, progress, digest):
+    return cands[(digest.ties + digest.coin + 3 * sum(progress)) % len(cands)]
+
+
+K_POLICIES = [p for p in policy_catalog() if p.choose is not None] + [
+    TiePolicy("mixed", 0, _mixed, uses_rng=True, choose=_choose_mixed)]
+
+
+@st.composite
+def strand_rows(draw):
+    q = draw(st.integers(2, 6))
+    k = draw(st.integers(0, 6))
+    return q, draw(st.lists(st.lists(st.integers(0, q - 1), max_size=10).map(tuple),
+                            min_size=k, max_size=k))
+
+
+class TestKStrandWalkAgainstReference:
+    @settings(max_examples=500, deadline=None)
+    @given(strand_rows(), st.sampled_from(K_POLICIES), st.integers(0, 2**32 - 1))
+    def test_schedule_matches(self, row, policy, seed):
+        q, strands = row
+        if len(strands) == 2:
+            expected = reference_run(*strands, policy, q, master_rng(seed))[1]
+        else:
+            expected = reference_k(strands, policy, q, master_rng(seed))
+        assert simulate_k(strands, policy, q, master_rng(seed)) == expected
