@@ -187,29 +187,15 @@ def _cmd_chain(args) -> int:
     matrix = lf1_matrix()
     pi = stationary(matrix)
     rate = synthesis_rate(pi)
-    if args.format == "json":
-        payload = {
-            "pi": [str(v) for v in pi],
-            "piDecimal": [float(v) for v in pi],
-            "rate": str(rate),
-            "rateDecimal": float(rate),
-        }
-        if not args.stationary:
-            payload["matrix"] = [[str(v) for v in row] for row in matrix]
-        _emit_json(args, payload)
-        return 0
-    lines = []
+    payload = {
+        "pi": [str(v) for v in pi],
+        "piDecimal": [float(v) for v in pi],
+        "rate": str(rate),
+        "rateDecimal": float(rate),
+    }
     if not args.stationary:
-        lines.append("transition matrix (rows indexed 8a+4b+2c+d):")
-        for row in matrix:
-            lines.append("  " + " ".join(f"{str(v):>4}" for v in row))
-        lines.append("")
-    lines.append("stationary distribution:")
-    for idx, v in enumerate(pi):
-        a, b, c, d = (idx >> 3) & 1, (idx >> 2) & 1, (idx >> 1) & 1, idx & 1
-        lines.append(f"  pi[{idx:2d}] (a={a} b={b} c={c} d={d}) = {str(v):>6} = {float(v):.12f}")
-    lines.append(f"synthesis rate = {rate} = {float(rate):.12f}")
-    _emit(args, "\n".join(lines) + "\n")
+        payload["matrix"] = [[str(v) for v in row] for row in matrix]
+    _emit_json(args, payload)
     return 0
 
 
@@ -374,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain", help="lookahead chain: transition matrix, stationary law, rate")
     p.add_argument("--stationary", action="store_true", help="print only the stationary law")
-    add_common(p, ("json", "csv"))
+    add_common(p, ("json",))
     p.set_defaults(func=_cmd_chain)
 
     p = sub.add_parser("bounds", help="analytic expected-time table at one length")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import Strand, _run, _solo_time, _tie_args, validate_alphabet
-from .optimal import _t_star_lanes
+from .optimal import _check_range, _t_star_lanes
 from .policies import TiePolicy, get_policy, policy_names
 from .rng import BlockDraws, DEFAULT_SEED, trial_rng, validate_seed
 
@@ -121,7 +121,8 @@ def _trial_block(measure, seed: int, args: tuple, lo: int, hi: int) -> list[int]
 # Most cells one diagonal of a lane block holds, over all its lanes. Wider
 # diagonals spread the wavefront's fixed cost per numpy call over more
 # trials, with less gain per lane as they grow: at q=2, L=200 a trial took
-# 3.1 ms alone, 0.5 ms in 32 lanes and 0.4 ms in 64 (2-vCPU VM).
+# 2.5 ms alone, 0.37 ms in 32 lanes and 0.31 ms in 64 (2-vCPU VM; every
+# lane reads its y symbols as consecutive runs).
 _LANE_CELLS = 1 << 13
 
 
@@ -168,9 +169,11 @@ def estimate_optimal_time(config: ExperimentConfig, workers: int = 1) -> Estimat
     """Mean optimal completion time (exact solver per trial) over random pairs.
 
     Shares the strand substreams of estimate_policy_time, so at equal seeds
-    the comparison is pointwise on identical instances.
+    the comparison is pointwise on identical instances. An alphabet too large
+    for the solver's int64 values is refused before any strand is drawn.
     """
     config = config.validated()
+    _check_range(config.q, config.length, config.length)
     times = _map_trials(_optimal_block, config.seed, (config.q, config.length),
                         config.trials, workers)
     return _summarize(times, config.length)

@@ -16,33 +16,50 @@ because dropping one advance from a schedule leaves a valid schedule of the
 smaller instance. Every term lies on the anti-diagonal i + j + 1, so one
 diagonal is one numpy step with no loop over cells.
 
-The wavefront runs on potential-shifted values. With xs[i] the cost of
-advancing x[i] right after x[i - 1] (ys[j] likewise), PX and PY their
-prefix sums and phi(i, j) = PX[i] + PY[j], the values U = W(., ., X) + phi
-and V = W(., ., Y) + phi obey
+The wavefront runs on shifted values. Advancing symbol a right after
+symbol s costs (a - s - 1) mod q + 1 = a - s + q [a <= s] slots, so the
+solo cost of a strand's first k symbols telescopes to q N + z[k - 1] -
+(q - 1), where N counts its wraps: the symbols not above the one before,
+the first compared with q - 1. With N(i, j) the wraps of x[:i] and y[:j],
+the values
 
-    U(i, j) = min(U(i + 1, j), V(i, j + 1) + E(i, j))
-    V(i, j) = min(U(i + 1, j) + F(i, j), V(i, j + 1))
+    U'(i, j) = W(i, j, X) + q N(i, j) + x[i - 1] - (q - 1)
+    V'(i, j) = W(i, j, Y) + q N(i, j) + y[j - 1] - (q - 1)
 
-with E = cost(y[j] after x[i - 1]) - ys[j] and F = cost(x[i] after
-y[j - 1]) - xs[i]: a strand that advances again after itself pays nothing.
-E and F depend only on the instance, so they are computed for a band of
-diagonals at a time, at most _BAND_CELLS cells per band, and a diagonal is
-then two adds and two minimums into preallocated buffers. At the root
-phi(0, 0) = 0, so U(0, 0) is the optimum. Several pairs of equal lengths
-solve as lanes of one wavefront: cell i of lane b sits at i * B + b, so
-every lane's diagonal is one contiguous slice. Memory is O((len_x + len_y)
-* B) plus one band. t_star keeps only the current diagonal. An optimal
-schedule needs more only where both strands can advance in the same slot,
-and there it takes X iff W(i + 1, j, X) <= W(i, j + 1, Y). Since an
-optimal schedule never idles while a strand can advance, both schedule
-builders run the greedy simulator's walk (model._run) with a tie rule that
-reads the solver: optimal_schedule keeps one tie bit per cell, packed
-eight to a byte, and reads the bit. dp_solve keeps every diagonal,
-subtracts phi, summed from the solo steps, and expands them into the
-(i, j, r) table, where advancing strand u costs (next_u - r) mod q + 1
-slots when r is the next emission; reconstruct compares its two entries
-after the tie. The two are the reference API.
+obey
+
+    U'(i, j) = min(U'(i + 1, j), V'(i, j + 1) + E'(i, j))
+    V'(i, j) = min(U'(i + 1, j) + F'(i, j), V'(i, j + 1))
+
+with E' = q ([y[j] <= x[i - 1]] - [y[j] <= y[j - 1]]) and F' = q ([x[i] <=
+y[j - 1]] - [x[i] <= x[i - 1]]): a strand that advances again after itself
+pays nothing, and a cross term is two symbol comparisons, so no table of
+advance costs is needed and no array is sized by q. At the root both shifts
+vanish, so U'(0, 0) is the optimum. The symbols sit in one array with y
+reversed, x[i] at row c + 1 + i and y[j] at row c - 1 - j, so along a
+diagonal y's row rises with i like x's. E' and F' are then computed for a
+band of diagonals at a time, at most _BAND_CELLS cells per band, reading x
+as one slice and y as a view of consecutive runs, one row further on per
+diagonal; a diagonal is then two adds and two minimums into preallocated
+buffers. Several pairs of equal lengths solve as lanes of one wavefront:
+cell i of lane b sits at i * B + b, so every lane's diagonal is one
+contiguous slice. Memory is O((len_x + len_y) * B) plus one band. No value
+exceeds q (len_x + len_y), and an entry past the end plus a cross term
+stays above _UNREACHABLE - q, so the callers refuse, before allocating,
+instances where q (len_x + len_y + 1) reaches _UNREACHABLE. t_star keeps
+only the current diagonal. An optimal schedule needs more only where both
+strands can advance in the same slot, and there it takes X iff W(i + 1, j,
+X) <= W(i, j + 1, Y). Those are the cells with x[i] == y[j], where
+advancing either strand from the X-last state costs the same, so the test
+is which candidate of U'(i, j)'s minimum wins: U'(i + 1, j) <= V'(i, j + 1)
++ E'(i, j). Since an optimal schedule never idles while a strand can
+advance, both schedule builders run the greedy simulator's walk
+(model._run) with a tie rule that reads the solver: optimal_schedule keeps
+one tie bit per cell, packed eight to a byte, and reads the bit. dp_solve
+keeps every diagonal, subtracts the shifts, and expands them into the (i,
+j, r) table, where advancing strand u costs (next_u - r) mod q + 1 slots
+when r is the next emission; reconstruct compares its two entries after the
+tie. The two are the reference API.
 
 Alongside the solver live two fully independent cross-checks: a
 brute-force minimum over all interleavings, and the binary runs/LCS
@@ -52,6 +69,7 @@ machinery that bounds the optimum combinatorially.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -81,6 +99,12 @@ MAX_TABLE_STATES = 2 * 10**7
 # bit for: 125 MB of bits, enough for two strands of about 31,600 symbols.
 MAX_TIE_BITS = 10**9
 
+# Most slots optimal_schedule lays out, one action each: about 160 MB of
+# list and tuple. An optimal schedule's length grows with q as well as with
+# the strands, so under a large alphabet the walk, not the wavefront, is
+# what would exhaust memory.
+MAX_SCHEDULE_SLOTS = 10**7
+
 # Stands for U or V at a cell past the end of a strand; larger than any
 # completion time, so a term through such a cell never wins a minimum.
 _UNREACHABLE = 1 << 60
@@ -88,13 +112,14 @@ _UNREACHABLE = 1 << 60
 # Table entries dp_solve expands from numpy to Python ints at a time.
 _EXPAND_BLOCK = 1 << 16
 
-# Cells of E (and of F) the wavefront computes in one band of diagonals:
-# large enough that a band costs little per diagonal, small enough (64 KB
-# per array) that the band stays in cache and adds little to a process's
-# peak memory, which 256 KB bands raised by about 1 MB. Diagonals wider
-# than a quarter of this still get four per band, O(len_x + len_y) cells:
-# at L = 10^4 one per band was 15% slower than the unbanded wavefront, and
-# four were 20% faster.
+# Cells of E' (and of F') the wavefront computes in one band of diagonals:
+# large enough that a band costs little per diagonal, small enough (64 KB of
+# int64 per array) that the band stays in cache. Measured on the reversed-y
+# layout (2-vCPU VM, best of 15): the 4-lane q=2, L=200 solve took 2.5 ms at
+# 2^13 cells, 2.6 ms at 2^14 and 2^16, 3.2 ms at 2^12 and 5.5 ms at 2^20;
+# t_star at q=2, L=10^4 took 0.47-0.51 s from 2^12 to 2^16 and 0.63 s at
+# 2^20. Diagonals wider than a quarter of this still get four per band,
+# O(len_x + len_y) cells.
 _BAND_CELLS = 1 << 13
 
 
@@ -116,95 +141,125 @@ class DpTable:
         return self.value(*state)
 
 
+def _check_range(q: int, len_x: int, len_y: int) -> None:
+    """Refuse an instance whose times could reach _UNREACHABLE in the wavefront's int64 values."""
+    if q * (len_x + len_y + 1) >= _UNREACHABLE:
+        raise UnsupportedAlphabetError(
+            f"the exact solver needs q * (len_x + len_y + 1) < 2**60, "
+            f"got q = {q} with {len_x} + {len_y} symbols")
+
+
 def _wavefront(xs, ys, q: int, ties: list | None = None):
     """Yield (d, lo, u, v) for each anti-diagonal d = len_x + len_y, ..., 0.
 
     xs and ys hold B strands each, all of one length per side (already
-    validated); pair b is (xs[b], ys[b]). u[k * B + b] and v[k * B + b] are
-    U(i, d - i) and V(i, d - i) of lane b at i = lo + k, the potential-shifted
-    values of the module docstring. They are views of buffers the next step
-    overwrites, so copy what must outlive it. A strand that has not advanced
-    yet counts as having advanced symbol q - 1, and the last diagonal yields
-    each lane's optimum at u[b]. When ``ties`` is given, each computed
-    diagonal d < len_x + len_y appends its tie bits, W(i + 1, j, X) >
-    W(i, j + 1, Y) at bit k * B + b, packed big-endian into bytes.
+    validated, with q * (len_x + len_y + 1) < _UNREACHABLE); pair b is
+    (xs[b], ys[b]). u[k * B + b] and v[k * B + b] are U'(i, d - i) and
+    V'(i, d - i) of lane b at i = lo + k, the shifted values of the module
+    docstring. They are views of buffers the next step overwrites, so copy
+    what must outlive it. A strand that has not advanced yet counts as
+    having advanced symbol q - 1, and the last diagonal yields each lane's
+    optimum at u[b]. When ``ties`` is given, each computed diagonal
+    d < len_x + len_y appends its tie bits, U'(i + 1, j) > V'(i, j + 1) +
+    E'(i, j) at bit k * B + b, packed big-endian into bytes: the second
+    candidate of U'(i, j) wins. Where x[i] == y[j], the cells where both
+    strands can advance in the same slot, both candidates pay the same
+    advance, so the bit there is W(i + 1, j, X) > W(i, j + 1, Y).
     """
     lanes, lx, ly = len(xs), len(xs[0]), len(ys[0])
     top = lx + ly
-    # offset + 1 slots to advance symbol a right after symbol s, at a - s + q - 1
-    cost = np.arange(2 * q - 1, dtype=np.int64) % q + 1
-    # One (row, lane) array of symbols: x at rows 1..lx, y at rows
-    # y0 + 1..y0 + ly and q - 1 everywhere else, the symbol before each
-    # strand's first. A strand at progress k reads row p (x: p = i, y:
-    # p = y0 + j): last[p] is its last symbol, key[p] its next one plus
-    # q - 1, adv[p] the cost of that advance. The band views below also read
-    # the lx rows before y's and the lx after, at cells they never use.
-    y0 = lx + 1
-    sym = np.full((2 * lx + ly + 3, lanes), q - 1, dtype=np.int64)
-    sym.T[:, 1:lx + 1] = xs
-    sym.T[:, y0 + 1:y0 + ly + 1] = ys
-    last = sym[:-1]
-    key = sym[1:] + (q - 1)
-    adv = cost.take(key - last)
-    adv[lx] = 0  # x has no symbol at lx, so its advance costs are now xs then ys
-    # U of diagonal d sits at (d' + i) * B + b with d' = top - d, so U(i, d - i)
-    # overwrites U(i + 1, d - i) in place; V sits at i * B + b. Entries never
+    # One (row, lane) array of symbols: x[i] at row c + 1 + i and y[j] at row
+    # c - 1 - j, and q - 1 elsewhere. At row c it is the symbol before each
+    # strand's first; the lx + 1 rows before y's and the row after x's are
+    # read only by cells past the end, whose cross terms, at least -q, are
+    # added to _UNREACHABLE. Symbols are int8 when they fit: the band's
+    # comparisons then read an eighth of the bytes, and at q=2 a 4-lane L=200
+    # solve took 2.1 ms against 2.4 ms on int64 symbols, t_star at L=3000 70
+    # ms against 99 ms (2-vCPU VM, best of 15).
+    c = top + 1
+    grid = np.empty((c + lx + 2, lanes), dtype=np.int8 if q <= 128 else np.int64)
+    grid.fill(q - 1)
+    grid.T[:, c + 1:c + lx + 1] = xs
+    grid.T[:, c - 1:lx:-1] = ys
+    sym, size = grid.reshape(-1), grid.itemsize
+    # wrap is 1 where a symbol is not above its strand's previous one: y[j]
+    # <= y[j - 1] at row c - 1 - j, x[i] <= x[i - 1] at row c + 1 + i
+    wrap = np.zeros(sym.shape, dtype=np.int8)
+    is_wrap = wrap.view(bool)
+    np.less_equal(sym[:c * lanes], sym[lanes:(c + 1) * lanes], out=is_wrap[:c * lanes])
+    np.less_equal(sym[(c + 1) * lanes:], sym[c * lanes:-lanes], out=is_wrap[(c + 1) * lanes:])
+    # U' of diagonal d sits at (d' + i) * B + b with d' = top - d, so U'(i, d - i)
+    # overwrites U'(i + 1, d - i) in place; V' sits at i * B + b. Entries never
     # written stay _UNREACHABLE, which is what the cells past the end read.
-    u = np.full((top + 1) * lanes, _UNREACHABLE, dtype=np.int64)
-    v = np.full((lx + 1) * lanes, _UNREACHABLE, dtype=np.int64)
+    uv = np.empty((top + lx + 2) * lanes, dtype=np.int64)
+    uv.fill(_UNREACHABLE)
+    u, v = uv[:(top + 1) * lanes], uv[(top + 1) * lanes:]
+    # U' and V' at (len_x, len_y): q N - (q - 1) plus each strand's last
+    # symbol, in Python ints, which cost less than numpy calls on B values
+    wraps = wrap.reshape(-1, lanes)[c - ly:c + lx + 1].sum(0).tolist()
     end = u[lx * lanes:(lx + 1) * lanes]
-    adv[:top + 1].sum(0, out=end)  # phi(len_x, len_y)
-    v[lx * lanes:] = end
+    end[:] = [q * n - (q - 1) + last for n, last in zip(wraps, grid[c + lx].tolist())]
+    v[lx * lanes:] = [q * n - (q - 1) + last for n, last in zip(wraps, grid[c - ly].tolist())]
     yield top, lx, end, v[lx * lanes:]
-    rows = max(4, _BAND_CELLS // ((lx + 1) * lanes))
+    # Row r of a window is the run of cells from row r on, so the y side of a
+    # band is a slice of consecutive rows, one row further on per diagonal
+    width_max = (lx + 1) * lanes
+    y_rows = np.ndarray((c, width_max + lanes), sym.dtype, sym, 0, (lanes * size, size))
+    wrap_rows = np.ndarray((c, width_max), np.int8, wrap, 0, (lanes, 1))
+    # Local names for the loop's numpy calls take 3-9% off t_star at L=16
+    # to 10^4 and off the lane solves above
+    if ties is not None:
+        append, packbits, greater = ties.append, np.packbits, np.greater
+    add, minimum, less_equal, subtract, multiply = (
+        np.add, np.minimum, np.less_equal, np.subtract, np.multiply)
+    rows = max(4, _BAND_CELLS // width_max)
     band_lo = top
     for d in range(top - 1, -1, -1):
         if d < band_lo:
-            # E and F of diagonals d..band_lo over the cells i0 <= i < i1 they
-            # touch, as (diagonal, i, lane) arrays; the y side is a strided
-            # view of the rows y0 + d - i
+            # E' and F' of diagonals d..band_lo over the cells i0 <= i < i1
+            # they touch, as (diagonal, i * B + b) arrays. The y rows start
+            # at y[d - i0] and hold a cell to spare: y[j] at cell k is
+            # y[j - 1] at cell k + 1, as x[i - 1] at k is x[i] at k + 1.
             band_hi, band_lo = d, max(0, d - rows + 1)
             i0, i1 = max(0, band_lo - ly), min(d, lx) + 1
-            shape = (d - band_lo + 1, i1 - i0, lanes)
-            strides = (-8 * lanes, -8 * lanes, 8)
-            at = (y0 + d - i0) * lanes * 8
-            y_adv = np.ndarray(shape, np.int64, adv, at, strides)
-            e = cost.take(np.ndarray(shape, np.int64, key, at, strides) - last[i0:i1])
-            e -= y_adv
-            f = cost.take(key[i0:i1] - np.ndarray(shape, np.int64, last, at, strides))
-            f -= adv[i0:i1]
-            if ties is not None:
-                t = (y_adv - adv[i0:i1]).ravel()  # ys[j] - xs[i]
-            e, f = e.ravel(), f.ravel()
             width, first = (i1 - i0) * lanes, i0 * lanes
+            r0, r1 = c - 1 - d + i0, c - band_lo + i0
+            x_at = (c + 1 + i0) * lanes
+            x_sym = sym[x_at - lanes:x_at + width]
+            y_sym = y_rows[r0:r1, :width + lanes]
+            # the differences are int8; dtype makes the products int64 under
+            # any numpy's promotion rules, as the adds below need
+            e = multiply(subtract(less_equal(y_sym, x_sym)[:, :width], wrap_rows[r0:r1, :width]),
+                         q, dtype=np.int64).ravel()
+            f = multiply(subtract(less_equal(x_sym, y_sym)[:, lanes:], wrap[x_at:x_at + width]),
+                         q, dtype=np.int64).ravel()
         lo = d - ly if d > ly else 0
         a = lo * lanes
         n = ((d if d < lx else lx) + 1) * lanes - a
         o = (band_hi - d) * width + a - first
         s = (top - d) * lanes + a
-        ud = u[s:s + n]  # U(i + 1, j), then U(i, j)
-        vd = v[a:a + n]  # V(i, j + 1), then V(i, j)
+        ud = u[s:s + n]  # U'(i + 1, j), then U'(i, j)
+        vd = v[a:a + n]  # V'(i, j + 1), then V'(i, j)
         ed = e[o:o + n]
         fd = f[o:o + n]
+        add(vd, ed, ed)
+        add(ud, fd, fd)
+        minimum(fd, vd, out=vd)
         if ties is not None:
-            td = t[o:o + n]
-            np.add(ud, td, out=td)
-            ties.append(np.packbits(np.greater(td, vd)).tobytes())
-        np.add(vd, ed, out=ed)
-        np.add(ud, fd, out=fd)
-        np.minimum(fd, vd, out=vd)
-        np.minimum(ud, ed, out=ud)
+            append(packbits(greater(ud, ed)).tobytes())
+        minimum(ud, ed, out=ud)
         yield d, lo, ud, vd
 
 
 def dp_solve(x, y, q: int) -> DpTable:
     """Fill the full table of optimal remaining times for a strand pair.
 
-    Keeps every diagonal of the wavefront, subtracts the potential phi (the
-    solo times of x[:i] and y[:j]) to get W back, then expands each row i
-    of cells into value(i, j, r) = min over incomplete u of offset_u + 1 +
+    Keeps every diagonal of the wavefront, subtracts the shifts of U' and V'
+    (module docstring) to get W back, then expands each row i of cells into
+    value(i, j, r) = min over incomplete u of offset_u + 1 +
     W(next cell, u), with offset_u = (next_u - r) mod q. Refuses, before
-    allocating, tables of more than MAX_TABLE_STATES states.
+    allocating, tables of more than MAX_TABLE_STATES states, a budget that
+    also keeps q * (len_x + len_y + 1) far below _UNREACHABLE.
     O(len_x * len_y * q) time and space.
     """
     x = validate_strand(x, q)
@@ -213,7 +268,7 @@ def dp_solve(x, y, q: int) -> DpTable:
     states = (lx + 1) * (ly + 1) * q
     if states > MAX_TABLE_STATES:
         raise BudgetExceededError(states, MAX_TABLE_STATES, what="solver table", unit="states")
-    # U and V over cells (i, j) as flat (lx + 2) x (ly + 2) arrays; cell
+    # U' and V' over cells (i, j) as flat (lx + 2) x (ly + 2) arrays; cell
     # (i, d - i) sits at i * (ly + 1) + d, so a diagonal is a strided slice
     stride = ly + 1
     wx_all = np.zeros((lx + 2) * (ly + 2), dtype=np.int64)
@@ -224,19 +279,19 @@ def dp_solve(x, y, q: int) -> DpTable:
         wy_all[cells] = v
     wx_all = wx_all.reshape(lx + 2, ly + 2)
     wy_all = wy_all.reshape(lx + 2, ly + 2)
-    # each strand with a 0 after its end, which only meets _UNREACHABLE cells,
-    # its solo steps (z[k] - z[k - 1] - 1) mod q + 1, and phi(i, j) =
-    # solo_time(x[:i]) + solo_time(y[:j]) from their prefix sums
-    x_sym, y_sym = (np.array(z + (0,), dtype=np.int64) for z in (x, y))
-    x_step, y_step = ((np.diff(z, prepend=q - 1) - 1) % q + 1 for z in (x_sym, y_sym))
-    phi = (x_step.cumsum() - x_step)[:, None] + (y_step.cumsum() - y_step)
-    wx_all[:lx + 1, :ly + 1] -= phi
-    wy_all[:lx + 1, :ly + 1] -= phi
+    # W back from U' and V' (module docstring): x_sym and y_sym hold each
+    # strand after its q - 1 and before a 0, which only meets _UNREACHABLE
+    # cells, and shift is q N(i, j) - (q - 1) from the wraps of x[:i], y[:j]
+    x_sym, y_sym = (np.array((q - 1, *z, 0), dtype=np.int64) for z in (x, y))
+    x_wrap, y_wrap = (z[1:] <= z[:-1] for z in (x_sym, y_sym))
+    shift = q * ((x_wrap.cumsum() - x_wrap)[:, None] + (y_wrap.cumsum() - y_wrap)) - (q - 1)
+    wx_all[:lx + 1, :ly + 1] -= shift + x_sym[:-1, None]
+    wy_all[:lx + 1, :ly + 1] -= shift + y_sym[:-1]
     wx_all[lx + 1] = _UNREACHABLE
     wy_all[:, ly + 1] = _UNREACHABLE
     r = np.arange(q, dtype=np.int64)  # the next emission
-    via_x_cost = (x_sym[:, None] - r) % q + 1
-    via_y_cost = (y_sym[:, None] - r) % q + 1
+    via_x_cost = (x_sym[1:, None] - r) % q + 1
+    via_y_cost = (y_sym[1:, None] - r) % q + 1
     # rows of cells per expansion block, so numpy temporaries stay small
     block = max(1, _EXPAND_BLOCK // ((ly + 1) * q))
     # every entry is at most q slots per remaining symbol; the table shares
@@ -259,27 +314,32 @@ def t_star(x, y, q: int) -> int:
     """Optimal completion time of the pair, in O(len_x + len_y) memory.
 
     Equals dp_solve(x, y, q).value(0, 0, 0) without building the table. The
-    wavefront keeps one diagonal of the potential-shifted values U = W_X +
-    phi and V = W_Y + phi, where phi(i, j) is the solo cost of x[:i] plus
-    that of y[:j], and one band of at most _BAND_CELLS of its E and F terms
-    (module docstring); phi(0, 0) = 0, so U at the root is the optimum. The
-    Monte Carlo harness solves its equal-length trials as lanes of the same
-    wavefront (_t_star_lanes).
+    wavefront keeps one diagonal of the shifted values U' and V' and one
+    band of at most _BAND_CELLS of their cross terms E' and F' (module
+    docstring); both shifts vanish at the root, so U' there is the optimum.
+    Refuses, before allocating, an alphabet so large that q * (len_x + len_y
+    + 1) reaches 2**60. The Monte Carlo harness solves its equal-length
+    trials as lanes of the same wavefront (_t_star_lanes).
     """
     x = validate_strand(x, q)
     y = validate_strand(y, q)
+    _check_range(q, len(x), len(y))
     return _t_star_lanes((x,), (y,), q)[0]
 
 
 def _t_star_lanes(xs, ys, q: int) -> list[int]:
     """Optimal completion time of each pair (xs[b], ys[b]), solved as lanes of one wavefront.
 
-    Every x has one length and every y one length, and the strands are
-    already valid: nothing is checked.
+    Every x has one length and every y one length, the strands are
+    already valid and _check_range passes: nothing is checked.
     """
-    for _, _, root, _ in _wavefront(xs, ys, q):
-        pass
-    return root.tolist()
+    return _root(_wavefront(xs, ys, q)).tolist()
+
+
+def _root(wavefront) -> np.ndarray:
+    """Run a wavefront to its last diagonal and return U' there: each lane's optimum."""
+    (_, _, root, _), = deque(wavefront, maxlen=1)
+    return root
 
 
 @dataclass(frozen=True)
@@ -336,25 +396,30 @@ def optimal_schedule(x, y, q: int) -> OptimalResult:
     advances after that many idles, and when both come round in the same
     slot the tie bit of the cell picks X iff W(i + 1, j, X) <=
     W(i, j + 1, Y), reconstruct's rule. Refuses, before allocating, more
-    than MAX_TIE_BITS cells, and raises TableIntegrityError if the walk
-    does not score the optimum. O(len_x * len_y) time and bits.
+    than MAX_TIE_BITS cells or q * (len_x + len_y + 1) >= 2**60, and before
+    the walk an optimum of more than MAX_SCHEDULE_SLOTS slots; raises
+    TableIntegrityError if the walk does not score the optimum.
+    O(len_x * len_y) time and bits.
     """
     x = validate_strand(x, q)
     y = validate_strand(y, q)
     lx, ly = len(x), len(y)
+    _check_range(q, lx, ly)
     cells = (lx + 1) * (ly + 1)
     if cells > MAX_TIE_BITS:
         raise BudgetExceededError(cells, MAX_TIE_BITS, what="tie-bit table", unit="bits")
     ties: list[bytes] = []  # diagonal d at ties[lx + ly - 1 - d]
-    for _, _, root, _ in _wavefront((x,), (y,), q, ties):
-        pass
+    slots = int(_root(_wavefront((x,), (y,), q, ties))[0])
+    if slots > MAX_SCHEDULE_SLOTS:
+        raise BudgetExceededError(slots, MAX_SCHEDULE_SLOTS, what="optimal schedule",
+                                  unit="slots")
     top = lx + ly - 1
 
     def tie_bit_rule(i, j, r, la_x, la_y, n, coin):
         k = i - max(0, i + j - ly)  # cell (i, j) within its diagonal
         return not (ties[top - i - j][k >> 3] >> (7 - (k & 7))) & 1
 
-    return _walk(x, y, q, tie_bit_rule, int(root[0]), "tie-bit walk", "the solver")
+    return _walk(x, y, q, tie_bit_rule, slots, "tie-bit walk", "the solver")
 
 
 def enumerate_interleavings_min(x, y, q: int, budget: int = 10**6) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -69,6 +70,50 @@ class TestSolveBudget:
         solved = run_json(capsys, "solve", *instance)
         doc = run_json(capsys, "validate", *instance, "--schedule", solved["schedule"])
         assert doc["completionTime"] == solved["tStar"]
+
+
+class TestSolverRange:
+    """Alphabets too large for the solver's int64 values are refused in one line; large ones run."""
+
+    # Address space for the child: numpy with one BLAS thread imports in
+    # about 100 MiB (2-vCPU x86-64 VM), and nothing the solver allocates
+    # here may grow with q.
+    ADDRESS_SPACE = 256 * 2**20
+
+    def test_huge_alphabet_solves_in_bounded_memory(self):
+        code = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({self.ADDRESS_SPACE}, {self.ADDRESS_SPACE}))\n"
+            "from rowsynth.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        instance = ["--q", "1000000000", "--x", "0,5", "--y", "1,7", "--no-timestamp"]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        docs = {}
+        for command in ("solve", "oracle"):
+            proc = subprocess.run([sys.executable, "-c", code, command, *instance],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            docs[command] = json.loads(proc.stdout)
+        assert docs["solve"]["tStar"] == docs["oracle"]["tStar"] == 8
+
+    def test_schedule_past_its_slot_budget_exits_one(self, capsys):
+        # x's 4 comes round a whole alphabet after its 5
+        code, out, err = run_cli(capsys, "solve", "--q", str(10**9), "--x", "5,4", "--y", "1,2")
+        assert (code, out) == (1, "")
+        assert err == ("error: optimal schedule requires 1000000005 slots, "
+                       "over the budget of 10000000\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--q", str(10**18), "--x", "0,5", "--y", "1,7"),
+        ("conjecture", "--q", str(10**18), "--length", "1", "--trials", "2"),
+    ], ids=["solve", "conjecture"])
+    def test_alphabet_past_the_int64_range_exits_one(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(experiments, "_map_trials", None)  # any trial would fail
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: the exact solver needs q * (len_x + len_y + 1) < 2**60")
 
 
 class TestOracle:
@@ -143,10 +188,11 @@ class TestChain:
         assert doc["matrix"][12][3] == "1"
 
     def test_text_rendering(self, capsys):
-        code, out, _ = run_cli(capsys, "chain", "--format", "csv")
-        assert code == 0
-        assert "stationary distribution" in out
-        assert "1/7" in out and "6/7" in out
+        """chain prints JSON only: the plain-text report --format csv once named is gone."""
+        with pytest.raises(SystemExit) as exc:
+            main(["chain", "--format", "csv"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestBounds:
@@ -321,8 +367,6 @@ PINNED_OUTPUT = [
       "--workers", "2"], "4d737def872de8030bb5237cc957da1c4ad93c633eec0c721ccecff007646e73"),
     (["chain", "--format", "json"],
      "9a9a501b4ff75f90054d8106263e72d997f8d94f6fc925f3bb29e4faaf5f2b24"),
-    (["chain", "--format", "csv"],
-     "870cf2554483b2221399db1a3121c13936de9c179e8590da56c584ec887fc70f"),
     (["chain", "--stationary"],
      "ddbece2e9fd580a0ef7aecd7e63d90a0969049bf4db3db2de92ba3dcfde98f58"),
     # pinned on the table-walking solver and the trace-building simulate
@@ -456,6 +500,7 @@ class TestJsonOnlyFormat:
         "solve": ("solve", "--x", "01", "--y", "10"),
         "oracle": ("oracle", "--q", "2", "--x", "0", "--y", "1"),
         "validate": ("validate", "--x", "0", "--y", "1", "--schedule", "X,Y"),
+        "chain": ("chain", "--stationary"),
         "conjecture": ("conjecture", "--length", "4", "--trials", "2"),
     }
 

@@ -6,6 +6,7 @@ import hashlib
 from itertools import product
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,7 @@ from rowsynth import (
     t_star,
     trial_rng,
 )
-from rowsynth import optimal
+from rowsynth import experiments, optimal
 from rowsynth.optimal import MAX_TABLE_STATES, MAX_TIE_BITS
 from conftest import random_pair
 
@@ -185,22 +186,29 @@ class TestOptimalSchedule:
 
 
 @st.composite
-def lane_instances(draw):
+def lane_instances(draw, alphabets=st.integers(2, 6), lanes=6, length=20):
     """B pairs sharing one x length and one y length, and a band size for the solver."""
-    q = draw(st.integers(2, 6))
-    lanes = draw(st.integers(1, 6))
+    q = draw(alphabets)
+    lanes = draw(st.integers(1, lanes))
     symbols = st.integers(0, q - 1)
 
     def strands(length):
         strand = st.lists(symbols, min_size=length, max_size=length).map(tuple)
         return draw(st.lists(strand, min_size=lanes, max_size=lanes))
 
-    xs = strands(draw(st.integers(0, 14)))
-    ys = strands(draw(st.integers(0, 14)))
+    xs = strands(draw(st.integers(0, length)))
+    ys = strands(draw(st.integers(0, length)))
     return q, xs, ys, draw(st.integers(1, 64))
 
 
 class TestLanes:
+    def test_pinned_roots(self):
+        """Roots of one fixed-seed lane set, recorded on the kernel that read y through a cost table."""
+        gen = np.random.default_rng(37)
+        xs = [tuple(gen.integers(0, 5, size=37).tolist()) for _ in range(6)]
+        ys = [tuple(gen.integers(0, 5, size=37).tolist()) for _ in range(6)]
+        assert optimal._t_star_lanes(xs, ys, 5) == [143, 138, 138, 142, 146, 135]
+
     @settings(max_examples=300, deadline=None)
     @given(lane_instances())
     def test_each_lane_equals_its_table_root_and_the_oracle(self, instance):
@@ -219,6 +227,61 @@ class TestLanes:
         reference = dp_solve(x, y, q), optimal_schedule(x, y, q)
         with mock.patch.object(optimal, "_BAND_CELLS", band):
             assert (dp_solve(x, y, q), optimal_schedule(x, y, q)) == reference
+
+
+class TestSolverRange:
+    """No value exceeds q * (len_x + len_y), so int64 holds it; larger alphabets are refused first."""
+
+    def test_large_alphabet(self):
+        assert t_star((0,), (1,), 10**8) == 2
+
+    def test_largest_alphabet_below_the_range(self):
+        q = (optimal._UNREACHABLE - 1) // 4  # q * (2 + 1 + 1) just below it
+        assert t_star((1, 0), (0,), q) == q + 1
+        assert t_star((q - 1, q - 2), (q - 1,), q) == 2 * q  # a tie at slot q costs a round
+
+    @settings(max_examples=150, deadline=None)
+    @given(lane_instances(st.sampled_from([2, 3, 4, 5, 6, 10**9]), lanes=4, length=6))
+    def test_lanes_and_schedule_equal_the_oracle(self, instance):
+        """A schedule lists every slot, so past MAX_SCHEDULE_SLOTS it is refused instead."""
+        q, xs, ys, _ = instance
+        expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
+        assert optimal._t_star_lanes(xs, ys, q) == expected
+        for x, y, t in zip(xs, ys, expected):
+            if t <= optimal.MAX_SCHEDULE_SLOTS:
+                assert optimal_schedule(x, y, q).t_star == t
+            else:
+                with pytest.raises(BudgetExceededError) as err:
+                    optimal_schedule(x, y, q)
+                assert err.value.required == t
+
+    def test_values_stay_int64_under_value_based_promotion(self, monkeypatch):
+        """numpy 1.x keeps an int8 array times a small scalar in int8, where NEP 50 gives int64."""
+        x, y = (1, 1, 0, 1) * 20, (0, 1, 0, 0) * 20
+        expected = t_star(x, y, 2), optimal_schedule(x, y, 2), dp_solve(x, y, 2).values
+        assert expected[0] > 127  # would wrap in int8
+        multiply = np.multiply
+
+        def value_based(a, b, *args, **kwargs):
+            product = multiply(a, b, *args, **kwargs)
+            if "dtype" in kwargs or np.ndim(b) or not isinstance(a, np.ndarray):
+                return product
+            return product.astype(a.dtype)
+
+        monkeypatch.setattr(np, "multiply", value_based)
+        assert (t_star(x, y, 2), optimal_schedule(x, y, 2), dp_solve(x, y, 2).values) == expected
+
+    @pytest.mark.parametrize("solve", [t_star, optimal_schedule])
+    def test_refuses_past_the_int64_range_before_allocating(self, monkeypatch, solve):
+        monkeypatch.setattr(optimal, "_wavefront", None)  # any solving step would fail
+        q = optimal._UNREACHABLE // 3 + 1  # q * (1 + 1 + 1) reaches it
+        with pytest.raises(UnsupportedAlphabetError, match="2\\*\\*60"):
+            solve((0,), (1,), q)
+
+    def test_conjecture_refuses_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_map_trials", None)  # any trial would fail
+        with pytest.raises(UnsupportedAlphabetError):
+            experiments.estimate_optimal_time(experiments.ExperimentConfig(10**18, 1, 2))
 
 
 class TestInterleavingOracle:
