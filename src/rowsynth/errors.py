@@ -34,7 +34,7 @@ class TableIntegrityError(RowSynthError, ValueError):
 
 
 class BudgetExceededError(RowSynthError, RuntimeError):
-    """An enumeration or a solver table would exceed its size budget."""
+    """An enumeration, a solver table or a schedule would exceed its size budget."""
 
     def __init__(self, required: int, budget: int, what: str = "enumeration",
                  unit: str = "interleavings"):

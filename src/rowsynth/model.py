@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from operator import index
 
 from .errors import (
+    BudgetExceededError,
     ConfigError,
     IllegalActionError,
     IncompleteScheduleError,
@@ -39,6 +40,11 @@ from .policies import HistoryDigest, TiePolicy, TieRule
 from .rng import DEFAULT_SEED, master_rng
 
 Strand = tuple[int, ...]
+
+# Most slots a schedule lays out, one action each: about 160 MB of list and
+# tuple. A schedule's length grows with q as well as with the strands, so a
+# large alphabet exhausts memory with a few symbols unless it is refused.
+MAX_SCHEDULE_SLOTS = 10**7
 
 
 def validate_alphabet(q: int) -> int:
@@ -267,7 +273,8 @@ def _run(x: Strand, y: Strand, q: int, rule: TieRule, coins, look: bool,
     1), with a coin from ``coins.integers(2)`` when ``coins`` is not None
     and each strand's following symbol when ``look`` is set. When
     ``actions`` is given, each advance appends the idles it skipped and
-    then itself, so the list holds one action per slot.
+    then itself, so the list holds one action per slot, and an advance at
+    slot t > MAX_SCHEDULE_SLOTS raises BudgetExceededError(t, ...) first.
     """
     lx, ly = len(x), len(y)
     i = j = ties = last = 0
@@ -295,6 +302,8 @@ def _run(x: Strand, y: Strand, q: int, rule: TieRule, coins, look: bool,
                 tx += q
             ties += 1
         if actions is not None:
+            if t > MAX_SCHEDULE_SLOTS:
+                raise BudgetExceededError(t, MAX_SCHEDULE_SLOTS, what="schedule", unit="slots")
             actions.extend([IDLE] * (t - last - 1))
             actions.append(_ACTION_BY_INDEX[adv])
         last = t
@@ -336,7 +345,8 @@ def simulate_k(strands, policy: TiePolicy, q: int, rng=None) -> Schedule:
     k-strand selection rule picks one. Rows of exactly two strands go
     through the same path as simulate(), so lookahead policies work there.
     Other rows step from advance to advance by _run's rule, and every
-    strand that loses a tie is delayed by q slots.
+    strand that loses a tie is delayed by q slots. Either way a schedule
+    past MAX_SCHEDULE_SLOTS slots is refused with BudgetExceededError.
     """
     strands = [validate_strand(s, q) for s in strands]
     if len(strands) == 2:
@@ -360,6 +370,8 @@ def simulate_k(strands, policy: TiePolicy, q: int, rng=None) -> Schedule:
             ties += 1
             for s in cands:
                 nxt[s] += q  # the winner's is set again below
+        if t > MAX_SCHEDULE_SLOTS:
+            raise BudgetExceededError(t, MAX_SCHEDULE_SLOTS, what="schedule", unit="slots")
         actions.extend([IDLE] * (t - last - 1))
         actions.append(Action(chosen + 1))
         last = t

@@ -1,27 +1,30 @@
 """Exact offline solver and combinatorial bounds.
 
-The solver runs one wavefront over the progress cells (i, j), the symbols
-done in each strand. Idle slots are forced, so a state is only needed
-right after an advance: W(i, j, s) is the optimal remaining time at (i, j)
-when strand s in {X, Y} advanced last, which fixes the next emission at
-that strand's last symbol + 1. The start (0, 0) is the state just after
-symbol q - 1. A strand u waits offset_u = (next_u - emission) mod q idle
-slots and then advances, so
+The paper's dynamic program runs over states (i, j, r): the symbols done in
+each strand and the next emission. Advancing strand u, whose next symbol is
+z_u, takes (z_u - r) mod q idles and then the advance, so, with
+value(len_x, len_y, r) = 0,
 
-    W(i, j, s) = min over incomplete u of offset_u + 1 + W(next cell, u).
+    value(i, j, r) = min over incomplete u of
+                     (z_u - r) mod q + 1 + value(next cell, z_u + 1 mod q),
 
-Taking the minimum over both strands, not only the one with the smaller
-offset, gives the same value: idling past a usable slot never helps,
-because dropping one advance from a schedule leaves a valid schedule of the
-smaller instance. Every term lies on the anti-diagonal i + j + 1, so one
-diagonal is one numpy step with no loop over cells.
+and the optimum is value(0, 0, 0). Taking the minimum over both strands,
+not only the one with the smaller offset, gives the same value: idling past
+a usable slot never helps, because dropping one advance from a schedule
+leaves a valid schedule of the smaller instance. A state is read only right
+after an advance, as W(i, j, s) with s in {X, Y} the strand that advanced
+last, whose last symbol + 1 is then the next emission; the start (0, 0)
+follows symbol q - 1. The terms of W(i, j, s) lie on the anti-diagonal
+i + j + 1, so a diagonal is one numpy step with no loop over cells. dp_solve,
+the reference, runs this recurrence on plain values and expands the two W
+of every cell into the (i, j, r) table; reconstruct walks that table.
 
-The wavefront runs on shifted values. Advancing symbol a right after
-symbol s costs (a - s - 1) mod q + 1 = a - s + q [a <= s] slots, so the
-solo cost of a strand's first k symbols telescopes to q N + z[k - 1] -
-(q - 1), where N counts its wraps: the symbols not above the one before,
-the first compared with q - 1. With N(i, j) the wraps of x[:i] and y[:j],
-the values
+The fast solver, _wavefront, runs on shifted values. Advancing symbol a
+right after symbol s costs (a - s - 1) mod q + 1 = a - s + q [a <= s]
+slots, so the solo cost of a strand's first k symbols telescopes to q N +
+z[k - 1] - (q - 1), where N counts its wraps: the symbols not above the one
+before, the first compared with q - 1. With N(i, j) the wraps of x[:i] and
+y[:j], the values
 
     U'(i, j) = W(i, j, X) + q N(i, j) + x[i - 1] - (q - 1)
     V'(i, j) = W(i, j, Y) + q N(i, j) + y[j - 1] - (q - 1)
@@ -35,31 +38,27 @@ with E' = q ([y[j] <= x[i - 1]] - [y[j] <= y[j - 1]]) and F' = q ([x[i] <=
 y[j - 1]] - [x[i] <= x[i - 1]]): a strand that advances again after itself
 pays nothing, and a cross term is two symbol comparisons, so no table of
 advance costs is needed and no array is sized by q. At the root both shifts
-vanish, so U'(0, 0) is the optimum. The symbols sit in one array with y
-reversed, x[i] at row c + 1 + i and y[j] at row c - 1 - j, so along a
-diagonal y's row rises with i like x's. E' and F' are then computed for a
-band of diagonals at a time, at most _BAND_CELLS cells per band, reading x
-as one slice and y as a view of consecutive runs, one row further on per
-diagonal; a diagonal is then two adds and two minimums into preallocated
-buffers. Several pairs of equal lengths solve as lanes of one wavefront:
-cell i of lane b sits at i * B + b, so every lane's diagonal is one
-contiguous slice. Memory is O((len_x + len_y) * B) plus one band. No value
-exceeds q (len_x + len_y), and an entry past the end plus a cross term
-stays above _UNREACHABLE - q, so the callers refuse, before allocating,
-instances where q (len_x + len_y + 1) reaches _UNREACHABLE. t_star keeps
-only the current diagonal. An optimal schedule needs more only where both
-strands can advance in the same slot, and there it takes X iff W(i + 1, j,
-X) <= W(i, j + 1, Y). Those are the cells with x[i] == y[j], where
-advancing either strand from the X-last state costs the same, so the test
-is which candidate of U'(i, j)'s minimum wins: U'(i + 1, j) <= V'(i, j + 1)
-+ E'(i, j). Since an optimal schedule never idles while a strand can
-advance, both schedule builders run the greedy simulator's walk
-(model._run) with a tie rule that reads the solver: optimal_schedule keeps
-one tie bit per cell, packed eight to a byte, and reads the bit. dp_solve
-keeps every diagonal, subtracts the shifts, and expands them into the (i,
-j, r) table, where advancing strand u costs (next_u - r) mod q + 1 slots
-when r is the next emission; reconstruct compares its two entries after the
-tie. The two are the reference API.
+vanish, so U'(0, 0), all that _wavefront returns, is the optimum. The
+symbols sit in one array with y reversed, x[i] at row c + 1 + i and y[j] at
+row c - 1 - j, so along a diagonal y's row rises with i like x's. E' and F'
+are then computed for a band of diagonals at a time, at most _BAND_CELLS
+cells per band, reading x as one slice and y as a view of consecutive runs,
+one row further on per diagonal; a diagonal is then two adds and two
+minimums into preallocated buffers. Several pairs of equal lengths solve as
+lanes of one wavefront: cell i of lane b sits at i * B + b, so every lane's
+diagonal is one contiguous slice. Memory is O((len_x + len_y) * B) plus one
+band. No value exceeds q (len_x + len_y), and an entry past the end plus a
+cross term stays above _UNREACHABLE - q, so the callers refuse, before
+allocating, instances where q (len_x + len_y + 1) reaches _UNREACHABLE.
+
+An optimal schedule never idles while a strand can advance, so both
+schedule builders run the greedy simulator's walk (model._run) with a tie
+rule that reads the solver. Where both strands can advance in the same
+slot, x[i] == y[j], advancing either from the X-last state costs the same,
+so taking X iff W(i + 1, j, X) <= W(i, j + 1, Y) is taking the first
+candidate of U'(i, j)'s minimum: optimal_schedule has _wavefront keep that
+as one tie bit per cell, packed eight to a byte, and reads the bit, where
+reconstruct compares the table's two entries after the tie.
 
 Alongside the solver live two fully independent cross-checks: a
 brute-force minimum over all interleavings, and the binary runs/LCS
@@ -69,7 +68,6 @@ machinery that bounds the optimum combinatorially.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -82,6 +80,7 @@ from .errors import (
     UnsupportedAlphabetError,
 )
 from .model import (
+    MAX_SCHEDULE_SLOTS,
     Action,
     Schedule,
     Strand,
@@ -91,19 +90,13 @@ from .model import (
 )
 
 # Largest (len_x + 1) * (len_y + 1) * q table dp_solve builds. The table
-# tuple takes 8 bytes per state and the kept wavefront 16 bytes per cell,
+# tuple takes 8 bytes per state and the two entries kept per cell 16 bytes,
 # so this is at most about 0.3 GB.
 MAX_TABLE_STATES = 2 * 10**7
 
 # Largest (len_x + 1) * (len_y + 1) cell count optimal_schedule keeps a tie
 # bit for: 125 MB of bits, enough for two strands of about 31,600 symbols.
 MAX_TIE_BITS = 10**9
-
-# Most slots optimal_schedule lays out, one action each: about 160 MB of
-# list and tuple. An optimal schedule's length grows with q as well as with
-# the strands, so under a large alphabet the walk, not the wavefront, is
-# what would exhaust memory.
-MAX_SCHEDULE_SLOTS = 10**7
 
 # Stands for U or V at a cell past the end of a strand; larger than any
 # completion time, so a term through such a cell never wins a minimum.
@@ -149,22 +142,20 @@ def _check_range(q: int, len_x: int, len_y: int) -> None:
             f"got q = {q} with {len_x} + {len_y} symbols")
 
 
-def _wavefront(xs, ys, q: int, ties: list | None = None):
-    """Yield (d, lo, u, v) for each anti-diagonal d = len_x + len_y, ..., 0.
+def _wavefront(xs, ys, q: int, ties: list | None = None) -> np.ndarray:
+    """Each lane's optimum, U'(0, 0), as an int64 array of B values.
 
     xs and ys hold B strands each, all of one length per side (already
     validated, with q * (len_x + len_y + 1) < _UNREACHABLE); pair b is
-    (xs[b], ys[b]). u[k * B + b] and v[k * B + b] are U'(i, d - i) and
-    V'(i, d - i) of lane b at i = lo + k, the shifted values of the module
-    docstring. They are views of buffers the next step overwrites, so copy
-    what must outlive it. A strand that has not advanced yet counts as
-    having advanced symbol q - 1, and the last diagonal yields each lane's
-    optimum at u[b]. When ``ties`` is given, each computed diagonal
-    d < len_x + len_y appends its tie bits, U'(i + 1, j) > V'(i, j + 1) +
-    E'(i, j) at bit k * B + b, packed big-endian into bytes: the second
-    candidate of U'(i, j) wins. Where x[i] == y[j], the cells where both
-    strands can advance in the same slot, both candidates pay the same
-    advance, so the bit there is W(i + 1, j, X) > W(i, j + 1, Y).
+    (xs[b], ys[b]). The wavefront runs on the shifted values U' and V' of
+    the module docstring, from diagonal len_x + len_y down to the root,
+    where a strand that has not advanced yet counts as having advanced
+    symbol q - 1. When ``ties`` is given, each diagonal d < len_x + len_y
+    appends its tie bits, U'(i + 1, j) > V'(i, j + 1) + E'(i, j) at bit
+    k * B + b for cell (lo + k, d - lo - k), packed big-endian into bytes:
+    the second candidate of U'(i, j) wins. Where x[i] == y[j], the cells
+    where both strands can advance in the same slot, both candidates pay the
+    same advance, so the bit there is W(i + 1, j, X) > W(i, j + 1, Y).
     """
     lanes, lx, ly = len(xs), len(xs[0]), len(ys[0])
     top = lx + ly
@@ -197,10 +188,9 @@ def _wavefront(xs, ys, q: int, ties: list | None = None):
     # U' and V' at (len_x, len_y): q N - (q - 1) plus each strand's last
     # symbol, in Python ints, which cost less than numpy calls on B values
     wraps = wrap.reshape(-1, lanes)[c - ly:c + lx + 1].sum(0).tolist()
-    end = u[lx * lanes:(lx + 1) * lanes]
-    end[:] = [q * n - (q - 1) + last for n, last in zip(wraps, grid[c + lx].tolist())]
+    u[lx * lanes:(lx + 1) * lanes] = [
+        q * n - (q - 1) + last for n, last in zip(wraps, grid[c + lx].tolist())]
     v[lx * lanes:] = [q * n - (q - 1) + last for n, last in zip(wraps, grid[c - ly].tolist())]
-    yield top, lx, end, v[lx * lanes:]
     # Row r of a window is the run of cells from row r on, so the y side of a
     # band is a slice of consecutive rows, one row further on per diagonal
     width_max = (lx + 1) * lanes
@@ -248,19 +238,20 @@ def _wavefront(xs, ys, q: int, ties: list | None = None):
         if ties is not None:
             append(packbits(greater(ud, ed)).tobytes())
         minimum(ud, ed, out=ud)
-        yield d, lo, ud, vd
+    return u[top * lanes:]
 
 
 def dp_solve(x, y, q: int) -> DpTable:
     """Fill the full table of optimal remaining times for a strand pair.
 
-    Keeps every diagonal of the wavefront, subtracts the shifts of U' and V'
-    (module docstring) to get W back, then expands each row i of cells into
-    value(i, j, r) = min over incomplete u of offset_u + 1 +
-    W(next cell, u), with offset_u = (next_u - r) mod q. Refuses, before
-    allocating, tables of more than MAX_TABLE_STATES states, a budget that
-    also keeps q * (len_x + len_y + 1) far below _UNREACHABLE.
-    O(len_x * len_y * q) time and space.
+    Runs the module docstring's recurrence on plain values, one
+    anti-diagonal of cells per numpy step: W(i, j, s), the value at the
+    emission after strand s's last symbol, from W(i + 1, j, X) and W(i, j +
+    1, Y). It then expands each row i of cells into value(i, j, r) = min
+    over incomplete u of offset_u + 1 + W(next cell, u), with offset_u =
+    (next_u - r) mod q. Refuses, before allocating, tables of more than
+    MAX_TABLE_STATES states, a budget that also keeps q * (len_x + len_y +
+    1) far below _UNREACHABLE. O(len_x * len_y * q) time and space.
     """
     x = validate_strand(x, q)
     y = validate_strand(y, q)
@@ -268,27 +259,30 @@ def dp_solve(x, y, q: int) -> DpTable:
     states = (lx + 1) * (ly + 1) * q
     if states > MAX_TABLE_STATES:
         raise BudgetExceededError(states, MAX_TABLE_STATES, what="solver table", unit="states")
-    # U' and V' over cells (i, j) as flat (lx + 2) x (ly + 2) arrays; cell
-    # (i, d - i) sits at i * (ly + 1) + d, so a diagonal is a strided slice
-    stride = ly + 1
-    wx_all = np.zeros((lx + 2) * (ly + 2), dtype=np.int64)
-    wy_all = np.zeros((lx + 2) * (ly + 2), dtype=np.int64)
-    for d, lo, u, v in _wavefront((x,), (y,), q):
-        cells = slice(lo * stride + d, (lo + len(u) - 1) * stride + d + 1, stride)
-        wx_all[cells] = u
-        wy_all[cells] = v
-    wx_all = wx_all.reshape(lx + 2, ly + 2)
-    wy_all = wy_all.reshape(lx + 2, ly + 2)
-    # W back from U' and V' (module docstring): x_sym and y_sym hold each
-    # strand after its q - 1 and before a 0, which only meets _UNREACHABLE
-    # cells, and shift is q N(i, j) - (q - 1) from the wraps of x[:i], y[:j]
+    # W(i, j, X) and W(i, j, Y) over (lx + 2) x (ly + 2) cells; the row past
+    # x's end and the column past y's end stay _UNREACHABLE, so a term that
+    # advances a complete strand never wins a minimum
+    wx_all = np.full((lx + 2, ly + 2), _UNREACHABLE, dtype=np.int64)
+    wy_all = np.full((lx + 2, ly + 2), _UNREACHABLE, dtype=np.int64)
+    wx_all[lx, ly] = wy_all[lx, ly] = 0
+    # each strand between the q - 1 before its first symbol and a 0 read only
+    # by _UNREACHABLE terms: at row i, X's last symbol is x_sym[i], its next
+    # x_sym[i + 1], and the emission x_emit[i]; y reversed reads as slices too
     x_sym, y_sym = (np.array((q - 1, *z, 0), dtype=np.int64) for z in (x, y))
-    x_wrap, y_wrap = (z[1:] <= z[:-1] for z in (x_sym, y_sym))
-    shift = q * ((x_wrap.cumsum() - x_wrap)[:, None] + (y_wrap.cumsum() - y_wrap)) - (q - 1)
-    wx_all[:lx + 1, :ly + 1] -= shift + x_sym[:-1, None]
-    wy_all[:lx + 1, :ly + 1] -= shift + y_sym[:-1]
-    wx_all[lx + 1] = _UNREACHABLE
-    wy_all[:, ly + 1] = _UNREACHABLE
+    y_rev = y_sym[::-1]
+    x_emit, y_emit = x_sym + 1, y_rev + 1
+    # cell (i, d - i) sits at i * (ly + 1) + d of the flat arrays, so a
+    # diagonal is a strided slice; (i + 1, j) is ly + 2 further on, (i, j + 1) 1
+    wx, wy, step = wx_all.reshape(-1), wy_all.reshape(-1), ly + 1
+    for d in range(lx + ly - 1, -1, -1):
+        lo, hi = max(0, d - ly), min(d, lx) + 1
+        k0, k1 = lo * step + d, hi * step + d
+        after_x, after_y = wx[k0 + step + 1:k1 + step + 1:step], wy[k0 + 1:k1 + 1:step]
+        x_next, y_next = x_sym[lo + 1:hi + 1], y_rev[ly - d + lo:ly - d + hi]
+        for r, w in ((x_emit[lo:hi], wx), (y_emit[ly + 1 - d + lo:ly + 1 - d + hi], wy)):
+            cell = w[k0:k1:step]  # 1 + min over u of (z_u - r) mod q + W(next, u)
+            np.minimum((x_next - r) % q + after_x, (y_next - r) % q + after_y, out=cell)
+            cell += 1
     r = np.arange(q, dtype=np.int64)  # the next emission
     via_x_cost = (x_sym[1:, None] - r) % q + 1
     via_y_cost = (y_sym[1:, None] - r) % q + 1
@@ -313,10 +307,8 @@ def dp_solve(x, y, q: int) -> DpTable:
 def t_star(x, y, q: int) -> int:
     """Optimal completion time of the pair, in O(len_x + len_y) memory.
 
-    Equals dp_solve(x, y, q).value(0, 0, 0) without building the table. The
-    wavefront keeps one diagonal of the shifted values U' and V' and one
-    band of at most _BAND_CELLS of their cross terms E' and F' (module
-    docstring); both shifts vanish at the root, so U' there is the optimum.
+    Equals dp_solve(x, y, q).value(0, 0, 0) without building the table: the
+    wavefront keeps one diagonal and one band of at most _BAND_CELLS cells.
     Refuses, before allocating, an alphabet so large that q * (len_x + len_y
     + 1) reaches 2**60. The Monte Carlo harness solves its equal-length
     trials as lanes of the same wavefront (_t_star_lanes).
@@ -324,7 +316,7 @@ def t_star(x, y, q: int) -> int:
     x = validate_strand(x, q)
     y = validate_strand(y, q)
     _check_range(q, len(x), len(y))
-    return _t_star_lanes((x,), (y,), q)[0]
+    return int(_wavefront((x,), (y,), q)[0])
 
 
 def _t_star_lanes(xs, ys, q: int) -> list[int]:
@@ -333,13 +325,7 @@ def _t_star_lanes(xs, ys, q: int) -> list[int]:
     Every x has one length and every y one length, the strands are
     already valid and _check_range passes: nothing is checked.
     """
-    return _root(_wavefront(xs, ys, q)).tolist()
-
-
-def _root(wavefront) -> np.ndarray:
-    """Run a wavefront to its last diagonal and return U' there: each lane's optimum."""
-    (_, _, root, _), = deque(wavefront, maxlen=1)
-    return root
+    return _wavefront(xs, ys, q).tolist()
 
 
 @dataclass(frozen=True)
@@ -409,7 +395,7 @@ def optimal_schedule(x, y, q: int) -> OptimalResult:
     if cells > MAX_TIE_BITS:
         raise BudgetExceededError(cells, MAX_TIE_BITS, what="tie-bit table", unit="bits")
     ties: list[bytes] = []  # diagonal d at ties[lx + ly - 1 - d]
-    slots = int(_root(_wavefront((x,), (y,), q, ties))[0])
+    slots = int(_wavefront((x,), (y,), q, ties)[0])
     if slots > MAX_SCHEDULE_SLOTS:
         raise BudgetExceededError(slots, MAX_SCHEDULE_SLOTS, what="optimal schedule",
                                   unit="slots")

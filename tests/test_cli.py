@@ -80,22 +80,42 @@ class TestSolverRange:
     # here may grow with q.
     ADDRESS_SPACE = 256 * 2**20
 
-    def test_huge_alphabet_solves_in_bounded_memory(self):
+    def _capped(self, statement: str, *argv: str) -> subprocess.CompletedProcess:
+        """Run ``statement`` in a child under the address-space cap; a RowSynthError exits 1 in one line."""
         code = (
             "import resource, sys\n"
             f"resource.setrlimit(resource.RLIMIT_AS, ({self.ADDRESS_SPACE}, {self.ADDRESS_SPACE}))\n"
+            "from rowsynth import RowSynthError, get_policy, simulate_k\n"
             "from rowsynth.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
+            "try:\n"
+            f"    {statement}\n"
+            "except RowSynthError as exc:\n"
+            "    sys.exit(f'error: {exc}')\n"
         )
-        instance = ["--q", "1000000000", "--x", "0,5", "--y", "1,7", "--no-timestamp"]
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        return subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_huge_alphabet_solves_in_bounded_memory(self):
+        instance = ["--q", "1000000000", "--x", "0,5", "--y", "1,7", "--no-timestamp"]
         docs = {}
         for command in ("solve", "oracle"):
-            proc = subprocess.run([sys.executable, "-c", code, command, *instance],
-                                  capture_output=True, text=True, env=env, timeout=120)
+            proc = self._capped("sys.exit(main(sys.argv[1:]))", command, *instance)
             assert proc.returncode == 0, proc.stderr
             docs[command] = json.loads(proc.stdout)
         assert docs["solve"]["tStar"] == docs["oracle"]["tStar"] == 8
+
+    @pytest.mark.parametrize("statement", [
+        "sys.exit(main(['simulate', '--q', '1000000000', '--x', '5,4', '--y', '1,2']))",
+        "simulate_k([(5, 4), (1, 2), (3,)], get_policy('lf'), 10**9)",
+    ], ids=["k2", "k3"])
+    def test_simulated_schedule_past_its_slot_budget_exits_one(self, statement):
+        # x's 4 comes round a whole alphabet after its 5; without the budget
+        # the idles before it ask for a list of 10**9 actions
+        proc = self._capped(statement)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == ("error: schedule requires 1000000005 slots, "
+                               "over the budget of 10000000\n")
 
     def test_schedule_past_its_slot_budget_exits_one(self, capsys):
         # x's 4 comes round a whole alphabet after its 5

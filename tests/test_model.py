@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from rowsynth import model
 from rowsynth import (
     Action,
+    BudgetExceededError,
     ConfigError,
     HistoryDigest,
     IllegalActionError,
@@ -196,6 +197,19 @@ class TestSimulateK:
     def test_lookahead_policy_rejected_beyond_two_strands(self):
         with pytest.raises(ConfigError):
             simulate_k([(0,), (1,), (0,)], get_policy("lf1"), 2)
+
+    def test_schedules_past_the_slot_budget_are_refused_and_times_are_not(self, monkeypatch):
+        # a small budget keeps a missing refusal cheap; test_cli checks the real one
+        monkeypatch.setattr(model, "MAX_SCHEDULE_SLOTS", 100)
+        # x's 4 comes round a whole alphabet after its 5, at slot q + 5
+        x, y, q, lf = (5, 4), (1, 2), 1000, get_policy("lf")
+        assert completion_time(x, y, lf, q) == q + 5
+        for build in (lambda: simulate(x, y, lf, q), lambda: simulate_k([x, y], lf, q),
+                      lambda: simulate_k([x, y, (3,)], lf, q)):
+            with pytest.raises(BudgetExceededError) as err:
+                build()
+            assert (err.value.required, err.value.budget) == (q + 5, 100)
+            assert str(err.value).startswith("schedule requires")
 
     # sha256 of simulate_k(...).to_string() on seeded rows of k strands of
     # 0-39 symbols each, as the slot-by-slot loop produced them

@@ -170,8 +170,9 @@ class TestOptimalSchedule:
         wavefront = optimal._wavefront
 
         def flipped(x, y, q, ties):
-            yield from wavefront(x, y, q, ties)
+            root = wavefront(x, y, q, ties)
             ties[:] = [bytes(255 - b for b in row) for row in ties]
+            return root
 
         monkeypatch.setattr(optimal, "_wavefront", flipped)
         with pytest.raises(TableIntegrityError):
@@ -460,12 +461,17 @@ class TestSolverGolden:
         (7, 60, 60, 11163, "df5df3116cdb58c52c974d57c194342d041ad27c01e7a6bce31137a1513072cc"),
         (8, 61, 47, 8928, "41395db070b3a398a7b39717f41fced19703bb5d661d130ecd0696ee4e8d5ee9"),
     ])
-    def test_table_values(self, seed, len_x, len_y, size, digest):
+    def test_table_values(self, monkeypatch, seed, len_x, len_y, size, digest):
+        """dp_solve is the reference for the fast solver, so it and reconstruct run without it."""
+        monkeypatch.setattr(optimal, "_wavefront", None)  # any wavefront step would fail
         x, y = _seeded_pair(seed, 3, len_x, len_y)
-        values = dp_solve(x, y, 3).values
+        table = dp_solve(x, y, 3)
+        values = table.values
         assert len(values) == size
         assert all(type(v) is int for v in values)
         assert hashlib.sha256(",".join(map(str, values)).encode()).hexdigest() == digest
+        result = reconstruct(x, y, table)
+        assert apply_schedule(x, y, result.schedule, 3) == result.t_star == values[0]
 
 
 class TestSolverDifferential:
