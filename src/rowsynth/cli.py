@@ -80,8 +80,11 @@ def _metadata(args) -> dict:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise RowSynthError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -223,6 +226,8 @@ def _read_config_raw(path: str) -> dict:
             raw = json.load(fh)
     except FileNotFoundError:
         raise RowSynthError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise RowSynthError(f"cannot read config file {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise RowSynthError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from None
     if not isinstance(raw, dict):

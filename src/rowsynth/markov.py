@@ -18,11 +18,11 @@ lookahead chain, with its stationary law and per-slot synthesis rate.
 ``chain_step`` is the slot-by-slot reference. The rotation sampler behind
 ``rotation_moments`` and ``drift_series`` steps from advance to advance
 instead: the min(a, b) forced idles after an advance are one step, and
-the tie rule is asked once per rotation. An advance takes exactly one
-uniform draw, in the order ``chain_step`` takes it, so the draw stream
-and every fixed-seed result are those of the slot-by-slot chain. Exact
-stationary laws come from fraction-free Gauss-Jordan elimination on
-Python ints.
+the named policy's catalog rule, the one the simulator asks, is asked
+once per rotation. An advance takes exactly one uniform draw, in the
+order ``chain_step`` takes it, so the draw stream and every fixed-seed
+result are those of the slot-by-slot chain. Exact stationary laws come
+from fraction-free Gauss-Jordan elimination on Python ints.
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice, product
-from typing import Callable, Iterable, Iterator, NamedTuple
+from itertools import count, islice, product
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .model import validate_alphabet
-from .policies import LF1, TieDecision, TieRule
+from .policies import LF1, TieDecision, TieRule, policy_catalog
 from .rng import BlockDraws, master_rng
 
 
@@ -60,25 +60,14 @@ class ChainStep(NamedTuple):
     advanced: int | None
 
 
-# the rotation sampler's tie: () -> the advancing strand
-ChainTie = Callable[[], TieDecision]
-
-
-def _as_tie_rule(tie) -> ChainTie:
-    if isinstance(tie, TieDecision):
-        return lambda: tie
-    return tie
-
-
-def chain_step(state: OffsetState, q: int, tie_rule, rng) -> tuple[OffsetState, ChainEvent]:
+def chain_step(state: OffsetState, q: int, tie: TieDecision, rng) -> tuple[OffsetState, ChainEvent]:
     """One slot of the offset chain.
 
     Both offsets positive: idle, both decrement. Exactly one zero: that
     strand advances, its offset redraws uniformly on [0, q), the other
-    decrements. Both zero: the tie rule picks the advancing strand, whose
-    offset redraws while the other becomes q - 1. ``tie_rule`` is a
-    TieDecision or a zero-argument callable returning one; ``rng`` needs a
-    numpy-style integers() method.
+    decrements. Both zero: ``tie`` is the advancing strand, whose offset
+    redraws while the other becomes q - 1. ``rng`` needs a numpy-style
+    integers() method.
     """
     a, b = state
     if a > 0 and b > 0:
@@ -87,7 +76,7 @@ def chain_step(state: OffsetState, q: int, tie_rule, rng) -> tuple[OffsetState, 
         return OffsetState(int(rng.integers(q)), b - 1), ChainEvent.ADVANCE_X
     if a > 0 and b == 0:
         return OffsetState(a - 1, int(rng.integers(q))), ChainEvent.ADVANCE_Y
-    if _as_tie_rule(tie_rule)() is TieDecision.ADVANCE_X:
+    if tie is TieDecision.ADVANCE_X:
         return OffsetState(int(rng.integers(q)), q - 1), ChainEvent.ADVANCE_X
     return OffsetState(q - 1, int(rng.integers(q))), ChainEvent.ADVANCE_Y
 
@@ -183,28 +172,39 @@ class RotationStats:
         return math.sqrt(max(var, 0.0) / self.n) / self.mean_vx
 
 
-def _resolve_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return master_rng(rng)
+def _policy_rotations(q: int, n_rotations: int, rng, policy: str) -> Iterator[tuple[int, int, int]]:
+    """The first n_rotations rotations under the named policy's catalog rule.
+
+    q and the policy are checked before any draw. The chain keeps advances
+    and ties but no lookahead symbols or coin, so lf1, random and unknown
+    names raise ValueError. ``rng`` is a numpy Generator or a master seed.
+    """
+    validate_alphabet(q)
+    runnable = {p.name: p for p in policy_catalog() if not (p.lookahead or p.uses_rng)}
+    if policy not in runnable:
+        raise ValueError(f"the offset chain cannot run policy {policy!r}; "
+                         f"it runs {', '.join(runnable)}")
+    gen = rng if isinstance(rng, np.random.Generator) else master_rng(rng)
+    return islice(_rotations(q, runnable[policy].tie_rule(q), BlockDraws(gen, q)), n_rotations)
 
 
-def _rotations(q: int, tie_rule, draws) -> Iterator[tuple[int, int, int]]:
+def _rotations(q: int, rule: TieRule, draws) -> Iterator[tuple[int, int, int]]:
     """Consecutive full rotations of the offset chain from (0, 0), as (v_x, v_y, slots).
 
     Steps from advance to advance: after each advance the forced idles,
     min(a, b) of them, are skipped in one step, and a rotation closes when
     that skip lands on (0, 0). Every advance takes one ``draws.integers(q)``
     in the order ``chain_step`` takes it, so the rotations equal those of a
-    slot-by-slot ``chain_step`` loop on the same stream. ``tie_rule`` is
-    consulted only at the (0, 0) slot that opens a rotation, so a callable
-    rule sees the counts of every rotation already yielded.
+    slot-by-slot ``chain_step`` loop on the same stream. The positional tie
+    rule is asked at the (0, 0) slot that opens a rotation, as
+    ``rule(adv_x, adv_y, 0, None, None, ties, 0)``: each strand's advances
+    and the ties (rotations) before it.
     """
-    rule = _as_tie_rule(tie_rule)
     draw = draws.integers
     top = q - 1
-    while True:
-        if rule() is TieDecision.ADVANCE_X:
+    adv_x = adv_y = 0
+    for ties in count():
+        if rule(adv_x, adv_y, 0, None, None, ties, 0):
             a, b, v_x, v_y = draw(q), top, 1, 0
         else:
             a, b, v_x, v_y = top, draw(q), 0, 1
@@ -220,24 +220,25 @@ def _rotations(q: int, tie_rule, draws) -> Iterator[tuple[int, int, int]]:
                 a -= b + 1
                 b = draw(q)
                 v_y += 1
+        adv_x += v_x
+        adv_y += v_y
         yield v_x, v_y, slots + a
 
 
-def rotation_moments(q: int, n_rotations: int, rng, tie=TieDecision.ADVANCE_X) -> RotationStats:
+def rotation_moments(q: int, n_rotations: int, rng, policy: str = "x-first") -> RotationStats:
     """Empirical rotation moments of the offset chain from (0, 0).
 
-    Runs the chain with the given tie rule (the advancing strand at every
-    tie; defaults to strand 1) for n_rotations complete rotations and
+    Runs the chain for n_rotations complete rotations, resolving each tie
+    by the named catalog policy (x-first, y-first, lf or round-robin), and
     accumulates exact integer sums, so the returned statistics are a pure
-    function of the seed.
+    function of the seed. The closed forms hold under x-first.
     """
     if n_rotations < 1:
         raise ValueError("need at least one rotation")
-    validate_alphabet(q)
-    draws = BlockDraws(_resolve_rng(rng), q)
+    rotations = _policy_rotations(q, n_rotations, rng, policy)
     s_vx = s_vy = s_t = 0
     s_vx2 = s_vy2 = s_t2 = s_xy = s_tx = 0
-    for v_x, v_y, t_len in islice(_rotations(q, tie, draws), n_rotations):
+    for v_x, v_y, t_len in rotations:
         s_vx += v_x
         s_vy += v_y
         s_t += t_len
@@ -282,6 +283,8 @@ def visit_values(q: int) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
     states (a, 0), B_a = -a/(q+1) + q/2. They satisfy the order-2 linear
     recurrence A_{b+1} = 2 A_b - A_{b-1}, and the first-step identity
     E[V_X] = 1 + (1/q) * sum_r A_r recovers the closed-form rotation mean.
+    The output is 2(q - 1) Fractions, O(q) by definition, and that is its
+    documented limit rather than a budget: about 200 bytes per entry.
     """
     validate_alphabet(q)
     a_side = {b: Fraction(b, q + 1) + Fraction(q, 2) for b in range(1, q)}
@@ -434,35 +437,22 @@ def drift_series(q: int, n_rotations: int, rng, policy: str = "lf") -> list[tupl
     """Running mean of |advance-count imbalance| at logarithmic checkpoints.
 
     Simulates the offset chain for n_rotations rotations, resolving each
-    tie by the laggard-first rule on cumulative advance counts (or always
-    strand 1 with policy="x-first", under which the imbalance drifts
-    linearly). After rotation n the imbalance d_n is the difference of
-    cumulative advances; returns (n, running mean of |d_n|) at checkpoints
-    1, 2, 5, 10, ... plus the final n.
+    tie by the named catalog policy as ``rotation_moments`` does: under lf
+    the imbalance stays bounded, under x-first it drifts linearly. After
+    rotation n the imbalance d_n is the difference of cumulative advances;
+    returns (n, running mean of |d_n|) at checkpoints 1, 2, 5, 10, ... plus
+    the final n.
     """
     if n_rotations < 10:
         raise ValueError("need at least 10 rotations")
-    if policy not in ("lf", "x-first"):
-        raise ValueError(f"unknown chain policy {policy!r}")
-    validate_alphabet(q)
-    draws = BlockDraws(_resolve_rng(rng), q)
-    checkpoints = set()
-    base = 1
-    while base <= n_rotations:
-        for mult in (1, 2, 5):
-            if mult * base <= n_rotations:
-                checkpoints.add(mult * base)
-        base *= 10
+    rotations = _policy_rotations(q, n_rotations, rng, policy)
+    # 1, 2, 5, 10, 20, 50, ... up to n_rotations's decade, and n_rotations itself
+    checkpoints = {m * 10**e for e in range(len(str(n_rotations))) for m in (1, 2, 5)}
     checkpoints.add(n_rotations)
     x_tot = y_tot = 0
     sum_abs_d = 0
-
-    def laggard_first():
-        return TieDecision.ADVANCE_X if x_tot <= y_tot else TieDecision.ADVANCE_Y
-
-    tie = laggard_first if policy == "lf" else TieDecision.ADVANCE_X
     out: list[tuple[int, float]] = []
-    for n, (v_x, v_y, _) in enumerate(islice(_rotations(q, tie, draws), n_rotations), 1):
+    for n, (v_x, v_y, _) in enumerate(rotations, 1):
         x_tot += v_x
         y_tot += v_y
         sum_abs_d += abs(x_tot - y_tot)

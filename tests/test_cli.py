@@ -290,6 +290,18 @@ class TestExperiment:
         assert code == 1
         assert "not found" in err
 
+    def test_directory_as_config_exits_one(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "experiment", "--config", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_out_in_missing_directory_exits_one(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "f.csv"
+        code, out, err = run_cli(capsys, "bounds", "--q", "2", "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not target.parent.exists()
+
     def test_malformed_config_reports_line(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text('{\n  "q": 2,\n  oops\n}\n')
@@ -580,6 +592,10 @@ class TestReadmeCommands:
     def test_bounds(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--q", "2,4", "--length", "1000")
         assert code == 0 and out.startswith("q,L,") and len(out.splitlines()) == 3
+
+    def test_rotations(self, capsys):
+        code, out, _ = run_cli(capsys, "rotations", "--q", "2,3,4,5", "--rotations", "100000")
+        assert code == 0 and out.startswith("q,nRotations,") and len(out.splitlines()) == 5
 
 
 class TestCachedParser:

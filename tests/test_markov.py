@@ -97,12 +97,6 @@ class TestChainStep:
         assert state == (1, 3)
         assert event is ChainEvent.ADVANCE_Y
 
-    def test_callable_tie_rule(self):
-        state, event = chain_step(OffsetState(0, 0), 2,
-                                  lambda: TieDecision.ADVANCE_Y, _FixedDraws([1]))
-        assert state == (1, 1)
-        assert event is ChainEvent.ADVANCE_Y
-
 
 class TestChainMatchesSimulator:
     def test_coupled_replay_gives_identical_streams(self, rng):
@@ -192,31 +186,31 @@ class TestRotationMoments:
         assert stats.mean_t == pytest.approx(float(t), rel=0.05)
 
 
-# astuple(rotation_moments(q, 400, 2026, tie)), pinned from the two hand-written rotation loops
+# astuple(rotation_moments(q, 400, 2026, policy)), pinned from the two hand-written rotation loops
 PINNED_ROTATION_STATS = {
-    ("ADVANCE_X", 2): (400, 1.6375, 0.3525, 2.5225, 0.6860937500000004, 0.44824375000000005,
-                       1.2594937499999999, 0.46528125, 0.8119062499999998),
-    ("ADVANCE_X", 3): (400, 2.335, 0.8, 4.645, 2.0977750000000004, 1.605, 8.038975, 1.6245,
-                       3.7289250000000003),
-    ("ADVANCE_X", 4): (400, 2.715, 1.105, 6.73, 3.3887750000000008, 2.618975, 18.4321,
-                       2.6149250000000004, 7.2555499999999995),
-    ("ADVANCE_X", 5): (400, 3.22, 1.55, 9.58, 4.486599999999999, 4.157499999999999,
-                       40.78360000000001, 3.854, 12.594899999999999),
-    ("ADVANCE_Y", 2): (400, 0.3525, 1.6375, 2.5225, 0.44824375000000005, 0.6860937500000004,
-                       1.2594937499999999, 0.46528125, 0.7258187500000001),
-    ("ADVANCE_Y", 3): (400, 0.8, 2.335, 4.645, 1.605, 2.0977750000000004, 8.038975, 1.6245,
-                       3.4840000000000004),
-    ("ADVANCE_Y", 4): (400, 1.105, 2.715, 6.73, 2.618975, 3.3887750000000008, 18.4321,
-                       2.6149250000000004, 6.725849999999999),
-    ("ADVANCE_Y", 5): (400, 1.55, 3.22, 9.58, 4.157499999999999, 4.486599999999999,
-                       40.78360000000001, 3.854, 12.526),
+    ("x-first", 2): (400, 1.6375, 0.3525, 2.5225, 0.6860937500000004, 0.44824375000000005,
+                     1.2594937499999999, 0.46528125, 0.8119062499999998),
+    ("x-first", 3): (400, 2.335, 0.8, 4.645, 2.0977750000000004, 1.605, 8.038975, 1.6245,
+                     3.7289250000000003),
+    ("x-first", 4): (400, 2.715, 1.105, 6.73, 3.3887750000000008, 2.618975, 18.4321,
+                     2.6149250000000004, 7.2555499999999995),
+    ("x-first", 5): (400, 3.22, 1.55, 9.58, 4.486599999999999, 4.157499999999999,
+                     40.78360000000001, 3.854, 12.594899999999999),
+    ("y-first", 2): (400, 0.3525, 1.6375, 2.5225, 0.44824375000000005, 0.6860937500000004,
+                     1.2594937499999999, 0.46528125, 0.7258187500000001),
+    ("y-first", 3): (400, 0.8, 2.335, 4.645, 1.605, 2.0977750000000004, 8.038975, 1.6245,
+                     3.4840000000000004),
+    ("y-first", 4): (400, 1.105, 2.715, 6.73, 2.618975, 3.3887750000000008, 18.4321,
+                     2.6149250000000004, 6.725849999999999),
+    ("y-first", 5): (400, 1.55, 3.22, 9.58, 4.157499999999999, 4.486599999999999,
+                     40.78360000000001, 3.854, 12.526),
 }
 
 
-@pytest.mark.parametrize("tie,q", sorted(PINNED_ROTATION_STATS))
-def test_pinned_rotation_stats(tie, q):
-    stats = rotation_moments(q, 400, 2026, TieDecision[tie])
-    assert dataclasses.astuple(stats) == PINNED_ROTATION_STATS[tie, q]
+@pytest.mark.parametrize("policy,q", sorted(PINNED_ROTATION_STATS))
+def test_pinned_rotation_stats(policy, q):
+    stats = rotation_moments(q, 400, 2026, policy)
+    assert dataclasses.astuple(stats) == PINNED_ROTATION_STATS[policy, q]
 
 
 class TestClosedFormRotation:
@@ -445,58 +439,82 @@ def test_pinned_drift_series(policy, q):
 # --- advance-driven rotations against the slot-by-slot chain ----------------
 
 
-def _slot_by_slot_rotations(q, tie_rule, draws):
-    """Reference rotation stream: one chain_step per slot from (0, 0)."""
+def _slot_by_slot_rotations(q, rule, draws):
+    """Reference rotation stream: one chain_step per slot from (0, 0), asking the
+    positional rule at each tie with the advances and ties counted here."""
     state = OffsetState(0, 0)
+    adv = [0, 0]
+    ties = 0
     while True:
         v_x = v_y = slots = 0
         while True:
-            state, event = chain_step(state, q, tie_rule, draws)
+            tie = None
+            if state == (0, 0):
+                x_first = rule(*adv, 0, None, None, ties, 0)
+                tie = TieDecision.ADVANCE_X if x_first else TieDecision.ADVANCE_Y
+                ties += 1
+            state, event = chain_step(state, q, tie, draws)
             slots += 1
             v_x += event is ChainEvent.ADVANCE_X
             v_y += event is ChainEvent.ADVANCE_Y
             if state == (0, 0):
                 break
+        adv[0] += v_x
+        adv[1] += v_y
         yield v_x, v_y, slots
 
 
-def _rotation_stream(producer, q, seed, tie, n, block):
-    """First n rotations of producer plus the next draw, under a fixed or laggard-first rule."""
+def _rotation_stream(producer, q, seed, policy, n, block):
+    """First n rotations of producer under a catalog policy's rule, plus the next draw."""
     draws = BlockDraws(master_rng(seed), q, block=block)
-    totals = [0, 0]
-
-    def laggard_first():
-        return TieDecision.ADVANCE_X if totals[0] <= totals[1] else TieDecision.ADVANCE_Y
-
-    rule = laggard_first if tie == "lf" else TieDecision[tie]
-    out = []
-    for v_x, v_y, slots in islice(producer(q, rule, draws), n):
-        totals[0] += v_x
-        totals[1] += v_y
-        out.append((v_x, v_y, slots))
+    out = list(islice(producer(q, get_policy(policy).tie_rule(q), draws), n))
     return out, draws.integers(q)
 
 
 @settings(max_examples=150, deadline=None)
 @given(q=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
-       tie=st.sampled_from(["ADVANCE_X", "ADVANCE_Y", "lf"]),
+       policy=st.sampled_from(["x-first", "y-first", "lf", "round-robin"]),
        n=st.integers(1, 300), block=st.sampled_from([1, 7, 64, 8192]))
-def test_rotations_equal_slot_by_slot_chain(q, seed, tie, n, block):
+def test_rotations_equal_slot_by_slot_chain(q, seed, policy, n, block):
     # same rotations and the same stream position afterwards
-    assert (_rotation_stream(_rotations, q, seed, tie, n, block)
-            == _rotation_stream(_slot_by_slot_rotations, q, seed, tie, n, block))
+    assert (_rotation_stream(_rotations, q, seed, policy, n, block)
+            == _rotation_stream(_slot_by_slot_rotations, q, seed, policy, n, block))
 
 
 def test_rotations_consult_tie_rule_once_per_rotation():
     calls = []
 
-    def rule():
-        calls.append(1)
-        return TieDecision.ADVANCE_Y
+    def rule(i, j, r, la_x, la_y, ties, coin):
+        calls.append((i, j, ties))
+        return False
 
     rotations = list(islice(_rotations(4, rule, BlockDraws(master_rng(5), 4)), 50))
     assert len(calls) == 50
     assert all(v_y >= 1 for _, v_y, _ in rotations)
+    # each call sees the advances of the rotations before it, and their number
+    sums = [(0, 0, 0)]
+    for v_x, v_y, _ in rotations[:-1]:
+        i, j, k = sums[-1]
+        sums.append((i + v_x, j + v_y, k + 1))
+    assert calls == sums
+
+
+class TestChainPolicyCheckedBeforeDrawing:
+    """The chain keeps no lookahead symbols and no coin: lf1 and random are refused."""
+
+    @pytest.mark.parametrize("policy", ["lf1", "random", "zigzag"])
+    def test_rotation_moments(self, policy):
+        gen = master_rng(1)
+        with pytest.raises(ValueError, match="cannot run policy"):
+            rotation_moments(2, 200_000, gen, policy)
+        assert gen.integers(2**32) == master_rng(1).integers(2**32)
+
+    @pytest.mark.parametrize("policy", ["lf1", "random", "zigzag"])
+    def test_drift_series(self, policy):
+        gen = master_rng(1)
+        with pytest.raises(ValueError, match="cannot run policy"):
+            drift_series(2, 50_000, gen, policy)
+        assert gen.integers(2**32) == master_rng(1).integers(2**32)
 
 
 class TestAlphabetCheckedBeforeDrawing:
