@@ -31,14 +31,16 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import count, islice, product
+from itertools import chain, count, islice, product
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .model import validate_alphabet
 from .policies import LF1, TieDecision, TieRule, policy_catalog
-from .rng import BlockDraws, master_rng
+from .rng import master_rng
+
+_DRAW_BLOCK = 8192  # offsets _rotations draws from its generator at a time
 
 
 class OffsetState(NamedTuple):
@@ -185,40 +187,42 @@ def _policy_rotations(q: int, n_rotations: int, rng, policy: str) -> Iterator[tu
         raise ValueError(f"the offset chain cannot run policy {policy!r}; "
                          f"it runs {', '.join(runnable)}")
     gen = rng if isinstance(rng, np.random.Generator) else master_rng(rng)
-    return islice(_rotations(q, runnable[policy].tie_rule(q), BlockDraws(gen, q)), n_rotations)
+    return islice(_rotations(q, runnable[policy].tie_rule(q), gen), n_rotations)
 
 
-def _rotations(q: int, rule: TieRule, draws) -> Iterator[tuple[int, int, int]]:
+def _rotations(q: int, rule: TieRule, gen) -> Iterator[tuple[int, int, int]]:
     """Consecutive full rotations of the offset chain from (0, 0), as (v_x, v_y, slots).
 
     Steps from advance to advance: after each advance the forced idles,
     min(a, b) of them, are skipped in one step, and a rotation closes when
-    that skip lands on (0, 0). Every advance takes one ``draws.integers(q)``
-    in the order ``chain_step`` takes it, so the rotations equal those of a
-    slot-by-slot ``chain_step`` loop on the same stream. The positional tie
-    rule is asked at the (0, 0) slot that opens a rotation, as
-    ``rule(adv_x, adv_y, 0, None, None, ties, 0)``: each strand's advances
-    and the ties (rotations) before it.
+    that skip lands on (0, 0). Every advance takes one draw on [0, q) from
+    the numpy Generator ``gen`` in blocks, each read from its end, in the
+    order ``chain_step`` takes it, so a slot-by-slot ``chain_step`` loop on
+    ``rng.BlockDraws(gen, q, _DRAW_BLOCK)`` gives the same rotations. The
+    positional tie rule is asked at the (0, 0) slot that opens a rotation,
+    as ``rule(adv_x, adv_y, 0, None, None, ties, 0)``: each strand's
+    advances and the ties (rotations) before it.
     """
-    draw = draws.integers
+    draw = chain.from_iterable(gen.integers(0, q, size=_DRAW_BLOCK).tolist()[::-1]
+                               for _ in count()).__next__
     top = q - 1
     adv_x = adv_y = 0
     for ties in count():
         if rule(adv_x, adv_y, 0, None, None, ties, 0):
-            a, b, v_x, v_y = draw(q), top, 1, 0
+            a, b, v_x, v_y = draw(), top, 1, 0
         else:
-            a, b, v_x, v_y = top, draw(q), 0, 1
+            a, b, v_x, v_y = top, draw(), 0, 1
         slots = 1
         while a != b:
             if a < b:  # idle down to (0, b - a), then strand 1 advances
                 slots += a + 1
                 b -= a + 1
-                a = draw(q)
+                a = draw()
                 v_x += 1
             else:
                 slots += b + 1
                 a -= b + 1
-                b = draw(q)
+                b = draw()
                 v_y += 1
         adv_x += v_x
         adv_y += v_y

@@ -19,12 +19,12 @@ i + j + 1, so a diagonal is one numpy step with no loop over cells. dp_solve,
 the reference, runs this recurrence on plain values and expands the two W
 of every cell into the (i, j, r) table; reconstruct walks that table.
 
-The fast solver, _wavefront, runs on shifted values. Advancing symbol a
-right after symbol s costs (a - s - 1) mod q + 1 = a - s + q [a <= s]
-slots, so the solo cost of a strand's first k symbols telescopes to q N +
-z[k - 1] - (q - 1), where N counts its wraps: the symbols not above the one
-before, the first compared with q - 1. With N(i, j) the wraps of x[:i] and
-y[:j], the values
+The fast solvers run on shifted values. Advancing symbol a right after
+symbol s costs (a - s - 1) mod q + 1 = a - s + q [a <= s] slots, so the
+solo cost of a strand's first k symbols telescopes to q N + z[k - 1] - (q -
+1), where N counts its wraps: the symbols not above the one before, the
+first compared with q - 1. With N(i, j) the wraps of x[:i] and y[:j], the
+values
 
     U'(i, j) = W(i, j, X) + q N(i, j) + x[i - 1] - (q - 1)
     V'(i, j) = W(i, j, Y) + q N(i, j) + y[j - 1] - (q - 1)
@@ -38,25 +38,37 @@ with E' = q ([y[j] <= x[i - 1]] - [y[j] <= y[j - 1]]) and F' = q ([x[i] <=
 y[j - 1]] - [x[i] <= x[i - 1]]): a strand that advances again after itself
 pays nothing, and a cross term is two symbol comparisons, so no table of
 advance costs is needed and no array is sized by q. At the root both shifts
-vanish, so U'(0, 0), all that _wavefront returns, is the optimum. The
-symbols sit in one array with y reversed, x[i] at row c + 1 + i and y[j] at
-row c - 1 - j, so along a diagonal y's row rises with i like x's. E' and F'
-are then computed for a band of diagonals at a time, at most _BAND_CELLS
-cells per band, reading x as one slice and y as a view of consecutive runs,
-one row further on per diagonal; a diagonal is then two adds and two
-minimums into preallocated buffers. Several pairs of equal lengths solve as
-lanes of one wavefront: cell i of lane b sits at i * B + b, so every lane's
-diagonal is one contiguous slice. Memory is O((len_x + len_y) * B) plus one
-band. No value exceeds q (len_x + len_y), and an entry past the end plus a
-cross term stays above _UNREACHABLE - q, so the callers refuse, before
-allocating, instances where q (len_x + len_y + 1) reaches _UNREACHABLE.
+vanish, so U'(0, 0), all that the kernels return, is the optimum.
+
+_row_sweep solves one pair row by row, i = len_x down to 0, with y read
+backwards: a row's V' is a running minimum, as in Gotoh's horizontal-gap
+state (J. Mol. Biol. 162:705, 1982), so V'(i, .) is one
+np.minimum.accumulate of U'(i + 1, .) + F'(i, .) and U'(i, .) one add and
+one minimum. _wavefront solves B pairs of equal lengths as lanes, one
+anti-diagonal per step, on one symbol array with x[i] at row c + 1 + i and
+y[j] at row c - 1 - j: a band of diagonals reads x as one slice and y as a
+view of consecutive runs, and lane b's cell i sits at i * B + b. Both take
+E' and F' at most _BAND_CELLS cells at a time; memory is O(len_y), or
+O((len_x + len_y) * B) for lanes, plus those cells. One pair sweeps rows,
+as each of its len_x + len_y diagonals pays four numpy calls: at q=4,
+L=200 rows took 0.98-1.05 ms against 2.0-2.2 ms, at L=3000 77-87 against
+70-77 ms. Lanes keep the wavefront, as np.minimum.accumulate costs about
+3.5 ns per cell whatever the lanes: 100 pairs at q=2, L=200 took 94-102 ms
+one sweep each against 21-24 ms as lanes (2-vCPU VM, best of 7).
+
+No value exceeds q (len_x + len_y), and the wavefront's entries past the
+end plus a cross term stay within q of its sentinel, so with S = q (len_x
++ len_y + 1) values are int32 with sentinel 2**30 when S < 2**30, and
+int64 with _UNREACHABLE above; callers refuse S >= _UNREACHABLE before
+allocating. int32 took the 100 lane trials from 34-40 to 18-29 ms, and
+t_star at q=2, L=10^4 from 894 to 686-716 ms.
 
 An optimal schedule never idles while a strand can advance, so both
 schedule builders run the greedy simulator's walk (model._run) with a tie
 rule that reads the solver. Where both strands can advance in the same
 slot, x[i] == y[j], advancing either from the X-last state costs the same,
 so taking X iff W(i + 1, j, X) <= W(i, j + 1, Y) is taking the first
-candidate of U'(i, j)'s minimum: optimal_schedule has _wavefront keep that
+candidate of U'(i, j)'s minimum: optimal_schedule has _row_sweep keep that
 as one tie bit per cell, packed eight to a byte, and reads the bit, where
 reconstruct compares the table's two entries after the tie.
 
@@ -105,14 +117,12 @@ _UNREACHABLE = 1 << 60
 # Table entries dp_solve expands from numpy to Python ints at a time.
 _EXPAND_BLOCK = 1 << 16
 
-# Cells of E' (and of F') the wavefront computes in one band of diagonals:
-# large enough that a band costs little per diagonal, small enough (64 KB of
-# int64 per array) that the band stays in cache. Measured on the reversed-y
-# layout (2-vCPU VM, best of 15): the 4-lane q=2, L=200 solve took 2.5 ms at
-# 2^13 cells, 2.6 ms at 2^14 and 2^16, 3.2 ms at 2^12 and 5.5 ms at 2^20;
-# t_star at q=2, L=10^4 took 0.47-0.51 s from 2^12 to 2^16 and 0.63 s at
-# 2^20. Diagonals wider than a quarter of this still get four per band,
-# O(len_x + len_y) cells.
+# Cells of E' (and of F') a kernel computes at a time, in a band of
+# diagonals or a block of rows: large enough to cost little per step, small
+# enough to stay in cache. On the int64 wavefront (2-vCPU VM, best of 15) the
+# 4-lane q=2, L=200 solve took 2.5 ms at 2^13 cells, 2.6 ms at 2^14 and 2^16,
+# 3.2 ms at 2^12 and 5.5 ms at 2^20. A band holds at least four diagonals
+# and a block one row, O(len_x + len_y) cells.
 _BAND_CELLS = 1 << 13
 
 
@@ -135,27 +145,75 @@ class DpTable:
 
 
 def _check_range(q: int, len_x: int, len_y: int) -> None:
-    """Refuse an instance whose times could reach _UNREACHABLE in the wavefront's int64 values."""
+    """Refuse an instance whose times could reach _UNREACHABLE, the kernels' int64 sentinel."""
     if q * (len_x + len_y + 1) >= _UNREACHABLE:
         raise UnsupportedAlphabetError(
             f"the exact solver needs q * (len_x + len_y + 1) < 2**60, "
             f"got q = {q} with {len_x} + {len_y} symbols")
 
 
-def _wavefront(xs, ys, q: int, ties: list | None = None) -> np.ndarray:
-    """Each lane's optimum, U'(0, 0), as an int64 array of B values.
+def _value_type(q: int, len_x: int, len_y: int):
+    """The kernels' value dtype and past-the-end sentinel, by the module docstring's rule."""
+    small = q * (len_x + len_y + 1) < 1 << 30
+    return (np.int32, 1 << 30) if small else (np.int64, _UNREACHABLE)
+
+
+def _row_sweep(x, y, q: int, ties: list | None = None) -> int:
+    """The optimum of one pair, U'(0, 0), solved row by row with y read backwards.
+
+    x and y are valid, and _check_range passes. Row i holds cell (i, j) at
+    k = len_y - j. Given ``ties``, rows len_x - 1 down to 0 each append
+    their tie bits packed big-endian into bytes: bit len_y - 1 - j is
+    U'(i + 1, j) > V'(i, j + 1) + E'(i, j), the second candidate winning.
+    """
+    lx, ly = len(x), len(y)
+    value = _value_type(q, lx, ly)[0]
+    sym = np.int8 if q <= 128 else np.int64
+    # xs[i] is x[i - 1], the q - 1 before x's first at 0; with k = len_y - j,
+    # ys[k] is y[j - 1], the q - 1 before y's first at len_y, and y[j] is ys[k - 1]
+    xs = np.array((q - 1, *x), dtype=sym)
+    ys = np.array((*y[::-1], q - 1), dtype=sym)
+    wrap_x = np.less_equal(xs[1:], xs[:-1]).view(np.int8)  # x[i] <= x[i - 1]
+    wrap_y = np.less_equal(ys[:-1], ys[1:]).view(np.int8)  # y[j] <= y[j - 1] at k - 1
+    base = q * (np.count_nonzero(wrap_x) + np.count_nonzero(wrap_y)) - (q - 1)
+    # row len_x: V' is V'(len_x, len_y) all along; U'(i, len_y) = U'(len_x, len_y)
+    u = np.empty(ly + 1, dtype=value)
+    u[0] = base + int(xs[-1])
+    np.multiply(np.subtract(np.less_equal(ys[:-1], xs[-1]), wrap_y), q, out=u[1:], dtype=value)
+    u[1:] += base + int(ys[0])
+    v = np.empty(ly + 1, dtype=value)
+    u_on, v_before = u[1:], v[:-1]  # U'(., j) and V'(., j + 1) for j < len_y
+    rows = max(1, min(lx, _BAND_CELLS // (ly + 1)))
+    bits = np.empty((rows, ly), dtype=bool) if ties is not None else [None] * rows
+    add, minimum, accumulate, greater = np.add, np.minimum, np.minimum.accumulate, np.greater
+    for hi in range(lx - 1, -1, -rows):
+        # F' and E' of rows lo..hi as (row, k) arrays, E' from k = 1
+        lo = max(0, hi - rows + 1)
+        x_at = xs[lo:hi + 2, None]  # x[i - 1] at row i - lo, x[i] one row on
+        f = np.multiply(np.subtract(np.less_equal(x_at[1:], ys), wrap_x[lo:hi + 1, None]), q,
+                        dtype=value)
+        e = np.multiply(np.subtract(np.less_equal(ys[:-1], x_at[:-1]), wrap_y), q, dtype=value)
+        for fi, ei, tie in zip(f[::-1], e[::-1], bits):
+            add(u, fi, out=fi)
+            accumulate(fi, out=v)  # V'(i, .)
+            add(v_before, ei, out=ei)
+            if tie is not None:
+                greater(u_on, ei, out=tie)
+            minimum(u_on, ei, out=u_on)  # U'(i, .)
+        if ties is not None:
+            ties += map(bytes, np.packbits(bits[:hi + 1 - lo], axis=1))
+    return int(u[ly])
+
+
+def _wavefront(xs, ys, q: int) -> np.ndarray:
+    """Each lane's optimum, U'(0, 0), as an array of B values.
 
     xs and ys hold B strands each, all of one length per side (already
     validated, with q * (len_x + len_y + 1) < _UNREACHABLE); pair b is
     (xs[b], ys[b]). The wavefront runs on the shifted values U' and V' of
     the module docstring, from diagonal len_x + len_y down to the root,
     where a strand that has not advanced yet counts as having advanced
-    symbol q - 1. When ``ties`` is given, each diagonal d < len_x + len_y
-    appends its tie bits, U'(i + 1, j) > V'(i, j + 1) + E'(i, j) at bit
-    k * B + b for cell (lo + k, d - lo - k), packed big-endian into bytes:
-    the second candidate of U'(i, j) wins. Where x[i] == y[j], the cells
-    where both strands can advance in the same slot, both candidates pay the
-    same advance, so the bit there is W(i + 1, j, X) > W(i, j + 1, Y).
+    symbol q - 1.
     """
     lanes, lx, ly = len(xs), len(xs[0]), len(ys[0])
     top = lx + ly
@@ -163,10 +221,9 @@ def _wavefront(xs, ys, q: int, ties: list | None = None) -> np.ndarray:
     # c - 1 - j, and q - 1 elsewhere. At row c it is the symbol before each
     # strand's first; the lx + 1 rows before y's and the row after x's are
     # read only by cells past the end, whose cross terms, at least -q, are
-    # added to _UNREACHABLE. Symbols are int8 when they fit: the band's
-    # comparisons then read an eighth of the bytes, and at q=2 a 4-lane L=200
-    # solve took 2.1 ms against 2.4 ms on int64 symbols, t_star at L=3000 70
-    # ms against 99 ms (2-vCPU VM, best of 15).
+    # added to the sentinel. Symbols are int8 when they fit, so the band's
+    # comparisons read an eighth of the bytes: a 4-lane q=2, L=200 solve took
+    # 2.1 ms against 2.4 ms on int64 symbols (2-vCPU VM, best of 15).
     c = top + 1
     grid = np.empty((c + lx + 2, lanes), dtype=np.int8 if q <= 128 else np.int64)
     grid.fill(q - 1)
@@ -182,8 +239,9 @@ def _wavefront(xs, ys, q: int, ties: list | None = None) -> np.ndarray:
     # U' of diagonal d sits at (d' + i) * B + b with d' = top - d, so U'(i, d - i)
     # overwrites U'(i + 1, d - i) in place; V' sits at i * B + b. Entries never
     # written stay _UNREACHABLE, which is what the cells past the end read.
-    uv = np.empty((top + lx + 2) * lanes, dtype=np.int64)
-    uv.fill(_UNREACHABLE)
+    value, unreachable = _value_type(q, lx, ly)
+    uv = np.empty((top + lx + 2) * lanes, dtype=value)
+    uv.fill(unreachable)
     u, v = uv[:(top + 1) * lanes], uv[(top + 1) * lanes:]
     # U' and V' at (len_x, len_y): q N - (q - 1) plus each strand's last
     # symbol, in Python ints, which cost less than numpy calls on B values
@@ -196,10 +254,7 @@ def _wavefront(xs, ys, q: int, ties: list | None = None) -> np.ndarray:
     width_max = (lx + 1) * lanes
     y_rows = np.ndarray((c, width_max + lanes), sym.dtype, sym, 0, (lanes * size, size))
     wrap_rows = np.ndarray((c, width_max), np.int8, wrap, 0, (lanes, 1))
-    # Local names for the loop's numpy calls take 3-9% off t_star at L=16
-    # to 10^4 and off the lane solves above
-    if ties is not None:
-        append, packbits, greater = ties.append, np.packbits, np.greater
+    # Local names for the loop's numpy calls took 3-9% off solves at L=16 to 10^4
     add, minimum, less_equal, subtract, multiply = (
         np.add, np.minimum, np.less_equal, np.subtract, np.multiply)
     rows = max(4, _BAND_CELLS // width_max)
@@ -217,12 +272,12 @@ def _wavefront(xs, ys, q: int, ties: list | None = None) -> np.ndarray:
             x_at = (c + 1 + i0) * lanes
             x_sym = sym[x_at - lanes:x_at + width]
             y_sym = y_rows[r0:r1, :width + lanes]
-            # the differences are int8; dtype makes the products int64 under
-            # any numpy's promotion rules, as the adds below need
+            # the differences are int8; dtype makes the products the values'
+            # type under any numpy's promotion rules, as the adds below need
             e = multiply(subtract(less_equal(y_sym, x_sym)[:, :width], wrap_rows[r0:r1, :width]),
-                         q, dtype=np.int64).ravel()
+                         q, dtype=value).ravel()
             f = multiply(subtract(less_equal(x_sym, y_sym)[:, lanes:], wrap[x_at:x_at + width]),
-                         q, dtype=np.int64).ravel()
+                         q, dtype=value).ravel()
         lo = d - ly if d > ly else 0
         a = lo * lanes
         n = ((d if d < lx else lx) + 1) * lanes - a
@@ -235,8 +290,6 @@ def _wavefront(xs, ys, q: int, ties: list | None = None) -> np.ndarray:
         add(vd, ed, ed)
         add(ud, fd, fd)
         minimum(fd, vd, out=vd)
-        if ties is not None:
-            append(packbits(greater(ud, ed)).tobytes())
         minimum(ud, ed, out=ud)
     return u[top * lanes:]
 
@@ -305,26 +358,29 @@ def dp_solve(x, y, q: int) -> DpTable:
 
 
 def t_star(x, y, q: int) -> int:
-    """Optimal completion time of the pair, in O(len_x + len_y) memory.
+    """Optimal completion time of the pair, in O(len_y) memory.
 
-    Equals dp_solve(x, y, q).value(0, 0, 0) without building the table: the
-    wavefront keeps one diagonal and one band of at most _BAND_CELLS cells.
+    Equals dp_solve(x, y, q).value(0, 0, 0) without building the table:
+    _row_sweep keeps one row and one block of at most _BAND_CELLS cells.
     Refuses, before allocating, an alphabet so large that q * (len_x + len_y
     + 1) reaches 2**60. The Monte Carlo harness solves its equal-length
-    trials as lanes of the same wavefront (_t_star_lanes).
+    trials as lanes of one wavefront (_t_star_lanes).
     """
     x = validate_strand(x, q)
     y = validate_strand(y, q)
     _check_range(q, len(x), len(y))
-    return int(_wavefront((x,), (y,), q)[0])
+    return _row_sweep(x, y, q)
 
 
 def _t_star_lanes(xs, ys, q: int) -> list[int]:
     """Optimal completion time of each pair (xs[b], ys[b]), solved as lanes of one wavefront.
 
-    Every x has one length and every y one length, the strands are
-    already valid and _check_range passes: nothing is checked.
+    A single pair sweeps rows instead, as t_star does. Every x has one
+    length and every y one length, the strands are already valid and
+    _check_range passes: nothing is checked.
     """
+    if len(xs) == 1:
+        return [_row_sweep(xs[0], ys[0], q)]
     return _wavefront(xs, ys, q).tolist()
 
 
@@ -380,8 +436,8 @@ def optimal_schedule(x, y, q: int) -> OptimalResult:
     Equals reconstruct(x, y, dp_solve(x, y, q)). The schedule is the greedy
     walk of model._run: the strand whose next symbol comes round first
     advances after that many idles, and when both come round in the same
-    slot the tie bit of the cell picks X iff W(i + 1, j, X) <=
-    W(i, j + 1, Y), reconstruct's rule. Refuses, before allocating, more
+    slot the tie bit _row_sweep keeps for the cell picks X iff W(i + 1, j,
+    X) <= W(i, j + 1, Y), reconstruct's rule. Refuses, before allocating, more
     than MAX_TIE_BITS cells or q * (len_x + len_y + 1) >= 2**60, and before
     the walk an optimum of more than MAX_SCHEDULE_SLOTS slots; raises
     TableIntegrityError if the walk does not score the optimum.
@@ -394,16 +450,16 @@ def optimal_schedule(x, y, q: int) -> OptimalResult:
     cells = (lx + 1) * (ly + 1)
     if cells > MAX_TIE_BITS:
         raise BudgetExceededError(cells, MAX_TIE_BITS, what="tie-bit table", unit="bits")
-    ties: list[bytes] = []  # diagonal d at ties[lx + ly - 1 - d]
-    slots = int(_wavefront((x,), (y,), q, ties)[0])
+    ties: list[bytes] = []  # row i at ties[lx - 1 - i]
+    slots = _row_sweep(x, y, q, ties)
     if slots > MAX_SCHEDULE_SLOTS:
         raise BudgetExceededError(slots, MAX_SCHEDULE_SLOTS, what="optimal schedule",
                                   unit="slots")
-    top = lx + ly - 1
+    last_x, last_y = lx - 1, ly - 1
 
     def tie_bit_rule(i, j, r, la_x, la_y, n, coin):
-        k = i - max(0, i + j - ly)  # cell (i, j) within its diagonal
-        return not (ties[top - i - j][k >> 3] >> (7 - (k & 7))) & 1
+        k = last_y - j  # cell (i, j) within its row
+        return not (ties[last_x - i][k >> 3] >> (7 - (k & 7))) & 1
 
     return _walk(x, y, q, tie_bit_rule, slots, "tie-bit walk", "the solver")
 

@@ -11,7 +11,8 @@ import sys
 
 import pytest
 
-from rowsynth import Schedule, apply_schedule, policy_names
+from rowsynth import (Schedule, apply_schedule, enumerate_interleavings_min, policy_names,
+                      trial_rng)
 from rowsynth import cli, experiments
 from rowsynth.cli import load_config, main
 
@@ -104,6 +105,13 @@ class TestSolverRange:
             assert proc.returncode == 0, proc.stderr
             docs[command] = json.loads(proc.stdout)
         assert docs["solve"]["tStar"] == docs["oracle"]["tStar"] == 8
+        # conjecture solves its two trials as lanes of the wavefront, on int64 values
+        proc = self._capped("sys.exit(main(sys.argv[1:]))", "conjecture", "--q", "1000000000",
+                            "--length", "2", "--trials", "2", "--seed", "7", "--no-timestamp")
+        assert proc.returncode == 0, proc.stderr
+        pairs = [experiments._random_pair(trial_rng(7, idx), 10**9, 2) for idx in range(2)]
+        times = [enumerate_interleavings_min(x, y, 10**9) for x, y in pairs]
+        assert json.loads(proc.stdout)["meanTStar"] == sum(times) / 2
 
     @pytest.mark.parametrize("statement", [
         "sys.exit(main(['simulate', '--q', '1000000000', '--x', '5,4', '--y', '1,2']))",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from itertools import islice, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from rowsynth import (
     synthesis_rate,
     visit_values,
 )
+from rowsynth import markov
 from rowsynth.errors import ConfigError, InvalidStrandError
 from rowsynth.markov import _offset_chain, _rotations
 from rowsynth.rng import BlockDraws, master_rng
@@ -464,21 +466,21 @@ def _slot_by_slot_rotations(q, rule, draws):
         yield v_x, v_y, slots
 
 
-def _rotation_stream(producer, q, seed, policy, n, block):
-    """First n rotations of producer under a catalog policy's rule, plus the next draw."""
-    draws = BlockDraws(master_rng(seed), q, block=block)
-    out = list(islice(producer(q, get_policy(policy).tie_rule(q), draws), n))
-    return out, draws.integers(q)
-
-
 @settings(max_examples=150, deadline=None)
 @given(q=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
        policy=st.sampled_from(["x-first", "y-first", "lf", "round-robin"]),
        n=st.integers(1, 300), block=st.sampled_from([1, 7, 64, 8192]))
 def test_rotations_equal_slot_by_slot_chain(q, seed, policy, n, block):
-    # same rotations and the same stream position afterwards
-    assert (_rotation_stream(_rotations, q, seed, policy, n, block)
-            == _rotation_stream(_slot_by_slot_rotations, q, seed, policy, n, block))
+    # the generator's blocks give BlockDraws' stream over it: the same
+    # rotations, and the generator left in the same state afterwards
+    rule = get_policy(policy).tie_rule(q)
+    gen, reference_gen = master_rng(seed), master_rng(seed)
+    with mock.patch.object(markov, "_DRAW_BLOCK", block):
+        rotations = list(islice(_rotations(q, rule, gen), n))
+    draws = BlockDraws(reference_gen, q, block=block)
+    assert rotations == list(islice(_slot_by_slot_rotations(q, rule, draws), n))
+    assert (gen.bit_generator.random_raw(4).tolist()
+            == reference_gen.bit_generator.random_raw(4).tolist())
 
 
 def test_rotations_consult_tie_rule_once_per_rotation():
@@ -488,7 +490,7 @@ def test_rotations_consult_tie_rule_once_per_rotation():
         calls.append((i, j, ties))
         return False
 
-    rotations = list(islice(_rotations(4, rule, BlockDraws(master_rng(5), 4)), 50))
+    rotations = list(islice(_rotations(4, rule, master_rng(5)), 50))
     assert len(calls) == 50
     assert all(v_y >= 1 for _, v_y, _ in rotations)
     # each call sees the advances of the rotations before it, and their number

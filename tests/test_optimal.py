@@ -158,7 +158,7 @@ class TestOptimalSchedule:
         assert apply_schedule(x, y, result.schedule, 2) == result.t_star
 
     def test_refuses_by_cell_count_before_allocating(self, monkeypatch):
-        monkeypatch.setattr(optimal, "_wavefront", None)  # any solving step would fail
+        _stub_kernels(monkeypatch)
         x = (0,) * 31623
         with pytest.raises(BudgetExceededError) as err:
             optimal_schedule(x, x, 2)
@@ -167,14 +167,14 @@ class TestOptimalSchedule:
         assert "bits" in str(err.value)
 
     def test_rejects_tie_bits_that_miss_the_optimum(self, monkeypatch):
-        wavefront = optimal._wavefront
+        row_sweep = optimal._row_sweep
 
         def flipped(x, y, q, ties):
-            root = wavefront(x, y, q, ties)
+            root = row_sweep(x, y, q, ties)
             ties[:] = [bytes(255 - b for b in row) for row in ties]
             return root
 
-        monkeypatch.setattr(optimal, "_wavefront", flipped)
+        monkeypatch.setattr(optimal, "_row_sweep", flipped)
         with pytest.raises(TableIntegrityError):
             optimal_schedule((0, 1), (0, 0), 2)
 
@@ -200,6 +200,44 @@ def lane_instances(draw, alphabets=st.integers(2, 6), lanes=6, length=20):
     xs = strands(draw(st.integers(0, length)))
     ys = strands(draw(st.integers(0, length)))
     return q, xs, ys, draw(st.integers(1, 64))
+
+
+def _stub_kernels(monkeypatch):
+    """Make both solver kernels fail on any call, so a refusal must come first."""
+    monkeypatch.setattr(optimal, "_row_sweep", None)
+    monkeypatch.setattr(optimal, "_wavefront", None)
+
+
+class TestRowSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(solver_instances(), st.integers(1, 64))
+    def test_equals_table_root_and_the_oracle(self, instance, band):
+        """Blocks of 1 to 64 cells split rows as well as holding several."""
+        q, x, y = instance
+        with mock.patch.object(optimal, "_BAND_CELLS", band):
+            got = optimal._row_sweep(x, y, q)
+        assert got == dp_solve(x, y, q).value(0, 0, 0)
+        if len(x) <= 6 and len(y) <= 6:
+            assert got == enumerate_interleavings_min(x, y, q)
+
+    @pytest.mark.parametrize("lanes, kernel", [(1, "_row_sweep"), (2, "_wavefront"),
+                                                (5, "_wavefront")])
+    def test_one_pair_sweeps_rows_and_lanes_run_the_wavefront(self, monkeypatch, lanes, kernel):
+        calls = []
+
+        def spy(name):
+            solve = getattr(optimal, name)
+
+            def counted(*args):
+                calls.append(name)
+                return solve(*args)
+            return counted
+
+        for name in ("_row_sweep", "_wavefront"):
+            monkeypatch.setattr(optimal, name, spy(name))
+        xs, ys = [(0, 1, 1)] * lanes, [(1, 0)] * lanes
+        assert optimal._t_star_lanes(xs, ys, 2) == [t_star((0, 1, 1), (1, 0), 2)] * lanes
+        assert calls == [kernel, "_row_sweep"]
 
 
 class TestLanes:
@@ -231,7 +269,10 @@ class TestLanes:
 
 
 class TestSolverRange:
-    """No value exceeds q * (len_x + len_y), so int64 holds it; larger alphabets are refused first."""
+    """No value exceeds q * (len_x + len_y), so int64 holds it; larger alphabets are refused first.
+
+    Below q * (len_x + len_y + 1) = 2**30 the kernels' values are int32.
+    """
 
     def test_large_alphabet(self):
         assert t_star((0,), (1,), 10**8) == 2
@@ -240,6 +281,24 @@ class TestSolverRange:
         q = (optimal._UNREACHABLE - 1) // 4  # q * (2 + 1 + 1) just below it
         assert t_star((1, 0), (0,), q) == q + 1
         assert t_star((q - 1, q - 2), (q - 1,), q) == 2 * q  # a tie at slot q costs a round
+        lanes = optimal._t_star_lanes([(1, 0), (q - 1, q - 2)], [(0,), (q - 1,)], q)
+        assert lanes == [q + 1, 2 * q]
+
+    @pytest.mark.parametrize("len_x, len_y, q, value", [
+        (3, 3, (2**30 - 1) // 7, np.int32),  # q * 7 = 2**30 - 1
+        (4, 3, 2**30 // 8, np.int64),  # q * 8 = 2**30
+    ])
+    def test_value_type_boundary(self, len_x, len_y, q, value):
+        assert optimal._value_type(q, len_x, len_y)[0] is value
+        # each pair opens on a tie at slot q that costs a round; in the first
+        # every symbol wraps, so its shifted values reach q * (len_x + len_y) - 2
+        xs = [tuple(q - 1 - k for k in range(len_x)), (q - 1, 0, q - 2, 1)[:len_x]]
+        ys = [tuple(q - 1 - k for k in range(len_y)), (q - 1, q - 1, 3)]
+        expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
+        assert [t_star(x, y, q) for x, y in zip(xs, ys)] == expected
+        # optimal_schedule refuses these optima past MAX_SCHEDULE_SLOTS
+        assert [optimal._row_sweep(x, y, q, []) for x, y in zip(xs, ys)] == expected
+        assert optimal._t_star_lanes(xs, ys, q) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(lane_instances(st.sampled_from([2, 3, 4, 5, 6, 10**9]), lanes=4, length=6))
@@ -256,8 +315,9 @@ class TestSolverRange:
                     optimal_schedule(x, y, q)
                 assert err.value.required == t
 
-    def test_values_stay_int64_under_value_based_promotion(self, monkeypatch):
-        """numpy 1.x keeps an int8 array times a small scalar in int8, where NEP 50 gives int64."""
+    def test_values_keep_their_type_under_value_based_promotion(self, monkeypatch):
+        """numpy 1.x keeps an int8 array times a small scalar in int8, where NEP 50 gives the
+        values' int32 or int64; the kernels ask for that type by ``dtype``."""
         x, y = (1, 1, 0, 1) * 20, (0, 1, 0, 0) * 20
         expected = t_star(x, y, 2), optimal_schedule(x, y, 2), dp_solve(x, y, 2).values
         assert expected[0] > 127  # would wrap in int8
@@ -274,7 +334,7 @@ class TestSolverRange:
 
     @pytest.mark.parametrize("solve", [t_star, optimal_schedule])
     def test_refuses_past_the_int64_range_before_allocating(self, monkeypatch, solve):
-        monkeypatch.setattr(optimal, "_wavefront", None)  # any solving step would fail
+        _stub_kernels(monkeypatch)
         q = optimal._UNREACHABLE // 3 + 1  # q * (1 + 1 + 1) reaches it
         with pytest.raises(UnsupportedAlphabetError, match="2\\*\\*60"):
             solve((0,), (1,), q)
@@ -462,8 +522,8 @@ class TestSolverGolden:
         (8, 61, 47, 8928, "41395db070b3a398a7b39717f41fced19703bb5d661d130ecd0696ee4e8d5ee9"),
     ])
     def test_table_values(self, monkeypatch, seed, len_x, len_y, size, digest):
-        """dp_solve is the reference for the fast solver, so it and reconstruct run without it."""
-        monkeypatch.setattr(optimal, "_wavefront", None)  # any wavefront step would fail
+        """dp_solve is the reference for the fast solvers, so it and reconstruct run without them."""
+        _stub_kernels(monkeypatch)
         x, y = _seeded_pair(seed, 3, len_x, len_y)
         table = dp_solve(x, y, 3)
         values = table.values
