@@ -233,11 +233,11 @@ class TestRowSweep:
                 return solve(*args)
             return counted
 
+        expected = [t_star((0, 1, 1), (1, 0), 2)] * lanes
         for name in ("_row_sweep", "_wavefront"):
             monkeypatch.setattr(optimal, name, spy(name))
-        xs, ys = [(0, 1, 1)] * lanes, [(1, 0)] * lanes
-        assert optimal._t_star_lanes(xs, ys, 2) == [t_star((0, 1, 1), (1, 0), 2)] * lanes
-        assert calls == [kernel, "_row_sweep"]
+        assert optimal._t_star_lanes([(0, 1, 1)] * lanes, [(1, 0)] * lanes, 2) == expected
+        assert calls == [kernel]
 
 
 class TestLanes:
@@ -291,7 +291,7 @@ class TestSolverRange:
     def test_value_type_boundary(self, len_x, len_y, q, value):
         assert optimal._value_type(q, len_x, len_y)[0] is value
         # each pair opens on a tie at slot q that costs a round; in the first
-        # every symbol wraps, so its shifted values reach q * (len_x + len_y) - 2
+        # every symbol wraps, so its shifted values come within q of the bound
         xs = [tuple(q - 1 - k for k in range(len_x)), (q - 1, 0, q - 2, 1)[:len_x]]
         ys = [tuple(q - 1 - k for k in range(len_y)), (q - 1, q - 1, 3)]
         expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
