@@ -35,8 +35,8 @@ from .experiments import (
     analytic_bounds,
     conjectured_optimal_slope,
     estimate_optimal_time,
+    experiment_rows,
     rows_to_csv,
-    run_experiment_row,
 )
 from .markov import closed_form_rotation, lf1_matrix, rotation_moments, stationary, synthesis_rate
 from .model import Schedule, apply_schedule, format_strand, parse_strand, simulate_k
@@ -283,8 +283,7 @@ def _cmd_experiment(args) -> int:
     if args.seed_given or "seed" not in raw:
         raw["seed"] = args.seed
     configs = expand_configs(raw, args.config or "<flags>")
-    rows = [run_experiment_row(cfg, workers=args.workers) for cfg in configs]
-    _emit_rows(args, rows)
+    _emit_rows(args, experiment_rows(configs, args.workers))
     return 0
 
 

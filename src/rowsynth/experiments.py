@@ -6,6 +6,13 @@ bound, and tabulates the analytic slope targets they converge to. Every
 trial draws its strands from a substream keyed by (master seed, trial
 index), so estimates are bit-reproducible regardless of worker count, and
 runs that share a seed see identical strands trial by trial.
+
+Policy estimates that share (q, L, trials, seed) form a sweep group and
+run as one pass: each trial draws its strands and builds their solo
+slots once, every policy of the group walks them, and a coin-drawing
+policy starts from the trial generator's state right after the strands.
+So a group's rows equal one estimate_policy_time per policy, trial by
+trial, while paying one draw per trial and at most one process pool.
 """
 
 from __future__ import annotations
@@ -18,10 +25,10 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError
-from .model import Strand, _run, _solo_time, _tie_args, validate_alphabet
+from .model import Strand, _run, _solo_slots, _solo_time, validate_alphabet
 from .optimal import _check_range, _t_star_lanes
 from .policies import TiePolicy, get_policy, policy_names
-from .rng import BlockDraws, DEFAULT_SEED, trial_rng, validate_seed
+from .rng import DEFAULT_SEED, block_stream, trial_rng, validate_seed
 
 
 @dataclass(frozen=True)
@@ -74,7 +81,7 @@ def random_strand(q: int, length: int, rng: np.random.Generator) -> Strand:
     return tuple(rng.integers(0, q, size=length).tolist())
 
 
-def _summarize(times: list[int], length: int) -> EstimateResult:
+def _summarize(times, length: int) -> EstimateResult:
     arr = np.asarray(times, dtype=float)
     mean = float(arr.mean())
     stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else None
@@ -85,13 +92,37 @@ def _random_pair(gen: np.random.Generator, q: int, length: int) -> tuple[Strand,
     return random_strand(q, length, gen), random_strand(q, length, gen)
 
 
-# The trial measures pass strands random_strand has just drawn, valid by
+# The trial measures pass strands they have just drawn, valid by
 # construction, to internal entries that do not check them again.
-def _policy_trial(gen: np.random.Generator, q: int, length: int, policy_name: str) -> int:
-    policy = get_policy(policy_name)
-    x, y = _random_pair(gen, q, length)
-    coins = BlockDraws(gen, 2) if policy.uses_rng else None
-    return _run(x, y, q, *_tie_args(policy, q, coins))
+def _policy_block(seed: int, args: tuple, lo: int, hi: int) -> list[tuple[int, ...]]:
+    """Completion times of trials lo..hi - 1, one per policy named in ``args``.
+
+    A trial draws its strands once from trial_rng(seed, idx), x then y as
+    random_strand would, and builds their solo slots once from the drawn
+    arrays; every policy walks them. A policy that draws coins starts from
+    the generator's state right after the strands, restored for each one.
+    """
+    q, length, names = args
+    policies = [get_policy(name) for name in names]
+    rules = [policy.tie_rule(q) for policy in policies]
+    look = any(policy.lookahead for policy in policies)
+    coined = any(policy.uses_rng for policy in policies)
+    rows = []
+    for idx in range(lo, hi):
+        gen = trial_rng(seed, idx)
+        ax, ay = gen.integers(0, q, size=length), gen.integers(0, q, size=length)
+        slots = _solo_slots(ax, q), _solo_slots(ay, q)
+        x, y = (ax.tolist(), ay.tolist()) if look else (ax, ay)  # read only by lookahead
+        state = gen.bit_generator.state if coined else None
+        times = []
+        for policy, rule in zip(policies, rules):
+            coins = None
+            if policy.uses_rng:
+                gen.bit_generator.state = state
+                coins = block_stream(gen, 2)
+            times.append(_run(x, y, q, rule, coins, policy.lookahead == 1, None, slots))
+        rows.append(tuple(times))
+    return rows
 
 
 def _solo_trial(gen: np.random.Generator, q: int, length: int) -> int:
@@ -138,15 +169,29 @@ def _optimal_block(seed: int, args: tuple, lo: int, hi: int) -> list[int]:
     return times
 
 
-def _map_trials(block, seed: int, args: tuple, trials: int, workers: int) -> list[int]:
+# Symbol walks (trials x L x policies) below which a policy sweep group
+# runs serially at any --workers. A fresh `rowsynth experiment` process paid
+# about 30-45 ms for a pool of two (the multiprocessing import, two forks).
+# Median wall time of the call, serial / --workers 2, over 7 alternating
+# fresh processes (lf, L=2000 unless noted; 2-vCPU VM): at q=2, 32 / 58 ms
+# at 5 * 10**4 walks, 76 / 91 at 10**5, 116 / 110 at 1.5 * 10**5, 148 / 127
+# at 2 * 10**5, 214 / 160 at 3 * 10**5; six policies, 80 / 91 at 1.2 * 10**5
+# and 148 / 126 at 2.4 * 10**5. A walk at q=4 has fewer ties and costs about
+# half as much: 64 / 97 ms at 2 * 10**5, 171 / 158 at 3 * 10**5.
+_POOL_MIN_WALKS = 200_000
+
+
+def _map_trials(block, seed: int, args: tuple, trials: int, workers: int,
+                walks: int | None = None) -> list:
     """Every trial's result, in index order, from ``block(seed, args, lo, hi)``.
 
     A block measure returns the results of trials lo..hi - 1, each drawn
     from its own substream trial_rng(seed, idx). With more than one worker
-    the indices are split into one contiguous block per process.
+    the indices are split into one contiguous block per process, unless
+    ``walks`` says the work is under _POOL_MIN_WALKS.
     """
     workers = pool_size(workers, trials)
-    if workers == 1:
+    if workers == 1 or walks is not None and walks < _POOL_MIN_WALKS:
         return block(seed, args, 0, trials)
     from concurrent.futures import ProcessPoolExecutor  # only a pool pays for its import
     chunk = -(-trials // workers)
@@ -157,12 +202,32 @@ def _map_trials(block, seed: int, args: tuple, trials: int, workers: int) -> lis
         return [t for times in blocks for t in times]
 
 
+def estimate_policy_times(configs, workers: int = 1) -> list[EstimateResult]:
+    """estimate_policy_time of each config, in config order, one pass per sweep group.
+
+    Configs that share (q, L, trials, seed) form a group. Each of its
+    trials draws its strands once, and every policy of the group walks
+    them, so a group costs one draw per trial and starts at most one
+    pool. A policy listed twice reuses its result. Every config is
+    validated before any trial runs.
+    """
+    configs = [config.validated() for config in configs]
+    groups: dict[tuple, dict[str, None]] = {}
+    for c in configs:
+        groups.setdefault((c.q, c.length, c.trials, c.seed), {})[c.policy] = None
+    results = {}
+    for key, names in groups.items():
+        q, length, trials, seed = key
+        times = _map_trials(_policy_block, seed, (q, length, tuple(names)), trials,
+                            workers, trials * length * len(names))
+        for name, column in zip(names, zip(*times)):
+            results[key + (name,)] = _summarize(column, length)
+    return [results[c.q, c.length, c.trials, c.seed, c.policy] for c in configs]
+
+
 def estimate_policy_time(config: ExperimentConfig, workers: int = 1) -> EstimateResult:
     """Mean completion time of the configured policy over random pairs."""
-    config = config.validated()
-    times = _map_trials(partial(_trial_block, _policy_trial), config.seed,
-                        (config.q, config.length, config.policy), config.trials, workers)
-    return _summarize(times, config.length)
+    return estimate_policy_times([config], workers)[0]
 
 
 def estimate_optimal_time(config: ExperimentConfig, workers: int = 1) -> EstimateResult:
@@ -294,19 +359,19 @@ def no_lookahead_floor_check(q: int, length: int, trials: int, policies,
     """
     if trials < 2:
         raise ConfigError(f"the floor check needs at least 2 trials, got {trials}")
+    configs = [ExperimentConfig(q, length, trials, seed,
+                                p.name if isinstance(p, TiePolicy) else p).validated()
+               for p in policies]
+    for config in configs:
+        if get_policy(config.policy).lookahead != 0:
+            raise ConfigError(f"policy {config.policy!r} uses lookahead; "
+                              "the floor covers depth-0 only")
     floor = lf_slope(q)
     out = []
-    for policy in policies:
-        if isinstance(policy, TiePolicy):
-            policy = policy.name
-        if get_policy(policy).lookahead != 0:
-            raise ConfigError(f"policy {policy!r} uses lookahead; the floor covers depth-0 only")
-        est = estimate_policy_time(
-            ExperimentConfig(q, length, trials, seed, policy), workers=workers
-        )
+    for config, est in zip(configs, estimate_policy_times(configs, workers)):
         slope_stderr = est.stderr / length
         epsilon = 4 * slope_stderr + 0.01 * floor
-        out.append(FloorCheck(policy, est.slope, slope_stderr, floor, epsilon,
+        out.append(FloorCheck(config.policy, est.slope, slope_stderr, floor, epsilon,
                               est.slope >= floor - epsilon))
     return out
 
@@ -317,9 +382,18 @@ EXPERIMENT_COLUMNS = ("q", "L", "policy", "trials", "seed",
                       "meanT", "stderr", "slope", "analyticSlope", "deltaSigma")
 
 
+def experiment_rows(configs, workers: int = 1) -> list[dict]:
+    """run_experiment_row of each config, in config order, one pass per sweep group."""
+    return [_experiment_row(config, est)
+            for config, est in zip(configs, estimate_policy_times(configs, workers))]
+
+
 def run_experiment_row(config: ExperimentConfig, workers: int = 1) -> dict:
     """One CSV-ready row of policy estimates plus the analytic target."""
-    est = estimate_policy_time(config, workers=workers)
+    return experiment_rows([config], workers)[0]
+
+
+def _experiment_row(config: ExperimentConfig, est: EstimateResult) -> dict:
     target = analytic_slope(config.policy, config.q)
     delta_sigma = None
     if target is not None and est.stderr:

@@ -31,14 +31,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, count, islice, product
+from itertools import count, islice, product
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .model import validate_alphabet
 from .policies import LF1, TieDecision, TieRule, policy_catalog
-from .rng import master_rng
+from .rng import block_stream, master_rng
 
 _DRAW_BLOCK = 8192  # offsets _rotations draws from its generator at a time
 
@@ -203,8 +203,7 @@ def _rotations(q: int, rule: TieRule, gen) -> Iterator[tuple[int, int, int]]:
     as ``rule(adv_x, adv_y, 0, None, None, ties, 0)``: each strand's
     advances and the ties (rotations) before it.
     """
-    draw = chain.from_iterable(gen.integers(0, q, size=_DRAW_BLOCK).tolist()[::-1]
-                               for _ in count()).__next__
+    draw = block_stream(gen, q, _DRAW_BLOCK)
     top = q - 1
     adv_x = adv_y = 0
     for ties in count():

@@ -9,24 +9,32 @@ completion time: the slot of the final advance.
 
 The greedy simulator never idles when progress is possible; when both
 strands can advance it defers to the tie policy. Its loop runs once per
-advance, not once per slot: between ties each strand runs solo, its next
-advance coming ((z_k - z_{k-1} - 1) mod q) + 1 slots after the previous
-one, and a tie delays the losing strand by exactly q slots. So the loop
-keeps the slot of each strand's next advance, advances the earlier one,
-and asks the policy's positional tie rule when the two slots are equal;
-forced idles are never visited unless a schedule is requested, in which
-case each advance fills in the idles it skipped. The loop takes the tie
-rule, a coin source and a lookahead flag rather than a policy, so the
-exact solver runs the same walk with a rule that reads its tie bits;
-rows of three or more strands step by the same rule. The one per-slot
-loop is apply_schedule's replay, which checks any schedule, idles
-allowed, and reads simulate's trace off each schedule it simulates.
+advance, not once per slot. Run alone, a strand's next advance comes
+((z_k - z_{k-1} - 1) mod q) + 1 slots after the previous one, so its
+solo slots, computed once per strand by _solo_slots, telescope to q times
+the wraps so far plus z_k - (q - 1). A tie delays the losing strand by
+exactly q slots, to the next time its symbol comes round, and leaves
+every later solo gap unchanged. So the loop keeps one offset per strand,
+q per lost tie, advances the strand whose next solo slot plus offset is
+earlier, and asks the policy's positional tie rule when the two are
+equal; when one strand finishes, the other's completion is its last solo
+slot plus its offset. Forced idles are never visited unless a schedule
+is requested, in which case each advance fills in the idles it skipped.
+The loop takes the tie rule, a coin source and a lookahead flag rather
+than a policy, so the exact solver runs the same walk with a rule that
+reads its tie bits, and the Monte Carlo harness hands it solo slots it
+built from the strands it drew; rows of three or more strands step by
+the same rule. The one per-slot loop is apply_schedule's replay, which
+checks any schedule, idles allowed, and reads simulate's trace off each
+schedule it simulates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index
+
+import numpy as np
 
 from .errors import (
     BudgetExceededError,
@@ -128,6 +136,45 @@ def _solo_time(z: Strand, q: int) -> int:
         t += ((s - cur - 1) % q) + 1
         cur = s
     return t
+
+
+# _solo_slots takes numpy from this strand length on, and while q * (len(z)
+# + 1) stays below _SLOT_RANGE, in int64. numpy's fixed cost loses below it:
+# from a tuple at q=3, numpy took 10.9 / 15.2 / 21.9 / 29.1 us at 4 / 64 /
+# 160 / 256 symbols, a Python loop 1.0 / 8.8 / 23.2 / 40.2 us (2-vCPU VM,
+# best of 5).
+_NUMPY_SLOTS = 160
+_SLOT_RANGE = 1 << 62
+
+
+def _solo_slots(z, q: int) -> list[int]:
+    """The slot of each advance of a valid strand z run alone from slot 1.
+
+    Telescoping _solo_time's sum gives S[k] = q * W[k] + z[k] - (q - 1),
+    where W[k] counts the wraps among z[0..k]: a symbol not above the one
+    before it, z[0] compared with q - 1, so z[0] always wraps. So S[-1] is
+    _solo_time(z, q). z may be a tuple or an integer numpy array; numpy
+    computes S in int64 (``less_equal`` and ``cumsum``) for strands of
+    _NUMPY_SLOTS symbols or more while q * (len(z) + 1) < 2**62, and
+    Python ints do otherwise.
+    """
+    n = len(z)
+    if n >= _NUMPY_SLOTS and q * (n + 1) < _SLOT_RANGE:
+        a = np.asarray(z, dtype=np.int64)
+        prev = np.empty(n, dtype=np.int64)
+        prev[0] = q - 1
+        prev[1:] = a[:-1]
+        wraps = np.less_equal(a, prev).cumsum(dtype=np.int64)
+        return (wraps * q + (a - (q - 1))).tolist()
+    if isinstance(z, np.ndarray):
+        z = z.tolist()
+    slots = []
+    wraps, prev = 0, q - 1
+    for s in z:
+        wraps += s <= prev
+        prev = s
+        slots.append(q * wraps + s - (q - 1))
+    return slots
 
 
 # --- actions and schedules -------------------------------------------------
@@ -243,76 +290,96 @@ class SimTrace:
         return iter(self.records)
 
 
-_ACTION_BY_INDEX = {0: IDLE, 1: ADVANCE_X, 2: ADVANCE_Y}
 _NEVER = float("inf")   # next-advance slot of a complete strand
 
 
 def _tie_args(policy: TiePolicy, q: int, rng) -> tuple:
     """``_run``'s tie arguments for a policy at q: its rule, coin source and lookahead flag.
 
-    The coin source is None for a policy that draws no coin, and the
-    default generator for one that does when no rng is given.
+    The coin source is None for a policy that draws no coin. For one that
+    does, each call returns int(rng.integers(2)), from the default
+    generator when no rng is given.
     """
     if not policy.uses_rng:
-        rng = None
-    elif rng is None:
-        rng = master_rng(DEFAULT_SEED)
-    return policy.tie_rule(q), rng, policy.lookahead == 1
+        return policy.tie_rule(q), None, policy.lookahead == 1
+    gen = master_rng(DEFAULT_SEED) if rng is None else rng
+    return policy.tie_rule(q), lambda: int(gen.integers(2)), policy.lookahead == 1
+
+
+def _lay_out(placed: list, t: int) -> list[Action]:
+    """One action per slot 1..t: strand s + 1 advances at each slot in placed[s].
+
+    A schedule past MAX_SCHEDULE_SLOTS raises BudgetExceededError, naming
+    its first advance past the budget, before anything is allocated.
+    """
+    if t > MAX_SCHEDULE_SLOTS:
+        first = min(u for slots in placed for u in slots if u > MAX_SCHEDULE_SLOTS)
+        raise BudgetExceededError(first, MAX_SCHEDULE_SLOTS, what="schedule", unit="slots")
+    actions = [IDLE] * t
+    for s, slots in enumerate(placed):
+        action = Action(s + 1)
+        for u in slots:
+            actions[u - 1] = action
+    return actions
 
 
 def _run(x: Strand, y: Strand, q: int, rule: TieRule, coins, look: bool,
-         actions: list | None = None) -> int:
+         actions: list | None = None, slots: tuple | None = None) -> int:
     """The greedy loop: one iteration per advance; returns the completion time.
 
-    ``tx``/``ty`` hold the slot of each strand's next advance (``_NEVER``
-    once it is complete). Running solo, a strand that advanced at slot t
-    advances next at t + 1 + ((next symbol - t) mod q); a tie at
-    ``tx == ty`` delays the loser by exactly q slots, to the next time its
-    symbol comes round. The earlier strand always advances first, so idle
-    slots cost nothing. At a tie ``rule`` is asked (True advances strand
-    1), with a coin from ``coins.integers(2)`` when ``coins`` is not None
-    and each strand's following symbol when ``look`` is set. When
-    ``actions`` is given, each advance appends the idles it skipped and
-    then itself, so the list holds one action per slot, and an advance at
-    slot t > MAX_SCHEDULE_SLOTS raises BudgetExceededError(t, ...) first.
+    Each strand advances at its solo slots (``slots``, else _solo_slots of
+    x and y) plus an offset, ``dx``/``dy``: q times the ties it has lost,
+    since a lost tie delays a strand by exactly q slots, to the next time
+    its symbol comes round, and leaves every later solo gap unchanged. The
+    earlier of ``tx``/``ty`` advances, so idle slots cost nothing. At a
+    tie ``rule`` is asked (True advances strand 1), with a coin from
+    ``coins()`` when ``coins`` is not None and each strand's
+    following symbol when ``look`` is set; the loser's offset grows by q,
+    and the winner then advances as the earlier strand. The loop stops
+    when a strand runs out of slots (its IndexError is the only end test),
+    and the other finishes at its last solo slot plus its offset. When
+    ``actions`` is given, the walk keeps each strand's advance slots, the
+    other strand's remaining ones included, and _lay_out appends one action
+    per slot to it; a schedule past MAX_SCHEDULE_SLOTS raises
+    BudgetExceededError(t, ...), t its first advance past the budget, first.
     """
-    lx, ly = len(x), len(y)
-    i = j = ties = last = 0
-    tx = x[0] + 1 if lx else _NEVER
-    ty = y[0] + 1 if ly else _NEVER
-    while True:
-        if tx < ty:
-            t = tx
-            adv = 1
-        elif ty < tx:
-            t = ty
-            adv = 2
-        elif tx == _NEVER:
-            return last
-        else:
-            t = tx
-            coin = int(coins.integers(2)) if coins is not None else 0
+    sx, sy = slots if slots is not None else (_solo_slots(x, q), _solo_slots(y, q))
+    lx, ly = len(sx), len(sy)
+    i = j = ties = dx = dy = 0
+    placed = ([], [])  # each strand's advance slots, kept for ``actions``
+    if lx and ly:
+        tx, ty = sx[0], sy[0]
+        while True:
+            try:
+                while tx != ty:
+                    if tx < ty:
+                        if actions is not None:
+                            placed[0].append(tx)
+                        i += 1
+                        tx = sx[i] + dx
+                    else:
+                        if actions is not None:
+                            placed[1].append(ty)
+                        j += 1
+                        ty = sy[j] + dy
+            except IndexError:
+                break
+            coin = coins() if coins is not None else 0
             la_x = x[i + 1] if look and i + 1 < lx else None
             la_y = y[j + 1] if look and j + 1 < ly else None
-            if rule(i, j, (t - 1) % q, la_x, la_y, ties, coin):
-                adv = 1
+            if rule(i, j, (tx - 1) % q, la_x, la_y, ties, coin):
+                dy += q
                 ty += q
             else:
-                adv = 2
+                dx += q
                 tx += q
             ties += 1
-        if actions is not None:
-            if t > MAX_SCHEDULE_SLOTS:
-                raise BudgetExceededError(t, MAX_SCHEDULE_SLOTS, what="schedule", unit="slots")
-            actions.extend([IDLE] * (t - last - 1))
-            actions.append(_ACTION_BY_INDEX[adv])
-        last = t
-        if adv == 1:
-            i += 1
-            tx = t + 1 + (x[i] - t) % q if i < lx else _NEVER
-        else:
-            j += 1
-            ty = t + 1 + (y[j] - t) % q if j < ly else _NEVER
+    other, rest, k, d = (1, sy, j, dy) if i == lx else (0, sx, i, dx)
+    t = rest[-1] + d if rest else 0
+    if actions is not None:
+        placed[other].extend([u + d for u in rest[k:]])
+        actions += _lay_out(placed, t)
+    return t
 
 
 def simulate(x, y, policy: TiePolicy, q: int, rng=None) -> tuple[Schedule, SimTrace]:
@@ -357,9 +424,11 @@ def simulate_k(strands, policy: TiePolicy, q: int, rng=None) -> Schedule:
         raise ConfigError(f"policy {policy.name!r} has no selection rule for k > 2 strands")
     if policy.uses_rng and rng is None:
         rng = master_rng(DEFAULT_SEED)
+    slots = [_solo_slots(z, q) for z in strands]
     done = [0] * len(strands)
-    nxt = [z[0] + 1 if z else _NEVER for z in strands]  # slot of each next advance
-    actions = []
+    delay = [0] * len(strands)  # q per lost tie
+    nxt = [z[0] if z else _NEVER for z in slots]  # slot of each next advance
+    placed = [[] for _ in strands]
     ties = last = 0
     while (t := min(nxt, default=_NEVER)) != _NEVER:
         cands = [s for s, ts in enumerate(nxt) if ts == t]
@@ -369,16 +438,15 @@ def simulate_k(strands, policy: TiePolicy, q: int, rng=None) -> Schedule:
             chosen = policy.choose(cands, done, HistoryDigest(ties, coin))
             ties += 1
             for s in cands:
-                nxt[s] += q  # the winner's is set again below
-        if t > MAX_SCHEDULE_SLOTS:
-            raise BudgetExceededError(t, MAX_SCHEDULE_SLOTS, what="schedule", unit="slots")
-        actions.extend([IDLE] * (t - last - 1))
-        actions.append(Action(chosen + 1))
+                if s != chosen:
+                    delay[s] += q
+                    nxt[s] += q
+        placed[chosen].append(t)
         last = t
         done[chosen] += 1
-        z, i = strands[chosen], done[chosen]
-        nxt[chosen] = t + 1 + (z[i] - t) % q if i < len(z) else _NEVER
-    return Schedule(tuple(actions))
+        z, i = slots[chosen], done[chosen]
+        nxt[chosen] = z[i] + delay[chosen] if i < len(z) else _NEVER
+    return Schedule(tuple(_lay_out(placed, last)))
 
 
 def _replay(x: Strand, y: Strand, q: int, actions, records: list | None = None):

@@ -10,6 +10,8 @@ import pytest
 from rowsynth import (
     ConfigError,
     ExperimentConfig,
+    completion_time,
+    get_policy,
     analytic_bounds,
     analytic_slope,
     conjectured_optimal_slope,
@@ -24,13 +26,17 @@ from rowsynth import (
     trial_rng,
 )
 from rowsynth import experiments
+from rowsynth.cli import expand_configs
 from rowsynth.experiments import (
     EXPERIMENT_COLUMNS,
+    estimate_policy_times,
+    experiment_rows,
     format_cell,
     pool_size,
     rows_to_csv,
     run_experiment_row,
 )
+from rowsynth.rng import BlockDraws
 
 
 class TestRandomStrand:
@@ -347,6 +353,137 @@ class TestSingleTrial:
     def test_floor_check_refuses(self):
         with pytest.raises(ConfigError):
             no_lookahead_floor_check(2, 50, 1, ["lf"])
+
+
+class TestFloorCheckNames:
+    @pytest.mark.parametrize("policies", [["nope"], ["lf", "nope"], ["lf", "lf1", "nope"]])
+    def test_every_name_is_checked_before_any_trial(self, monkeypatch, policies):
+        monkeypatch.setattr(experiments, "_map_trials", None)  # any trial would fail
+        with pytest.raises(ConfigError):
+            no_lookahead_floor_check(2, 50, 4, policies)
+
+    def test_unknown_name_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="unknown policy 'nope'"):
+            no_lookahead_floor_check(2, 50, 4, ["nope"])
+
+    def test_one_pass_and_a_repeated_policy_reuses_its_result(self, monkeypatch):
+        calls = []
+        map_trials = experiments._map_trials
+        monkeypatch.setattr(experiments, "_map_trials",
+                            lambda *args: calls.append(args[2]) or map_trials(*args))
+        checks = no_lookahead_floor_check(2, 60, 6, ["lf", get_policy("x-first"), "lf"], 5)
+        assert calls == [(2, 60, ("lf", "x-first"))]
+        assert [c.policy for c in checks] == ["lf", "x-first", "lf"]
+        assert checks[0] == checks[2]
+        assert checks[1].slope == estimate_policy_time(
+            ExperimentConfig(2, 60, 6, 5, "x-first")).slope
+
+
+def reference_policy_times(config):
+    """Per-trial completion_time on freshly drawn strands, one policy at a time.
+
+    A trial draws x then y from trial_rng(seed, idx), and a coin-drawing
+    policy reads its coins from the same generator after them.
+    """
+    policy, times = get_policy(config.policy), []
+    for idx in range(config.trials):
+        gen = trial_rng(config.seed, idx)
+        x = random_strand(config.q, config.length, gen)
+        y = random_strand(config.q, config.length, gen)
+        times.append(completion_time(x, y, policy, config.q, BlockDraws(gen, 2)))
+    return tuple(times)
+
+
+ALL_POLICIES = ["x-first", "y-first", "lf", "lf1", "round-robin", "random"]
+DEPTH0 = ["x-first", "y-first", "lf", "round-robin", "random"]
+
+
+class TestGroupPass:
+    @pytest.mark.parametrize("q, names", [(2, ALL_POLICIES), (4, DEPTH0)])
+    def test_equals_one_estimate_per_policy_trial_by_trial(self, q, names):
+        configs = [ExperimentConfig(q, 90, 7, 31, name) for name in names]
+        group = estimate_policy_times(configs)
+        for config, est in zip(configs, group):
+            assert est == estimate_policy_time(config)
+            assert est.times == reference_policy_times(config)
+
+    def test_draws_each_trial_once_per_group(self, monkeypatch):
+        drawn = []
+        rng = experiments.trial_rng
+        monkeypatch.setattr(experiments, "trial_rng",
+                            lambda seed, idx: drawn.append((seed, idx)) or rng(seed, idx))
+        estimate_policy_times([ExperimentConfig(2, 50, 4, 9, name) for name in ALL_POLICIES]
+                              + [ExperimentConfig(2, 50, 4, 10, "lf")])
+        assert drawn == [(9, idx) for idx in range(4)] + [(10, idx) for idx in range(4)]
+
+    def test_random_listed_twice(self):
+        configs = [ExperimentConfig(3, 80, 6, 12, name)
+                   for name in ("random", "lf", "random", "x-first")]
+        group = estimate_policy_times(configs)
+        assert group[0] == group[2] == estimate_policy_time(configs[0])
+        assert group[0].times == reference_policy_times(configs[0])
+        assert [est.times for est in group[1::2]] == [reference_policy_times(c)
+                                                     for c in configs[1::2]]
+
+    def test_sweep_with_listed_trials_and_seeds(self, monkeypatch):
+        configs = expand_configs({"q": 2, "L": 70, "policy": ["lf", "random", "x-first"],
+                                  "trials": [3, 5], "seed": [1, 2]})
+        # the product puts policy before trials and seed: a group's rows are 4 apart
+        assert [(c.policy, c.trials, c.seed) for c in configs[:5]] == [
+            ("lf", 3, 1), ("lf", 3, 2), ("lf", 5, 1), ("lf", 5, 2), ("random", 3, 1)]
+        calls = []
+        map_trials = experiments._map_trials
+        monkeypatch.setattr(experiments, "_map_trials",
+                            lambda *args: calls.append(args[1]) or map_trials(*args))
+        rows = experiment_rows(configs)
+        assert calls == [1, 2, 1, 2]  # one pass per (trials, seed) group
+        assert rows == [run_experiment_row(c) for c in configs]
+        for config, row in zip(configs, rows):
+            assert row["meanT"] == np.mean(reference_policy_times(config))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_workers(self, monkeypatch, workers):
+        monkeypatch.setattr(experiments, "_POOL_MIN_WALKS", 0)  # a pool at any size
+        configs = [ExperimentConfig(2, 60, 5, 8, name) for name in ALL_POLICIES]
+        group = estimate_policy_times(configs, workers)
+        assert [est.times for est in group] == [reference_policy_times(c) for c in configs]
+
+
+class TestPoolThreshold:
+    def test_small_groups_run_serially_at_any_worker_count(self, monkeypatch):
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # no pool may start
+        cfg = ExperimentConfig(2, 100, 10, 3, "lf")
+        assert cfg.trials * cfg.length < experiments._POOL_MIN_WALKS
+        assert estimate_policy_time(cfg, workers=2) == estimate_policy_time(cfg)
+        with pytest.raises(ConfigError, match="worker count"):
+            estimate_policy_time(cfg, workers=0)
+
+    @pytest.mark.parametrize("walks, pooled", [(99, False), (100, True)])
+    def test_pool_starts_at_the_threshold(self, monkeypatch, walks, pooled):
+        import concurrent.futures
+
+        started = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(experiments, "_POOL_MIN_WALKS", 100)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        block = lambda seed, args, lo, hi: list(range(lo, hi))  # noqa: E731
+        assert experiments._map_trials(block, 0, (), 5, 2, walks) == [0, 1, 2, 3, 4]
+        assert started == ([2] if pooled else [])
+
+    def test_c12_config_is_byte_identical_through_the_pool(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_POOL_MIN_WALKS", 0)
+        cfg = ExperimentConfig(2, 400, 24, 0xDA7A, "random")
+        outputs = {rows_to_csv([run_experiment_row(cfg, workers=w)], EXPERIMENT_COLUMNS)
+                   for w in (1, 2, 3)}
+        assert len(outputs) == 1
 
 
 class TestPoolSize:

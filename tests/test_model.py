@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -87,6 +88,108 @@ class TestSoloTime:
                 assert solo_time(z, q) == reference_solo(z, q)
 
 
+def reference_solo_slots(z, q):
+    """Slot-by-slot greedy solo synthesis, recording the slot of every advance."""
+    slots, t = [], 0
+    for s in z:
+        t += 1
+        while (t - 1) % q != s:
+            t += 1
+        slots.append(t)
+    return slots
+
+
+class TestSoloSlots:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3, 4, 5, 6, 7, 300]).flatmap(
+        lambda q: st.tuples(st.just(q), st.lists(st.integers(0, q - 1), min_size=1,
+                                                 max_size=40))))
+    def test_last_slot_is_solo_time_and_every_slot_the_greedy_one(self, case):
+        q, z = case
+        expected = reference_solo_slots(z, q)
+        assert expected[-1] == model._solo_time(tuple(z), q)
+        for cutoff in (0, 10**9):  # numpy, then Python ints, whatever the length
+            with mock.patch.object(model, "_NUMPY_SLOTS", cutoff):
+                for strand in (tuple(z), np.array(z, dtype=np.int64)):
+                    slots = model._solo_slots(strand, q)
+                    assert slots == expected
+                    assert all(type(t) is int for t in slots)
+
+    @pytest.mark.parametrize("q", [2, 3, 7, 300])
+    def test_long_strands_take_numpy_and_match_python_ints(self, monkeypatch, q):
+        z = tuple(np.random.default_rng(q).integers(0, q, size=500).tolist())
+        slots = model._solo_slots(z, q)
+        assert slots == reference_solo_slots(z, q)
+        monkeypatch.setattr(model, "_SLOT_RANGE", 0)  # Python ints
+        assert model._solo_slots(z, q) == slots
+
+    def test_alphabet_past_the_int64_range(self):
+        q = 2**70
+        z = (5, 4, 2**69, 2**69, q - 1)
+        # gaps of ((z_k - z_{k-1} - 1) mod q) + 1, as solo_time sums them
+        expected, t, cur = [], 0, q - 1
+        for s in z:
+            t += (s - cur - 1) % q + 1
+            cur = s
+            expected.append(t)
+        assert model._solo_slots(z, q) == expected
+
+    @pytest.mark.parametrize("q", [2, 5, 2**70])
+    def test_empty_strand_has_no_slots(self, q):
+        assert model._solo_slots((), q) == []
+        assert model._solo_slots(np.array([], dtype=np.int64), q) == []
+
+
+class TestSoloSlotWalk:
+    def test_completion_past_the_int64_range(self):
+        lf = get_policy("lf")
+        q = 2**70
+        assert completion_time((5, 4, 2**69), (1, 2, 2**69), lf, q) == 1770887431076116955137
+
+    @pytest.mark.parametrize("name", ["x-first", "y-first", "lf", "random"])
+    @pytest.mark.parametrize("q", [2, 5])
+    def test_empty_strands(self, name, q):
+        policy, z = get_policy(name), (1, 0, 1, 1)
+        assert completion_time((), (), policy, q) == 0
+        assert completion_time(z, (), policy, q) == completion_time((), z, policy, q) == \
+            solo_time(z, q)
+        sched, _ = simulate((), z, policy, q)
+        assert sched.completion_time == solo_time(z, q)
+        assert {a.strand for a in sched if a.is_advance} == {2}
+        assert simulate_k([(), z, ()], policy, q).completion_time == solo_time(z, q)
+
+    # (x, y, q, refused slot): the slot of the first advance past a budget of
+    # 100, as the walk that stepped with (z - t) mod q reported it. In the
+    # first case y is done at slot 3 and x's 4 comes round at 1005; in the
+    # second both strands still run when y's 998 comes round at 999.
+    @pytest.mark.parametrize("x, y, q, refused", [
+        ((5, 4), (1, 2), 1000, 1005),
+        ((5, 4, 7), (1, 2, 998, 3), 1000, 999),
+        ((0, 1, 0, 1), (0, 1, 0, 1), 60, 121),
+        ((1,) * 30, (1,) * 30, 3, 101),
+        ((0,) * 50, (0,) * 50, 2, 101),
+    ])
+    @pytest.mark.parametrize("name", ["x-first", "y-first", "lf"])
+    def test_refused_schedule_reports_the_same_slot(self, monkeypatch, x, y, q, refused, name):
+        monkeypatch.setattr(model, "MAX_SCHEDULE_SLOTS", 100)
+        with pytest.raises(BudgetExceededError) as err:
+            simulate(x, y, get_policy(name), q)
+        assert err.value.required == refused
+        if len(x) == 2:  # a third strand, (q - 1,), is refused first, at slot q
+            with pytest.raises(BudgetExceededError) as err:
+                simulate_k([x, y, (q - 1,)], get_policy(name), q)
+            assert err.value.required == q
+
+    def test_given_slots_are_walked(self):
+        # slots shifted by 2q walk the same ties, two rounds later
+        x, y, q, lf = (0, 1, 1), (0, 0, 1), 2, get_policy("lf")
+        sx, sy = model._solo_slots(x, q), model._solo_slots(y, q)
+        shifted = ([t + 2 * q for t in sx], [t + 2 * q for t in sy])
+        rule, coins, look = model._tie_args(lf, q, None)
+        assert model._run(x, y, q, rule, coins, look, None, shifted) == \
+            completion_time(x, y, lf, q) + 2 * q
+
+
 class TestSimulate:
     def test_ordering_example_under_x_first(self):
         sched, trace = simulate(X1, Y1, get_policy("x-first"), 4)
@@ -152,7 +255,7 @@ class TestSimulate:
         assert [rec.t for rec in trace] == list(range(1, len(trace) + 1))
 
     def test_simulated_schedule_is_checked_against_the_model(self, monkeypatch):
-        def illegal_run(x, y, q, rule, coins, look, actions=None):
+        def illegal_run(x, y, q, rule, coins, look, actions=None, slots=None):
             actions.extend([Action(1), Action(2)])  # slot 2 emits 1; y needs 0
             return 2
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from rowsynth import ConfigError
-from rowsynth.rng import BlockDraws, master_rng
+from rowsynth.rng import BlockDraws, block_stream, master_rng
 
 
 class TestBlockDraws:
@@ -17,6 +17,15 @@ class TestBlockDraws:
         draws = BlockDraws(master_rng(2), 2)
         block = master_rng(2).integers(0, 2, size=8192).tolist()
         assert [draws.integers(2) for _ in range(50)] == block[::-1][:50]
+
+
+@pytest.mark.parametrize("base, block", [(2, 8192), (2, 3), (5, 1), (7, 64), (2, 1024),
+                                         (3, 1025), (4, 2500)])
+def test_block_stream_is_the_block_draws_stream(base, block):
+    draw = block_stream(master_rng(3), base, block)
+    draws = BlockDraws(master_rng(3), base, block)
+    n = 2 * block + 1100  # into a third block, across every run boundary of the first two
+    assert [draw() for _ in range(n)] == [draws.integers(base) for _ in range(n)]
 
 
 def test_master_rng_refuses_negative_seed():
