@@ -99,28 +99,28 @@ def _policy_block(seed: int, args: tuple, lo: int, hi: int) -> list[tuple[int, .
 
     A trial draws its strands once from trial_rng(seed, idx), x then y as
     random_strand would, and builds their solo slots once from the drawn
-    arrays; every policy walks them. A policy that draws coins starts from
-    the generator's state right after the strands, restored for each one.
+    arrays; every policy walks them, bound to the trial. A policy that draws
+    coins starts from the generator's state right after the strands,
+    restored for each one.
     """
     q, length, names = args
     policies = [get_policy(name) for name in names]
-    rules = [policy.tie_rule(q) for policy in policies]
     look = any(policy.lookahead for policy in policies)
     coined = any(policy.uses_rng for policy in policies)
     rows = []
     for idx in range(lo, hi):
         gen = trial_rng(seed, idx)
         ax, ay = gen.integers(0, q, size=length), gen.integers(0, q, size=length)
-        slots = _solo_slots(ax, q), _solo_slots(ay, q)
-        x, y = (ax.tolist(), ay.tolist()) if look else (ax, ay)  # read only by lookahead
+        sx, sy = _solo_slots(ax, q), _solo_slots(ay, q)
+        nx, ny = (ax[1:].tolist() + [None], ay[1:].tolist() + [None]) if look else (None, None)
         state = gen.bit_generator.state if coined else None
         times = []
-        for policy, rule in zip(policies, rules):
+        for policy in policies:
             coins = None
             if policy.uses_rng:
                 gen.bit_generator.state = state
                 coins = block_stream(gen, 2)
-            times.append(_run(x, y, q, rule, coins, policy.lookahead == 1, None, slots))
+            times.append(_run(sx, sy, q, policy.bind(q, nx, ny, coins)))
         rows.append(tuple(times))
     return rows
 

@@ -11,9 +11,9 @@ counts and its length in slots.
 
 This module simulates that chain, decomposes traces into rotations,
 evaluates the exact rotation moments, and builds exact transition matrices
-from the positional tie rule the simulator asks, with or without each
-strand's lookahead offset. lf1's rule at q=2 gives the 16-state binary
-lookahead chain, with its stationary law and per-slot synthesis rate.
+from the tie rule the simulator asks (TiePolicy.bind), with or without
+each strand's lookahead offset. lf1's rule at q=2 gives the 16-state
+binary lookahead chain, with its stationary law and per-slot synthesis rate.
 
 ``chain_step`` is the slot-by-slot reference. The rotation sampler behind
 ``rotation_moments`` and ``drift_series`` steps from advance to advance
@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .model import validate_alphabet
-from .policies import LF1, TieDecision, TieRule, policy_catalog
+from .policies import LF1, Tie, TieDecision, TiePolicy, policy_catalog
 from .rng import block_stream, master_rng
 
 _DRAW_BLOCK = 8192  # offsets _rotations draws from its generator at a time
@@ -187,27 +187,27 @@ def _policy_rotations(q: int, n_rotations: int, rng, policy: str) -> Iterator[tu
         raise ValueError(f"the offset chain cannot run policy {policy!r}; "
                          f"it runs {', '.join(runnable)}")
     gen = rng if isinstance(rng, np.random.Generator) else master_rng(rng)
-    return islice(_rotations(q, runnable[policy].tie_rule(q), gen), n_rotations)
+    return islice(_rotations(q, runnable[policy].bind(q), gen), n_rotations)
 
 
-def _rotations(q: int, rule: TieRule, gen) -> Iterator[tuple[int, int, int]]:
+def _rotations(q: int, tie: Tie, gen) -> Iterator[tuple[int, int, int]]:
     """Consecutive full rotations of the offset chain from (0, 0), as (v_x, v_y, slots).
 
     Steps from advance to advance: after each advance the forced idles,
     min(a, b) of them, are skipped in one step, and a rotation closes when
     that skip lands on (0, 0). Every advance takes one draw on [0, q) from
-    the numpy Generator ``gen`` in blocks, each read from its end, in the
-    order ``chain_step`` takes it, so a slot-by-slot ``chain_step`` loop on
-    ``rng.BlockDraws(gen, q, _DRAW_BLOCK)`` gives the same rotations. The
-    positional tie rule is asked at the (0, 0) slot that opens a rotation,
-    as ``rule(adv_x, adv_y, 0, None, None, ties, 0)``: each strand's
-    advances and the ties (rotations) before it.
+    the numpy Generator ``gen`` in blocks of _DRAW_BLOCK, each read from
+    its end (rng.block_stream), in the order ``chain_step`` takes it, so a
+    slot-by-slot ``chain_step`` loop on the same stream gives the same
+    rotations. The bound tie rule is asked at the (0, 0) slot that opens a
+    rotation, as ``tie(adv_x, adv_y, 1, rotation)``: each strand's advances
+    and the ties (rotations) before it, at a slot that emits 0.
     """
     draw = block_stream(gen, q, _DRAW_BLOCK)
     top = q - 1
     adv_x = adv_y = 0
-    for ties in count():
-        if rule(adv_x, adv_y, 0, None, None, ties, 0):
+    for rotation in count():
+        if tie(adv_x, adv_y, 1, rotation):
             a, b, v_x, v_y = draw(), top, 1, 0
         else:
             a, b, v_x, v_y = top, draw(), 0, 1
@@ -298,15 +298,16 @@ def visit_values(q: int) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
 # --- chains built from tie rules, and the binary one-symbol-lookahead chain --
 
 
-def _offset_chain(q: int, rule: TieRule, depth: int) -> list[list[Fraction]]:
-    """Exact transition rows of the offset chain under a positional tie rule.
+def _offset_chain(q: int, policy: TiePolicy, depth: int) -> list[list[Fraction]]:
+    """Exact transition rows of the offset chain under a policy's tie rule.
 
     A state holds the offsets (a, b), plus at depth 1 each strand's
     lookahead offset (c, d), in lexicographic order (8a + 4b + 2c + d at
     q=2). Each slot counts every offset down by one mod q. The advancing
     strand takes its lookahead offset as its new offset, and the slot this
-    frees redraws, each value with probability 1/q. At (0, 0) the chain asks
-    rule(0, 0, 0, c, d, 0, 0): at emission 0 an offset is its symbol.
+    frees redraws, each value with probability 1/q. At (0, 0) the chain
+    binds the policy to {0: c} and {0: d} and asks tie(0, 0, 1, 0): at
+    emission 0 an offset is its symbol.
     """
     states = list(product(range(q), repeat=2 + 2 * depth))
     index = {state: k for k, state in enumerate(states)}
@@ -322,7 +323,8 @@ def _offset_chain(q: int, rule: TieRule, depth: int) -> list[list[Fraction]]:
         if a or b:
             adv = 1 if a else 0  # the advancing strand: 0 for X, 1 for Y
         else:
-            adv = 0 if rule(0, 0, 0, *(look or (None, None)), 0, 0) else 1
+            c, d = look or (None, None)
+            adv = 0 if policy.bind(q, {0: c}, {0: d})(0, 0, 1, 0) else 1
         if depth:
             nxt[adv] = nxt[adv + 2]
         for v in range(q):
@@ -341,7 +343,7 @@ def lf1_matrix() -> list[list[Fraction]]:
     idles are deterministic. Ties ask lf1's own rule, so equal lookahead
     bits advance strand 1, which leaves the per-slot synthesis rate unchanged.
     """
-    return _offset_chain(2, LF1.tie_rule(2), 1)
+    return _offset_chain(2, LF1, 1)
 
 
 def _is_exact_matrix(rows) -> bool:

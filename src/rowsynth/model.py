@@ -16,15 +16,14 @@ the wraps so far plus z_k - (q - 1). A tie delays the losing strand by
 exactly q slots, to the next time its symbol comes round, and leaves
 every later solo gap unchanged. So the loop keeps one offset per strand,
 q per lost tie, advances the strand whose next solo slot plus offset is
-earlier, and asks the policy's positional tie rule when the two are
-equal; when one strand finishes, the other's completion is its last solo
-slot plus its offset. Forced idles are never visited unless a schedule
-is requested, in which case each advance fills in the idles it skipped.
-The loop takes the tie rule, a coin source and a lookahead flag rather
-than a policy, so the exact solver runs the same walk with a rule that
-reads its tie bits, and the Monte Carlo harness hands it solo slots it
-built from the strands it drew; rows of three or more strands step by
-the same rule. The one per-slot loop is apply_schedule's replay, which
+earlier, and asks tie(i, j, t, n), bound once per walk by TiePolicy.bind,
+when the two are equal; when one strand finishes, the other's completion
+is its last solo slot plus its offset. Forced idles are never visited: a
+schedule is rebuilt afterwards from where each strand lost its ties. The
+loop takes solo slots and a bound tie rule, so the exact solver runs it
+with a rule that reads its tie bits and the Monte Carlo harness with solo
+slots built from the strands it drew; rows of three or more strands step
+by the same rule. The one per-slot loop is apply_schedule's replay, which
 checks any schedule, idles allowed, and reads simulate's trace off each
 schedule it simulates.
 """
@@ -32,7 +31,8 @@ schedule it simulates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
+from itertools import accumulate
+from operator import add, index
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .errors import (
     InvalidStrandError,
     ScheduleError,
 )
-from .policies import HistoryDigest, TiePolicy, TieRule
+from .policies import HistoryDigest, Tie, TiePolicy
 from .rng import DEFAULT_SEED, master_rng
 
 Strand = tuple[int, ...]
@@ -53,6 +53,8 @@ Strand = tuple[int, ...]
 # tuple. A schedule's length grows with q as well as with the strands, so a
 # large alphabet exhausts memory with a few symbols unless it is refused.
 MAX_SCHEDULE_SLOTS = 10**7
+
+_BYTES = bytes(range(256))
 
 
 def validate_alphabet(q: int) -> int:
@@ -65,13 +67,16 @@ def validate_strand(strand, q: int) -> Strand:
     """Normalize to a tuple of ints and check every symbol is an integer in [0, q).
 
     Symbols convert with operator.index, so Python and numpy integers pass
-    while floats and strings are refused rather than truncated.
+    while floats and strings are refused rather than truncated; up to q =
+    256, bytes() converts and checks them first, 3x faster at 400 symbols.
     """
     validate_alphabet(q)
     strand = tuple(strand)
     try:
+        if q <= 256 and not (packed := bytes(strand)).translate(None, _BYTES[:q]):
+            return tuple(packed)
         out = tuple(map(index, strand))
-    except TypeError:
+    except (TypeError, ValueError):  # a symbol that is not an integer, or not a byte
         out = None
     if out is None or out and (min(out) < 0 or max(out) >= q):
         for k, s in enumerate(strand):
@@ -160,12 +165,10 @@ def _solo_slots(z, q: int) -> list[int]:
     """
     n = len(z)
     if n >= _NUMPY_SLOTS and q * (n + 1) < _SLOT_RANGE:
-        a = np.asarray(z, dtype=np.int64)
-        prev = np.empty(n, dtype=np.int64)
-        prev[0] = q - 1
-        prev[1:] = a[:-1]
-        wraps = np.less_equal(a, prev).cumsum(dtype=np.int64)
-        return (wraps * q + (a - (q - 1))).tolist()
+        a = np.fromiter(z, np.int64, n) if isinstance(z, tuple) else np.asarray(z, dtype=np.int64)
+        slots = a + 1  # z[0] wraps: S[0] = q + z[0] - (q - 1)
+        slots[1:] += np.less_equal(a[1:], a[:-1]).cumsum(dtype=np.int64) * q
+        return slots.tolist()
     if isinstance(z, np.ndarray):
         z = z.tolist()
     slots = []
@@ -293,93 +296,93 @@ class SimTrace:
 _NEVER = float("inf")   # next-advance slot of a complete strand
 
 
-def _tie_args(policy: TiePolicy, q: int, rng) -> tuple:
-    """``_run``'s tie arguments for a policy at q: its rule, coin source and lookahead flag.
+def _lay_out(slots: list, lost: list, t: int) -> list[Action]:
+    """One action per slot 1..t: strand s + 1 advances at its solo slots, slots[s], delayed.
 
-    The coin source is None for a policy that draws no coin. For one that
-    does, each call returns int(rng.integers(2)), from the default
-    generator when no rng is given.
+    lost[s][k] is q times the ties strand s + 1 lost at its index k, and
+    each such loss delays that symbol and every later one by q. A schedule
+    past MAX_SCHEDULE_SLOTS raises BudgetExceededError, naming its first
+    advance past the budget, before the schedule is allocated.
     """
-    if not policy.uses_rng:
-        return policy.tie_rule(q), None, policy.lookahead == 1
-    gen = master_rng(DEFAULT_SEED) if rng is None else rng
-    return policy.tie_rule(q), lambda: int(gen.integers(2)), policy.lookahead == 1
-
-
-def _lay_out(placed: list, t: int) -> list[Action]:
-    """One action per slot 1..t: strand s + 1 advances at each slot in placed[s].
-
-    A schedule past MAX_SCHEDULE_SLOTS raises BudgetExceededError, naming
-    its first advance past the budget, before anything is allocated.
-    """
+    placed = [list(map(add, z, accumulate(delay))) for z, delay in zip(slots, lost)]
     if t > MAX_SCHEDULE_SLOTS:
-        first = min(u for slots in placed for u in slots if u > MAX_SCHEDULE_SLOTS)
+        first = min(u for us in placed for u in us if u > MAX_SCHEDULE_SLOTS)
         raise BudgetExceededError(first, MAX_SCHEDULE_SLOTS, what="schedule", unit="slots")
-    actions = [IDLE] * t
-    for s, slots in enumerate(placed):
+    actions = [IDLE] * (t + 1)  # slot u at index u; index 0 is dropped
+    for s, us in enumerate(placed):
         action = Action(s + 1)
-        for u in slots:
-            actions[u - 1] = action
+        for u in us:
+            actions[u] = action
+    del actions[0]
     return actions
 
 
-def _run(x: Strand, y: Strand, q: int, rule: TieRule, coins, look: bool,
-         actions: list | None = None, slots: tuple | None = None) -> int:
+def _run(sx: list, sy: list, q: int, tie: Tie, actions: list | None = None) -> int:
     """The greedy loop: one iteration per advance; returns the completion time.
 
-    Each strand advances at its solo slots (``slots``, else _solo_slots of
-    x and y) plus an offset, ``dx``/``dy``: q times the ties it has lost,
-    since a lost tie delays a strand by exactly q slots, to the next time
-    its symbol comes round, and leaves every later solo gap unchanged. The
-    earlier of ``tx``/``ty`` advances, so idle slots cost nothing. At a
-    tie ``rule`` is asked (True advances strand 1), with a coin from
-    ``coins()`` when ``coins`` is not None and each strand's
-    following symbol when ``look`` is set; the loser's offset grows by q,
-    and the winner then advances as the earlier strand. The loop stops
-    when a strand runs out of slots (its IndexError is the only end test),
-    and the other finishes at its last solo slot plus its offset. When
-    ``actions`` is given, the walk keeps each strand's advance slots, the
-    other strand's remaining ones included, and _lay_out appends one action
-    per slot to it; a schedule past MAX_SCHEDULE_SLOTS raises
-    BudgetExceededError(t, ...), t its first advance past the budget, first.
+    Each strand advances at its solo slots, ``sx``/``sy`` from _solo_slots,
+    plus an offset, ``dx``/``dy``: q times the ties it has lost, since a
+    lost tie delays a strand by exactly q slots, to the next time its
+    symbol comes round, and leaves every later solo gap unchanged. The
+    earlier of ``tx``/``ty`` advances, in one tight loop per strand, so idle
+    slots cost nothing. At a tie in slot t, ``tie(i, j, t, n)`` is asked
+    (True advances strand 1), n counting the ties before it; the loser's
+    offset grows by q. The loop stops when a strand runs out of slots (its
+    IndexError is the only end test), and the other finishes at its last
+    solo slot plus its offset. With ``actions``, a wrapper around ``tie``
+    records q at each strand's index at each tie it lost, and _lay_out
+    appends the schedule rebuilt from those delays to ``actions``.
     """
-    sx, sy = slots if slots is not None else (_solo_slots(x, q), _solo_slots(y, q))
-    lx, ly = len(sx), len(sy)
-    i = j = ties = dx = dy = 0
-    placed = ([], [])  # each strand's advance slots, kept for ``actions``
-    if lx and ly:
+    if actions is not None:
+        lost = lost_x, lost_y = [0] * len(sx), [0] * len(sy)  # q per tie lost at each index
+        ask = tie
+
+        def tie(i, j, t, n):
+            if ask(i, j, t, n):
+                lost_y[j] += q
+                return True
+            lost_x[i] += q
+            return False
+
+    lx = len(sx)
+    i = j = n = dx = dy = 0
+    if lx and sy:
         tx, ty = sx[0], sy[0]
         while True:
             try:
-                while tx != ty:
-                    if tx < ty:
-                        if actions is not None:
-                            placed[0].append(tx)
-                        i += 1
-                        tx = sx[i] + dx
-                    else:
-                        if actions is not None:
-                            placed[1].append(ty)
-                        j += 1
-                        ty = sy[j] + dy
+                while tx < ty:
+                    i += 1
+                    tx = sx[i] + dx
+                while ty < tx:
+                    j += 1
+                    ty = sy[j] + dy
             except IndexError:
                 break
-            coin = coins() if coins is not None else 0
-            la_x = x[i + 1] if look and i + 1 < lx else None
-            la_y = y[j + 1] if look and j + 1 < ly else None
-            if rule(i, j, (tx - 1) % q, la_x, la_y, ties, coin):
-                dy += q
-                ty += q
-            else:
-                dx += q
-                tx += q
-            ties += 1
-    other, rest, k, d = (1, sy, j, dy) if i == lx else (0, sx, i, dx)
+            if tx == ty:
+                if tie(i, j, tx, n):
+                    dy += q
+                    ty += q
+                else:
+                    dx += q
+                    tx += q
+                n += 1
+    rest, d = (sy, dy) if i == lx else (sx, dx)
     t = rest[-1] + d if rest else 0
     if actions is not None:
-        placed[other].extend([u + d for u in rest[k:]])
-        actions += _lay_out(placed, t)
+        actions += _lay_out((sx, sy), lost, t)
     return t
+
+
+def _greedy(x: Strand, y: Strand, policy: TiePolicy, q: int, rng,
+            actions: list | None = None) -> int:
+    """_run on a valid pair under the policy; coins are int(rng.integers(2)), default rng if None."""
+    nx = ny = coins = None
+    if policy.lookahead:
+        nx, ny = (*x[1:], None), (*y[1:], None)
+    if policy.uses_rng:
+        gen = master_rng(DEFAULT_SEED) if rng is None else rng
+        coins = lambda: int(gen.integers(2))
+    return _run(_solo_slots(x, q), _solo_slots(y, q), q, policy.bind(q, nx, ny, coins), actions)
 
 
 def simulate(x, y, policy: TiePolicy, q: int, rng=None) -> tuple[Schedule, SimTrace]:
@@ -394,15 +397,13 @@ def simulate(x, y, policy: TiePolicy, q: int, rng=None) -> tuple[Schedule, SimTr
     x = validate_strand(x, q)
     y = validate_strand(y, q)
     actions: list[Action] = []
-    _run(x, y, q, *_tie_args(policy, q, rng), actions)
+    _greedy(x, y, policy, q, rng, actions)
     return Schedule(tuple(actions)), SimTrace(tuple(_replay(x, y, q, actions, [])))
 
 
 def completion_time(x, y, policy: TiePolicy, q: int, rng=None) -> int:
     """Completion time of the greedy simulation, without materializing a trace."""
-    x = validate_strand(x, q)
-    y = validate_strand(y, q)
-    return _run(x, y, q, *_tie_args(policy, q, rng))
+    return _greedy(validate_strand(x, q), validate_strand(y, q), policy, q, rng)
 
 
 def simulate_k(strands, policy: TiePolicy, q: int, rng=None) -> Schedule:
@@ -418,7 +419,7 @@ def simulate_k(strands, policy: TiePolicy, q: int, rng=None) -> Schedule:
     strands = [validate_strand(s, q) for s in strands]
     if len(strands) == 2:
         actions: list[Action] = []
-        _run(strands[0], strands[1], q, *_tie_args(policy, q, rng), actions)
+        _greedy(strands[0], strands[1], policy, q, rng, actions)
         return Schedule(tuple(actions))
     if len(strands) > 2 and policy.choose is None:
         raise ConfigError(f"policy {policy.name!r} has no selection rule for k > 2 strands")
@@ -427,8 +428,8 @@ def simulate_k(strands, policy: TiePolicy, q: int, rng=None) -> Schedule:
     slots = [_solo_slots(z, q) for z in strands]
     done = [0] * len(strands)
     delay = [0] * len(strands)  # q per lost tie
+    lost = [[0] * len(z) for z in slots]  # q per tie lost at each index
     nxt = [z[0] if z else _NEVER for z in slots]  # slot of each next advance
-    placed = [[] for _ in strands]
     ties = last = 0
     while (t := min(nxt, default=_NEVER)) != _NEVER:
         cands = [s for s, ts in enumerate(nxt) if ts == t]
@@ -441,12 +442,12 @@ def simulate_k(strands, policy: TiePolicy, q: int, rng=None) -> Schedule:
                 if s != chosen:
                     delay[s] += q
                     nxt[s] += q
-        placed[chosen].append(t)
+                    lost[s][done[s]] += q
         last = t
         done[chosen] += 1
         z, i = slots[chosen], done[chosen]
         nxt[chosen] = z[i] + delay[chosen] if i < len(z) else _NEVER
-    return Schedule(tuple(_lay_out(placed, last)))
+    return Schedule(tuple(_lay_out(slots, lost, last)))
 
 
 def _replay(x: Strand, y: Strand, q: int, actions, records: list | None = None):

@@ -49,11 +49,13 @@ anti-diagonal per step, on one symbol array with x[i] at row c + 1 + i and
 y[j] at row c - 1 - j: a band of diagonals reads x as one slice and y as a
 view of consecutive runs, and lane b's cell i sits at i * B + b. Both take
 E' and F' at most _BAND_CELLS cells at a time; memory is O(len_y), or
-O((len_x + len_y) * B) for lanes, plus those cells. One pair sweeps rows,
-as each of its len_x + len_y diagonals pays four numpy calls: at q=4,
-L=200 rows took 0.98-1.05 ms against 2.0-2.2 ms, at L=3000 77-87 against
-70-77 ms. Lanes keep the wavefront, as np.minimum.accumulate costs about
-3.5 ns per cell whatever the lanes: 100 pairs at q=2, L=200 took 94-102 ms
+O((len_x + len_y) * B) for lanes, plus those cells. One pair sweeps rows
+while its shorter strand has fewer than _WAVEFRONT_SYMBOLS = 2500 symbols,
+as each of the wavefront's len_x + len_y diagonals pays four numpy calls;
+from there on np.minimum.accumulate's 3.5 ns per cell loses and the pair
+runs as one lane. Rows against one lane took 0.98-1.05 against 2.0-2.2 ms
+at q=4, L=200; at q=2, 19/27 ms at L=1500, 46/46 at 2500 and 511/255 at
+10^4 (q=4: 15/16, 37/35, 598/298). 100 pairs at q=2, L=200 took 94-102 ms
 one sweep each against 21-24 ms as lanes (2-vCPU VM, best of 7).
 
 No value exceeds q (len_x + len_y), and the wavefront's entries past the
@@ -97,6 +99,7 @@ from .model import (
     Schedule,
     Strand,
     _run,
+    _solo_slots,
     _solo_time,
     validate_strand,
 )
@@ -358,28 +361,30 @@ def dp_solve(x, y, q: int) -> DpTable:
 
 
 def t_star(x, y, q: int) -> int:
-    """Optimal completion time of the pair, in O(len_y) memory.
+    """Optimal completion time of the pair, in O(len_x + len_y) memory.
 
     Equals dp_solve(x, y, q).value(0, 0, 0) without building the table:
-    _row_sweep keeps one row and one block of at most _BAND_CELLS cells.
-    Refuses, before allocating, an alphabet so large that q * (len_x + len_y
-    + 1) reaches 2**60. The Monte Carlo harness solves its equal-length
-    trials as lanes of one wavefront (_t_star_lanes).
+    the pair is _t_star_lanes' one lane. Refuses, before allocating, an
+    alphabet so large that q * (len_x + len_y + 1) reaches 2**60.
     """
     x = validate_strand(x, q)
     y = validate_strand(y, q)
     _check_range(q, len(x), len(y))
-    return _row_sweep(x, y, q)
+    return _t_star_lanes([x], [y], q)[0]
+
+
+_WAVEFRONT_SYMBOLS = 2500  # see the module docstring
 
 
 def _t_star_lanes(xs, ys, q: int) -> list[int]:
     """Optimal completion time of each pair (xs[b], ys[b]), solved as lanes of one wavefront.
 
-    A single pair sweeps rows instead, as t_star does. Every x has one
-    length and every y one length, the strands are already valid and
-    _check_range passes: nothing is checked.
+    A single pair sweeps rows instead while its shorter strand has fewer
+    than _WAVEFRONT_SYMBOLS symbols. Every x has one length and every y
+    one length, the strands are already valid and _check_range passes:
+    nothing is checked.
     """
-    if len(xs) == 1:
+    if len(xs) == 1 and min(len(xs[0]), len(ys[0])) < _WAVEFRONT_SYMBOLS:
         return [_row_sweep(xs[0], ys[0], q)]
     return _wavefront(xs, ys, q).tolist()
 
@@ -390,7 +395,7 @@ class OptimalResult:
     schedule: Schedule
 
 
-def _walk(x: Strand, y: Strand, q: int, tie_rule, target: int, walk: str,
+def _walk(x: Strand, y: Strand, q: int, tie, target: int, walk: str,
           claim: str) -> OptimalResult:
     """model._run's walk under a tie rule that reads the solver, as a schedule of ``target`` slots.
 
@@ -399,7 +404,7 @@ def _walk(x: Strand, y: Strand, q: int, tie_rule, target: int, walk: str,
     ``target``, unless it takes exactly ``target`` slots.
     """
     actions: list[Action] = []
-    t = _run(x, y, q, tie_rule, None, False, actions)
+    t = _run(_solo_slots(x, q), _solo_slots(y, q), q, tie, actions)
     if t != target:
         raise TableIntegrityError(f"{walk} takes {t} slots, {claim} claims {target}")
     return OptimalResult(target, Schedule(tuple(actions)))
@@ -423,11 +428,11 @@ def reconstruct(x, y, table: DpTable) -> OptimalResult:
             f"got strands of lengths ({lx}, {ly})"
         )
 
-    def table_rule(i, j, r, la_x, la_y, ties, coin):
-        rn = (r + 1) % q
+    def table_tie(i, j, t, n):
+        rn = t % q  # the emission after the tie's slot t
         return table.value(i + 1, j, rn) <= table.value(i, j + 1, rn)
 
-    return _walk(x, y, q, table_rule, table.value(0, 0, 0), "reconstructed schedule", "table")
+    return _walk(x, y, q, table_tie, table.value(0, 0, 0), "reconstructed schedule", "table")
 
 
 def optimal_schedule(x, y, q: int) -> OptimalResult:
@@ -457,11 +462,11 @@ def optimal_schedule(x, y, q: int) -> OptimalResult:
                                   unit="slots")
     last_x, last_y = lx - 1, ly - 1
 
-    def tie_bit_rule(i, j, r, la_x, la_y, n, coin):
+    def tie_bit(i, j, t, n):
         k = last_y - j  # cell (i, j) within its row
         return not (ties[last_x - i][k >> 3] >> (7 - (k & 7))) & 1
 
-    return _walk(x, y, q, tie_bit_rule, slots, "tie-bit walk", "the solver")
+    return _walk(x, y, q, tie_bit, slots, "tie-bit walk", "the solver")
 
 
 def enumerate_interleavings_min(x, y, q: int, budget: int = 10**6) -> int:

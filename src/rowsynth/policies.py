@@ -8,10 +8,11 @@ information (progress counts, tie history, an externally drawn coin);
 depth-1 policies additionally see each strand's symbol after the matching
 one.
 
-Each catalog rule is written once, as a positional function of
-(i, j, r, lookahead_x, lookahead_y, ties, coin) that the simulator calls
-at every tie. The public TieContext function of the same name is made from
-it, unpacks the context into it and carries it for TiePolicy.tie_rule.
+Each catalog rule is written once, as a binder rule(nx, ny, coins) that
+TiePolicy.bind calls once per walk and that returns tie(i, j, t, n): at
+each tie the walk passes progress counts, the 1-based slot t (emission
+(t - 1) mod q) and the n ties before it. The public TieContext function
+of the same name is derived from the binder and carries it.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ class TieContext(NamedTuple):
 # k-strand selection rule: (candidate indices, progress counts, digest) -> chosen index
 KChooser = Callable[[Sequence[int], Sequence[int], HistoryDigest], int]
 
-# positional tie rule: (i, j, r, lookahead_x, lookahead_y, ties, coin) -> True for strand 1
-TieRule = Callable[[int, int, int, int | None, int | None, int, int], bool]
+# tie rule bound to one walk: (i, j, t, n) -> True for strand 1, at 1-based slot t after n ties
+Tie = Callable[[int, int, int, int], bool]
 
 
 @dataclass(frozen=True)
@@ -86,34 +87,41 @@ class TiePolicy:
         if self.lookahead not in (0, 1):
             raise ValueError(f"lookahead depth must be 0 or 1, got {self.lookahead}")
 
-    def tie_rule(self, q: int) -> TieRule:
-        """``decide`` at alphabet size q as a positional rule; True advances strand 1.
+    def bind(self, q: int, nx=None, ny=None, coins=None) -> Tie:
+        """``decide`` at alphabet size q bound to one walk: tie(i, j, t, n), True for strand 1.
 
-        Catalog decide functions map to the rule they are written from, so
-        the simulator builds no TieContext. Any other decide (a custom
-        policy, or a wrapper such as a counting one) gets an adapter that
-        builds the context and calls it, as does lf1 away from q=2, so that
-        its UnsupportedAlphabetError is raised at the first tie.
+        t is the tie's 1-based slot, emitting (t - 1) % q, after n ties. Only
+        a lookahead policy reads ``nx[i]`` and ``ny[j]``, each strand's
+        symbol after its current one (None at its end), and only a
+        ``uses_rng`` policy calls ``coins()``, once per tie. A catalog decide
+        binds the rule it is derived from, so no TieContext is built; any
+        other decide (a custom policy, or a counting wrapper) gets an adapter
+        that builds one, as does lf1 away from q=2, which so raises
+        UnsupportedAlphabetError only at its first tie.
         """
         decide = self.decide
         rule = getattr(decide, "rule", None)
         # a wrapper made with functools.wraps copies ``rule`` but is not its decide
         if rule is not None and rule.decide is decide and (q == 2 or not rule.binary):
-            return rule
+            return rule(nx, ny, coins)
 
-        def adapter(i, j, r, la_x, la_y, ties, coin):
-            ctx = TieContext(i, j, r, q, la_x, la_y, HistoryDigest(ties, coin))
+        def adapter(i, j, t, n):
+            look = self.lookahead == 1
+            ctx = TieContext(i, j, (t - 1) % q, q, nx[i] if look else None, ny[j] if look else None,
+                             HistoryDigest(n, coins() if self.uses_rng else 0))
             return decide(ctx) is TieDecision.ADVANCE_X
 
         return adapter
 
 
-def _catalog_decide(rule: TieRule, binary: bool = False) -> Callable[[TieContext], TieDecision]:
-    """The public TieContext function of a positional catalog rule.
+def _catalog_decide(rule: Callable[..., Tie], binary: bool = False):
+    """The public TieContext function of a catalog rule ``rule(nx, ny, coins) -> tie``.
 
-    It takes the rule's name and docstring and carries the rule itself as
-    ``rule``, for TiePolicy.tie_rule; the rule points back at it. A
-    ``binary`` rule refuses any alphabet but q=2 with UnsupportedAlphabetError.
+    It binds the rule to {i: lookahead_x}, {j: lookahead_y} and the
+    digest's coin, and asks it at slot r + 1 after the digest's ties. It
+    takes the rule's name and docstring and carries the rule as ``rule``,
+    for TiePolicy.bind; the rule points back at it. A ``binary`` rule
+    refuses any alphabet but q=2 with UnsupportedAlphabetError.
     """
 
     def decide(ctx: TieContext) -> TieDecision:
@@ -122,9 +130,8 @@ def _catalog_decide(rule: TieRule, binary: bool = False) -> Callable[[TieContext
                 f"{rule.__name__} is defined only for the binary alphabet, got q={ctx.q}"
             )
         h = ctx.history
-        if rule(ctx.i, ctx.j, ctx.r, ctx.lookahead_x, ctx.lookahead_y, h.ties, h.coin):
-            return TieDecision.ADVANCE_X
-        return TieDecision.ADVANCE_Y
+        tie = rule({ctx.i: ctx.lookahead_x}, {ctx.j: ctx.lookahead_y}, lambda: h.coin)
+        return TieDecision.ADVANCE_X if tie(ctx.i, ctx.j, ctx.r + 1, h.ties) else TieDecision.ADVANCE_Y
 
     decide.__name__ = decide.__qualname__ = rule.__name__
     decide.__doc__ = rule.__doc__
@@ -133,25 +140,25 @@ def _catalog_decide(rule: TieRule, binary: bool = False) -> Callable[[TieContext
 
 
 @_catalog_decide
-def x_first(i, j, r, la_x, la_y, ties, coin):
+def x_first(nx, ny, coins):
     """Always advance strand 1."""
-    return True
+    return lambda i, j, t, n: True
 
 
 @_catalog_decide
-def y_first(i, j, r, la_x, la_y, ties, coin):
+def y_first(nx, ny, coins):
     """Always advance strand 2 (mirror of x_first)."""
-    return False
+    return lambda i, j, t, n: False
 
 
 @_catalog_decide
-def laggard_first(i, j, r, la_x, la_y, ties, coin):
+def laggard_first(nx, ny, coins):
     """Advance the strand with fewer synthesized symbols; strand 1 on equality."""
-    return i <= j
+    return lambda i, j, t, n: i <= j
 
 
 @partial(_catalog_decide, binary=True)
-def lf1(i, j, r, la_x, la_y, ties, coin):
+def lf1(nx, ny, coins):
     """Binary one-symbol lookahead rule.
 
     When the two lookahead symbols differ, advance the strand whose
@@ -159,21 +166,25 @@ def lf1(i, j, r, la_x, la_y, ties, coin):
     again immediately). When they are equal, or either strand has no symbol
     left after the matching one, fall back to laggard_first.
     """
-    if la_x is not None and la_y is not None and la_x != la_y:
-        return la_x == (r + 1) % 2
-    return i <= j   # laggard-first
+    def tie(i, j, t, n):
+        la_x, la_y = nx[i], ny[j]
+        if la_x is not None and la_y is not None and la_x != la_y:
+            return la_x == t % 2   # slot t + 1 emits t mod 2
+        return i <= j   # laggard-first
+
+    return tie
 
 
 @_catalog_decide
-def round_robin(i, j, r, la_x, la_y, ties, coin):
+def round_robin(nx, ny, coins):
     """Alternate X, Y, X, ... across successive ties."""
-    return ties % 2 == 0
+    return lambda i, j, t, n: n % 2 == 0
 
 
 @_catalog_decide
-def random_tie(i, j, r, la_x, la_y, ties, coin):
-    """Resolve by the seeded coin the simulator placed in the history digest."""
-    return coin % 2 == 0
+def random_tie(nx, ny, coins):
+    """Resolve by the seeded coin drawn for the tie (the history digest's coin)."""
+    return lambda i, j, t, n: coins() % 2 == 0
 
 
 def _choose_lowest(cands, progress, digest):

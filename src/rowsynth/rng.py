@@ -8,7 +8,7 @@ the seed and independent of execution order or parallelism degree.
 
 from __future__ import annotations
 
-from itertools import chain, count
+from itertools import chain
 
 import numpy as np
 
@@ -35,28 +35,6 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     )
 
 
-class BlockDraws:
-    """Buffered uniform draws on [0, base); numpy-Generator-shaped.
-
-    Scalar Generator.integers calls dominate tight simulation loops; this
-    serves integers(base) from prefetched blocks instead. Other sizes are
-    drawn from the generator directly, leaving the buffer untouched.
-    """
-
-    def __init__(self, gen: np.random.Generator, base: int, block: int = 8192):
-        self._gen = gen
-        self._base = base
-        self._block = block
-        self._buf: list[int] = []
-
-    def integers(self, n: int) -> int:
-        if n != self._base:
-            return int(self._gen.integers(n))
-        if not self._buf:
-            self._buf = self._gen.integers(0, self._base, size=self._block).tolist()
-        return self._buf.pop()
-
-
 # block_stream turns a block's draws into Python ints this many at a time,
 # as the stream reaches them: a Monte Carlo trial of the random policy reads
 # one coin per tie, about 1,000 at q=4 and 2,000 at q=2 for L=2000, of its
@@ -66,11 +44,11 @@ _RUN = 1024
 
 
 def block_stream(gen: np.random.Generator, base: int, block: int = 8192):
-    """BlockDraws(gen, base, block)'s integers(base) stream as a zero-argument callable.
+    """Uniform draws on [0, base) from ``gen`` as a zero-argument callable.
 
-    Each block is drawn when the one before runs out and read from its end,
-    as BlockDraws pops it, without a Python method call per draw; its draws
-    become Python ints _RUN at a time, as the stream reaches them.
+    Blocks of ``block`` draws are taken when the one before runs out and
+    read from their end, without a Python method call per draw; a block's
+    draws become Python ints _RUN at a time, as the stream reaches them.
     """
     def runs():
         while True:

@@ -23,6 +23,28 @@ def random_pair(rng: np.random.Generator, q: int, length: int):
     return x, y
 
 
+class BlockDraws:
+    """Buffered uniform draws on [0, base); numpy-Generator-shaped.
+
+    The reference for rng.block_stream: integers(base) is served from
+    blocks of ``block`` draws, each popped from its end. Other sizes are
+    drawn from the generator directly, leaving the buffer untouched.
+    """
+
+    def __init__(self, gen: np.random.Generator, base: int, block: int = 8192):
+        self._gen = gen
+        self._base = base
+        self._block = block
+        self._buf: list[int] = []
+
+    def integers(self, n: int) -> int:
+        if n != self._base:
+            return int(self._gen.integers(n))
+        if not self._buf:
+            self._buf = self._gen.integers(0, self._base, size=self._block).tolist()
+        return self._buf.pop()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -365,6 +365,21 @@ class TestGoldenStability:
         _, out3, _ = run_cli(capsys, *base, "--workers", "3")
         assert out1 == out2 == out3
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_every_policy_identical_at_one_two_and_three_workers(self, capsys, monkeypatch,
+                                                                 tmp_path, fmt):
+        # every catalog policy in one sweep group, through a pool of each size
+        monkeypatch.setattr(experiments, "_POOL_MIN_WALKS", 0)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"q": 2, "L": 60, "policy": policy_names(), "trials": 9,
+                                     "seed": 16}))
+        runs = [run_cli(capsys, "experiment", "--config", str(sweep), "--workers", str(w),
+                        "--format", fmt, "--no-timestamp") for w in (1, 2, 3)]
+        assert [code for code, _, _ in runs] == [0, 0, 0]
+        assert runs[0][1] == runs[1][1] == runs[2][1]
+        assert all(name in runs[0][1] for name in policy_names())
+
     def test_solve_output_stable(self, capsys):
         args = ["solve", "--q", "4", "--x", "1322", "--y", "0130", "--no-timestamp"]
         _, out1, _ = run_cli(capsys, *args)

@@ -36,7 +36,7 @@ from rowsynth.experiments import (
     rows_to_csv,
     run_experiment_row,
 )
-from rowsynth.rng import BlockDraws
+from conftest import BlockDraws
 
 
 class TestRandomStrand:
@@ -441,12 +441,36 @@ class TestGroupPass:
         for config, row in zip(configs, rows):
             assert row["meanT"] == np.mean(reference_policy_times(config))
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_workers(self, monkeypatch, workers):
         monkeypatch.setattr(experiments, "_POOL_MIN_WALKS", 0)  # a pool at any size
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)  # three blocks at 3 workers
         configs = [ExperimentConfig(2, 60, 5, 8, name) for name in ALL_POLICIES]
         group = estimate_policy_times(configs, workers)
         assert [est.times for est in group] == [reference_policy_times(c) for c in configs]
+
+
+class TestBoundWalks:
+    """A policy is bound once per walk: no state carries from one trial to the next."""
+
+    @pytest.mark.parametrize("q, names", [(2, ALL_POLICIES), (4, DEPTH0)])
+    def test_trials_in_any_order(self, q, names):
+        args = (q, 40, tuple(names))
+        whole = experiments._policy_block(3, args, 0, 12)
+        order = [5, 0, 11, 3, 9, 1, 7, 10, 2, 8, 4, 6]
+        alone = {idx: experiments._policy_block(3, args, idx, idx + 1)[0] for idx in order}
+        assert [alone[idx] for idx in range(12)] == whole
+
+    @pytest.mark.parametrize("name", ALL_POLICIES)
+    def test_one_policy_walks_many_pairs_in_any_order(self, name):
+        policy, q = get_policy(name), 2
+        pairs = [(random_strand(q, 30, trial_rng(4, k)), random_strand(q, 25, trial_rng(5, k)))
+                 for k in range(20)]
+        forward = [completion_time(x, y, policy, q, trial_rng(6, k))
+                   for k, (x, y) in enumerate(pairs)]
+        backward = [completion_time(x, y, policy, q, trial_rng(6, k))
+                    for k, (x, y) in reversed(list(enumerate(pairs)))]
+        assert backward[::-1] == forward
 
 
 class TestPoolThreshold:

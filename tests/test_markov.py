@@ -32,8 +32,8 @@ from rowsynth import (
 from rowsynth import markov
 from rowsynth.errors import ConfigError, InvalidStrandError
 from rowsynth.markov import _offset_chain, _rotations
-from rowsynth.rng import BlockDraws, master_rng
-from conftest import random_pair
+from rowsynth.rng import master_rng
+from conftest import BlockDraws, random_pair
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -337,7 +337,7 @@ class TestSynthesisRate:
 
 def chain_rate(q, policy, depth):
     """Exact advances per slot of the generated chain: pi summed over states with a zero offset."""
-    pi = stationary(_offset_chain(q, get_policy(policy).tie_rule(q), depth))
+    pi = stationary(_offset_chain(q, get_policy(policy), depth))
     per_offsets = q ** (2 * depth)  # lookahead states sharing one (a, b)
     return sum(p for k, p in enumerate(pi) if 0 in divmod(k // per_offsets, q))
 
@@ -353,7 +353,7 @@ class FixedDraw:
 class TestOffsetChain:
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_depth_zero_rows_follow_chain_step(self, q):
-        rows = _offset_chain(q, get_policy("x-first").tie_rule(q), 0)
+        rows = _offset_chain(q, get_policy("x-first"), 0)
         for a, b in product(range(q), repeat=2):
             expected = [Fraction(0)] * (q * q)
             draws = range(q) if a == 0 or b == 0 else [None]
@@ -374,7 +374,7 @@ class TestOffsetChain:
         assert chain_rate(2, policy, 1) == rate
 
     def test_lookahead_state_under_laggard_first_at_q3(self):
-        assert len(_offset_chain(3, get_policy("lf").tie_rule(3), 1)) == 81
+        assert len(_offset_chain(3, get_policy("lf"), 1)) == 81
         assert chain_rate(3, "lf", 1) == Fraction(2, 3)
 
 
@@ -441,9 +441,10 @@ def test_pinned_drift_series(policy, q):
 # --- advance-driven rotations against the slot-by-slot chain ----------------
 
 
-def _slot_by_slot_rotations(q, rule, draws):
+def _slot_by_slot_rotations(q, bound_tie, draws):
     """Reference rotation stream: one chain_step per slot from (0, 0), asking the
-    positional rule at each tie with the advances and ties counted here."""
+    bound tie rule at each tie, in slot 1 of the emission cycle, with the
+    advances and ties counted here."""
     state = OffsetState(0, 0)
     adv = [0, 0]
     ties = 0
@@ -452,7 +453,7 @@ def _slot_by_slot_rotations(q, rule, draws):
         while True:
             tie = None
             if state == (0, 0):
-                x_first = rule(*adv, 0, None, None, ties, 0)
+                x_first = bound_tie(*adv, 1, ties)
                 tie = TieDecision.ADVANCE_X if x_first else TieDecision.ADVANCE_Y
                 ties += 1
             state, event = chain_step(state, q, tie, draws)
@@ -473,12 +474,12 @@ def _slot_by_slot_rotations(q, rule, draws):
 def test_rotations_equal_slot_by_slot_chain(q, seed, policy, n, block):
     # the generator's blocks give BlockDraws' stream over it: the same
     # rotations, and the generator left in the same state afterwards
-    rule = get_policy(policy).tie_rule(q)
+    tie = get_policy(policy).bind(q)
     gen, reference_gen = master_rng(seed), master_rng(seed)
     with mock.patch.object(markov, "_DRAW_BLOCK", block):
-        rotations = list(islice(_rotations(q, rule, gen), n))
+        rotations = list(islice(_rotations(q, tie, gen), n))
     draws = BlockDraws(reference_gen, q, block=block)
-    assert rotations == list(islice(_slot_by_slot_rotations(q, rule, draws), n))
+    assert rotations == list(islice(_slot_by_slot_rotations(q, tie, draws), n))
     assert (gen.bit_generator.random_raw(4).tolist()
             == reference_gen.bit_generator.random_raw(4).tolist())
 
@@ -486,11 +487,12 @@ def test_rotations_equal_slot_by_slot_chain(q, seed, policy, n, block):
 def test_rotations_consult_tie_rule_once_per_rotation():
     calls = []
 
-    def rule(i, j, r, la_x, la_y, ties, coin):
-        calls.append((i, j, ties))
+    def tie(i, j, t, n):
+        calls.append((i, j, n))
+        assert t % 4 == 1  # a tie in the chain falls on an emission of 0
         return False
 
-    rotations = list(islice(_rotations(4, rule, master_rng(5)), 50))
+    rotations = list(islice(_rotations(4, tie, master_rng(5)), 50))
     assert len(calls) == 50
     assert all(v_y >= 1 for _, v_y, _ in rotations)
     # each call sees the advances of the rotations before it, and their number

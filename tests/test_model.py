@@ -185,9 +185,7 @@ class TestSoloSlotWalk:
         x, y, q, lf = (0, 1, 1), (0, 0, 1), 2, get_policy("lf")
         sx, sy = model._solo_slots(x, q), model._solo_slots(y, q)
         shifted = ([t + 2 * q for t in sx], [t + 2 * q for t in sy])
-        rule, coins, look = model._tie_args(lf, q, None)
-        assert model._run(x, y, q, rule, coins, look, None, shifted) == \
-            completion_time(x, y, lf, q) + 2 * q
+        assert model._run(*shifted, q, lf.bind(q)) == completion_time(x, y, lf, q) + 2 * q
 
 
 class TestSimulate:
@@ -255,7 +253,7 @@ class TestSimulate:
         assert [rec.t for rec in trace] == list(range(1, len(trace) + 1))
 
     def test_simulated_schedule_is_checked_against_the_model(self, monkeypatch):
-        def illegal_run(x, y, q, rule, coins, look, actions=None, slots=None):
+        def illegal_run(sx, sy, q, tie, actions=None):
             actions.extend([Action(1), Action(2)])  # slot 2 emits 1; y needs 0
             return 2
 
@@ -514,6 +512,26 @@ class TestKernelAgainstReference:
         assert simulate(x, y, policy, q, master_rng(seed)) == (sched, trace)
         assert completion_time(x, y, policy, q, master_rng(seed)) == t
         assert simulate_k([x, y], policy, q, master_rng(seed)) == sched
+
+
+class TestScheduleRebuild:
+    """Schedules rebuilt from where each strand lost its ties, against the slot-by-slot loop."""
+
+    @pytest.mark.parametrize("policy", KERNEL_POLICIES, ids=lambda p: p.name)
+    def test_rebuilt_schedule_equals_the_reference(self, policy):
+        rng = np.random.default_rng(16)
+        binary = policy.lookahead == 1 and policy.name != "mixed"  # lf1, wrapped or not
+        for q in (2,) if binary else range(2, 6):
+            edge = [(), (0,), (q - 1,)]
+            cases = [(x, y) for x in edge for y in edge]
+            cases += [(tuple(rng.integers(0, q, int(rng.integers(0, 30))).tolist()),
+                       tuple(rng.integers(0, q, int(rng.integers(0, 30))).tolist()))
+                      for _ in range(60)]
+            for seed, (x, y) in enumerate(cases):
+                t, sched, trace = reference_run(x, y, policy, q, master_rng(seed))
+                assert simulate(x, y, policy, q, master_rng(seed)) == (sched, trace)
+                assert simulate_k([x, y], policy, q, master_rng(seed)) == sched
+                assert completion_time(x, y, policy, q, master_rng(seed)) == t
 
 
 def reference_k(strands, policy, q, rng):

@@ -222,7 +222,10 @@ class TestRowSweep:
 
     @pytest.mark.parametrize("lanes, kernel", [(1, "_row_sweep"), (2, "_wavefront"),
                                                 (5, "_wavefront")])
-    def test_one_pair_sweeps_rows_and_lanes_run_the_wavefront(self, monkeypatch, lanes, kernel):
+    def test_one_pair_sweeps_rows_and_lanes_run_the_wavefront(self, monkeypatch, lanes, kernel,
+                                                              crossover=None):
+        if crossover is not None:
+            monkeypatch.setattr(optimal, "_WAVEFRONT_SYMBOLS", crossover)
         calls = []
 
         def spy(name):
@@ -238,6 +241,24 @@ class TestRowSweep:
             monkeypatch.setattr(optimal, name, spy(name))
         assert optimal._t_star_lanes([(0, 1, 1)] * lanes, [(1, 0)] * lanes, 2) == expected
         assert calls == [kernel]
+
+    @pytest.mark.parametrize("crossover, kernel", [(3, "_row_sweep"), (2, "_wavefront")])
+    def test_one_pair_runs_one_lane_from_the_crossover(self, monkeypatch, crossover, kernel):
+        # the pair's shorter strand has 2 symbols
+        self.test_one_pair_sweeps_rows_and_lanes_run_the_wavefront(monkeypatch, 1, kernel,
+                                                                   crossover)
+
+    @settings(max_examples=100, deadline=None)
+    @given(solver_instances(), st.integers(0, 8))
+    def test_one_lane_past_the_crossover_equals_rows(self, instance, crossover):
+        q, x, y = instance
+        with mock.patch.object(optimal, "_WAVEFRONT_SYMBOLS", crossover):
+            assert t_star(x, y, q) == optimal._row_sweep(x, y, q)
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_one_lane_equals_rows_at_the_crossover(self, rng, q):
+        x, y = random_pair(rng, q, optimal._WAVEFRONT_SYMBOLS)
+        assert t_star(x, y, q) == optimal._row_sweep(x, y, q)
 
 
 class TestLanes:

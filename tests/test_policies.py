@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rowsynth import (
     HistoryDigest,
@@ -176,22 +175,32 @@ class TestPolicyBehaviourInSimulation:
         assert c.completion_time >= 2 * 40  # different seed still yields a valid schedule
 
 
+def _grid(q):
+    """(i, j, r, lookahead_x, lookahead_y, ties, coin) over every lookahead, None included."""
+    symbols = [None, *range(q)]
+    return product((0, 1, 4), (0, 1, 3), range(q), symbols, symbols, (0, 1, 2, 5), (0, 1, 2, 7))
+
+
 class TestPositionalRules:
-    @settings(max_examples=400, deadline=None)
-    @given(st.sampled_from(policy_catalog()), st.data())
-    def test_rule_agrees_with_decide(self, policy, data):
-        q = 2 if policy.name == "lf1" else data.draw(st.integers(2, 6))
-        symbol = st.none() | st.integers(0, q - 1)
-        args = (data.draw(st.integers(0, 60)), data.draw(st.integers(0, 60)),
-                data.draw(st.integers(0, q - 1)), data.draw(symbol), data.draw(symbol),
-                data.draw(st.integers(0, 100)), data.draw(st.integers(0, 2**30)))
-        i, j, r, la_x, la_y, ties, coin = args
-        decided = policy.decide(ctx(i, j, r, q, la_x, la_y, ties, coin))
-        assert policy.tie_rule(q)(*args) == (decided is TieDecision.ADVANCE_X)
+    def test_rule_agrees_with_decide(self):
+        # bound as a walk binds it: each strand's following symbols as a list
+        # of one per symbol, the coins as a stream, asked at a slot emitting r
+        for policy, q in ((p, q) for p in policy_catalog() for q in (2, 3, 4)):
+            if policy.name == "lf1" and q != 2:
+                continue
+            for i, j, r, la_x, la_y, ties, coin in _grid(q):
+                nx = [q + 1] * i + [la_x, q + 2]
+                ny = [q + 3] * j + [la_y, q + 4]
+                drawn = []
+                coins = lambda: drawn.append(coin) or coin  # noqa: E731
+                tie = policy.bind(q, nx, ny, coins if policy.uses_rng else None)
+                decided = policy.decide(ctx(i, j, r, q, la_x, la_y, ties, coin))
+                assert tie(i, j, r + 1 + q * ties, ties) is (decided is TieDecision.ADVANCE_X)
+                assert drawn == ([coin] if policy.uses_rng else [])
 
     def test_rule_follows_a_replaced_decide(self):
         swapped = dataclasses.replace(get_policy("x-first"), decide=y_first)
-        assert swapped.tie_rule(2)(0, 0, 0, None, None, 0, 0) is False
+        assert swapped.bind(2)(0, 0, 1, 0) is False
 
     def test_rule_follows_a_decide_wrapped_with_functools_wraps(self):
         seen = []
@@ -201,8 +210,8 @@ class TestPositionalRules:
             seen.append(c)
             return laggard_first(c)
 
-        rule = dataclasses.replace(get_policy("lf"), decide=counted).tie_rule(2)
-        assert rule(1, 0, 0, None, None, 0, 0) is False
+        tie = dataclasses.replace(get_policy("lf"), decide=counted).bind(2)
+        assert tie(1, 0, 3, 0) is False
         assert seen == [ctx(1, 0, 0, 2)]
 
     def test_non_catalog_decide_sees_the_full_context(self):
@@ -212,10 +221,30 @@ class TestPositionalRules:
             seen.append(c)
             return TieDecision.ADVANCE_Y
 
-        rule = TiePolicy("spy", 1, spy).tie_rule(5)
-        assert rule(3, 4, 2, 1, None, 7, 9) is False
-        assert seen == [ctx(3, 4, 2, 5, 1, None, 7, 9)]
+        coins = iter([9, 4]).__next__
+        tie = TiePolicy("spy", 1, spy, uses_rng=True).bind(5, [0, 0, 0, 1], [2] * 4 + [None], coins)
+        assert tie(3, 4, 8, 7) is False
+        assert tie(2, 0, 11, 8) is False
+        assert seen == [ctx(3, 4, 2, 5, 1, None, 7, 9), ctx(2, 0, 0, 5, 0, 2, 8, 4)]
+
+    def test_depth_zero_decide_sees_no_lookahead_and_no_coin(self):
+        seen = []
+
+        def spy(c):
+            seen.append(c)
+            return TieDecision.ADVANCE_X
+
+        tie = TiePolicy("spy", 0, spy).bind(3, [1, 2], [2, 1], lambda: pytest.fail("coin drawn"))
+        assert tie(0, 1, 5, 2) is True
+        assert seen == [ctx(0, 1, 1, 3, None, None, 2, 0)]
 
     def test_lf1_rule_off_binary_raises(self):
+        tie = get_policy("lf1").bind(3, [1], [0])  # binding alone does not raise
         with pytest.raises(UnsupportedAlphabetError):
-            get_policy("lf1").tie_rule(3)(0, 0, 0, 1, 0, 0, 0)
+            tie(0, 0, 1, 0)
+
+    def test_lf1_off_binary_walks_a_tie_free_pair(self):
+        # x advances in slot 1 and y in slot 2: no tie, so no refusal
+        assert simulate((0, 2), (1,), get_policy("lf1"), 3)[0].to_string() == "X,Y,X"
+        with pytest.raises(UnsupportedAlphabetError):
+            simulate((0, 2), (0,), get_policy("lf1"), 3)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from rowsynth import ConfigError
-from rowsynth.rng import BlockDraws, block_stream, master_rng
+from rowsynth.rng import block_stream, master_rng
+from conftest import BlockDraws
 
 
 class TestBlockDraws:
