@@ -114,7 +114,8 @@ def _cmd_simulate(args) -> int:
     policy = get_policy(args.policy)
     x = parse_strand(args.x, args.q)
     y = parse_strand(args.y, args.q)
-    schedule = simulate_k((x, y), policy, args.q, master_rng(args.seed))
+    rng = master_rng(args.seed) if policy.uses_rng else None  # no other policy draws
+    schedule = simulate_k((x, y), policy, args.q, rng)
     _emit_json(args, {
         "q": args.q,
         "policy": policy.name,

@@ -22,7 +22,7 @@ the named policy's catalog rule, the one the simulator asks, is asked
 once per rotation. An advance takes exactly one uniform draw, in the
 order ``chain_step`` takes it, so the draw stream and every fixed-seed
 result are those of the slot-by-slot chain. Exact stationary laws come
-from fraction-free Gauss-Jordan elimination on Python ints.
+from sparse fraction-free Gauss-Jordan elimination on rows of Python ints.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import count, islice, product
+from itertools import chain, compress, count, islice, product
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -311,14 +311,14 @@ def _offset_chain(q: int, policy: TiePolicy, depth: int) -> list[list[Fraction]]
     """
     states = list(product(range(q), repeat=2 + 2 * depth))
     index = {state: k for k, state in enumerate(states)}
-    share = Fraction(1, q)
+    zero, share, one = Fraction(0), Fraction(1, q), Fraction(1)  # shared by every row
     rows = []
     for a, b, *look in states:
-        row = [Fraction(0)] * len(states)
+        row = [zero] * len(states)
         rows.append(row)
         nxt = [(v - 1) % q for v in (a, b, *look)]
         if a and b:
-            row[index[tuple(nxt)]] = Fraction(1)
+            row[index[tuple(nxt)]] = one
             continue
         if a or b:
             adv = 1 if a else 0  # the advancing strand: 0 for X, 1 for Y
@@ -327,9 +327,9 @@ def _offset_chain(q: int, policy: TiePolicy, depth: int) -> list[list[Fraction]]
             adv = 0 if policy.bind(q, {0: c}, {0: d})(0, 0, 1, 0) else 1
         if depth:
             nxt[adv] = nxt[adv + 2]
-        for v in range(q):
+        for v in range(q):  # each draw lands on its own state
             nxt[adv + 2 * depth] = v
-            row[index[tuple(nxt)]] += share
+            row[index[tuple(nxt)]] = share
     return rows
 
 
@@ -346,24 +346,13 @@ def lf1_matrix() -> list[list[Fraction]]:
     return _offset_chain(2, LF1, 1)
 
 
-def _is_exact_matrix(rows) -> bool:
-    return all(isinstance(v, (Fraction, int)) for row in rows for v in row)
-
-
-def _exact_sum(values) -> Fraction:
-    den = math.lcm(*(v.denominator for v in values))
-    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
-
-
 def stationary(matrix) -> list[Fraction] | np.ndarray:
     """Stationary distribution of a row-stochastic matrix.
 
-    Solves the left-eigenvector system with the normalization row replacing
-    one balance equation. Matrices of Fractions (or ints) are solved
-    exactly, so transient states come out exactly zero; float matrices go
-    through numpy. Raises ValueError when the matrix is empty or not
-    square, when a row does not sum to 1 or has a negative entry, and when
-    the stationary law is not unique.
+    Matrices of Fractions (or ints) are solved exactly, so transient states
+    come out exactly zero; float matrices go through numpy. Raises
+    ValueError when the matrix is empty or not square, when a row does not
+    sum to 1 or has a negative entry, and when the stationary law is not unique.
     """
     rows = [list(row) for row in matrix]
     n = len(rows)
@@ -371,58 +360,84 @@ def stationary(matrix) -> list[Fraction] | np.ndarray:
         raise ValueError("transition matrix is empty")
     if any(len(row) != n for row in rows):
         raise ValueError("transition matrix must be square")
-    exact = _is_exact_matrix(rows)
-    for k, row in enumerate(rows):
-        total = _exact_sum(row) if exact else sum(row)
-        ok = (total == 1) if exact else abs(total - 1.0) <= 1e-9
-        if not ok or any(v < 0 for v in row):
-            raise ValueError(f"row {k} is not a probability distribution (sum {total})")
-    if exact:
+    if all(issubclass(t, (Fraction, int)) for t in set(map(type, chain.from_iterable(rows)))):
         return _stationary_exact(rows)
+    for k, row in enumerate(rows):
+        total = sum(row)
+        if not abs(total - 1.0) <= 1e-9 or any(v < 0 for v in row):
+            raise ValueError(f"row {k} is not a probability distribution (sum {total})")
     a = np.asarray(rows, dtype=float).T - np.eye(n)
     a[-1, :] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0
-    pi = np.linalg.solve(a, rhs)
-    return pi
+    return np.linalg.solve(a, rhs)
 
 
 def _stationary_exact(rows) -> list[Fraction]:
     """Exact stationary law of a stochastic matrix of Fractions or ints.
 
-    Balance equation i, sum_j pi_j (P[j][i] - [i = j]) = 0, is scaled by the
-    LCM of column i's denominators into a row of Python ints; the last one
-    is replaced by sum(pi) = 1, and the right-hand side rides along as
-    column n. Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp.
-    1968) divides every update exactly by the previous pivot, so entries
-    stay minors of the system: every diagonal entry ends as its
-    determinant d (up to the sign of the row swaps), with d * pi beside it.
+    Row j is checked on its nonzero entries in integers: scaled by the lcm
+    D_j of their denominators, they must be nonnegative and sum to D_j. In
+    y_j = pi_j / D_j the balance equations are rows {column: int}; all n sum
+    to zero, so the first n - 1 are kept, and no normalization row fills
+    them in. Sparse fraction-free Gauss-Jordan elimination pivots on the
+    shortest remaining row, in its column held by the fewest rows
+    (Markowitz 1957), updates only the rows holding that column and divides
+    each by its gcd. Fewer than n - 1 pivots means no unique law.
     """
     n = len(rows)
-    m = []
-    for i in range(n - 1):
-        col = [row[i] for row in rows]
-        den = math.lcm(*(v.denominator for v in col))
-        eq = [v.numerator * (den // v.denominator) for v in col]
-        eq[i] -= den
-        eq.append(0)
-        m.append(eq)
-    m.append([1] * (n + 1))
-    prev = 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if m[r][k]), None)
-        if pivot is None:
+    eqs, cols, scale = [{} for _ in range(n)], [], []  # cols[j]: the rows holding column j
+    for j, row in enumerate(rows):
+        nonzero = list(compress(range(n), row))
+        den = math.lcm(*[row[i].denominator for i in nonzero])
+        nums = [row[i].numerator * (den // row[i].denominator) for i in nonzero]
+        if sum(nums) != den or min(nums, default=0) < 0:
+            raise ValueError(f"row {j} is not a probability distribution "
+                             f"(sum {Fraction(sum(nums), den)})")
+        for i, num in zip(nonzero, nums):
+            eqs[i][j] = num
+        eqs[j][j] = eqs[j].get(j, 0) - den
+        cols.append(set(nonzero) | {j})
+        if not eqs[j][j]:
+            del eqs[j][j]
+            cols[j].remove(j)
+        cols[j].discard(n - 1)
+        scale.append(den)
+    eqs.pop()
+    todo, sizes, pivots = set(range(n - 1)), [len(eq) for eq in eqs], []
+    while todo:
+        r = min(todo, key=sizes.__getitem__)
+        prow = eqs[r]
+        if not prow:
             raise ValueError("singular balance system; chain has no unique stationary law")
-        m[k], m[pivot] = m[pivot], m[k]
-        prow = m[k]
-        p = prow[k]
-        for r in range(n):
-            f = m[r][k]
-            if r == k or (not f and p == prev):
-                continue
-            m[r] = [(p * v - f * w) // prev for v, w in zip(m[r], prow)]
-        prev = p
-    return [Fraction(row[n], row[i]) for i, row in enumerate(m)]
+        todo.remove(r)
+        c = min(prow, key=lambda j: len(cols[j]))
+        pivots.append((r, c))
+        p = prow.pop(c)
+        for i in cols[c] - {r}:
+            f = eqs[i].pop(c)
+            g = math.gcd(p, f)
+            a, b = p // g, f // g
+            row = {k: a * v for k, v in eqs[i].items()} if a != 1 else eqs[i]
+            for k, v in prow.items():
+                w = row.get(k, 0) - b * v
+                if w:
+                    row[k] = w
+                    cols[k].add(i)
+                else:
+                    del row[k]
+                    cols[k].remove(i)
+            g = math.gcd(*row.values())
+            eqs[i] = {k: v // g for k, v in row.items()} if g > 1 else row
+            sizes[i] = len(row)
+        prow[c] = p
+        cols[c] = {r}
+    free = (set(range(n)) - {c for _, c in pivots}).pop()
+    top = math.lcm(*(eqs[r][c] for r, c in pivots))
+    y = {c: -eqs[r].get(free, 0) * (top // eqs[r][c]) for r, c in pivots}
+    w = [y.get(j, top) * d for j, d in enumerate(scale)]  # y[free] = top
+    total = sum(w)
+    return [Fraction(v, total) for v in w]
 
 
 def synthesis_rate(pi) -> Fraction | float:

@@ -193,6 +193,14 @@ class TestSimulate:
         assert doc["schedule"] == "Y,X,-,X,-,Y,X,Y,Y,-,X"
         assert doc["policy"] == "x-first"
 
+    def test_builds_a_generator_only_for_the_coin_policy(self, capsys, monkeypatch):
+        seeds, real = [], cli.master_rng
+        monkeypatch.setattr(cli, "master_rng", lambda seed: seeds.append(seed) or real(seed))
+        for policy in policy_names():
+            run_json(capsys, "simulate", "--x", "0110", "--y", "1010", "--policy", policy,
+                     "--seed", "7", "--no-timestamp")
+        assert seeds == [7]
+
     def test_unknown_policy_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--q", "2", "--x", "0", "--y", "1", "--policy", "eager"])

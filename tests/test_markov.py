@@ -630,3 +630,78 @@ class TestExactStationaryDifferential:
             stationary([])
         with pytest.raises(ValueError, match="square"):
             stationary([[Fraction(1)], [Fraction(1)]])
+
+
+@st.composite
+def sparse_chains(draw):
+    """Sparse row-stochastic chains of 9 to 48 states, 0 to 3 drawn targets a row.
+
+    A row with no target is absorbing; a one-target row is the int 1, other
+    rows split into Fractions, and every other entry is the int 0. "free"
+    chains draw their targets anywhere, so they may hold several closed
+    classes. "one" and "two" chains hold that many closed classes, each a
+    ring plus chords, and every other state is transient: its first target
+    is a lower state. States are shuffled at the end. Returns the matrix,
+    the shape and the shuffled indices of the closed-class states.
+    """
+    n = draw(st.integers(9, 48))
+    shape = draw(st.sampled_from(["free", "one", "two"]))
+    sizes = []
+    if shape != "free":
+        sizes.append(draw(st.integers(1, n - (shape == "two"))))
+    if shape == "two":
+        sizes.append(draw(st.integers(1, n - sizes[0])))
+    blocks = [(sum(sizes[:k]), m) for k, m in enumerate(sizes)]
+    rows = []
+    for s in range(n):
+        k = draw(st.integers(0, 3))
+        block = next(((b, m) for b, m in blocks if b <= s < b + m), None)
+        if block:  # a ring step, then chords inside the class
+            b, m = block
+            chords = draw(st.lists(st.integers(b, b + m - 1), max_size=max(k - 1, 0)))
+            targets = [b + (s - b + 1) % m] + chords
+        elif blocks:  # transient
+            spread = draw(st.lists(st.integers(0, n - 1), max_size=max(k - 1, 0)))
+            targets = [draw(st.integers(0, s - 1))] + spread
+        else:
+            targets = draw(st.lists(st.integers(0, n - 1), max_size=k))
+        row = [0] * n
+        for t in targets:
+            row[t] += draw(st.integers(1, 4))
+        rows.append(_stochastic_row(row) if targets else [int(t == s) for t in range(n)])
+    order = draw(st.permutations(range(n)))
+    matrix = [[rows[old][order[c]] for c in range(n)] for old in order]
+    return matrix, shape, {new for new, old in enumerate(order) if old < sum(sizes)}
+
+
+class TestSparseStationary:
+    @settings(max_examples=120, deadline=None)
+    @given(sparse_chains())
+    def test_equals_fraction_reference(self, chain):
+        matrix, shape, closed = chain
+        pi = _solve_or_raise(stationary, matrix)
+        assert pi == _solve_or_raise(_fraction_stationary, matrix)
+        if shape == "two":
+            assert pi is ValueError
+        if shape == "one":
+            assert [k for k, p in enumerate(pi) if p] == sorted(closed)
+
+    def test_row_error_names_first_bad_row_and_exact_sum(self):
+        third = Fraction(1, 3)
+        matrix = [[1, 0, 0, 0],
+                  [third, third, 0, Fraction(1, 5)],
+                  [0, 0, 1, 0],
+                  [0, Fraction(3, 2), 0, Fraction(-1, 7)]]
+        with pytest.raises(ValueError, match=r"^row 1 is not a probability distribution \(sum 13/15\)$"):
+            stationary(matrix)
+        matrix[1][3] = third
+        with pytest.raises(ValueError, match=r"^row 3 is not a probability distribution \(sum 19/14\)$"):
+            stationary(matrix)
+        matrix[3] = [0, Fraction(3, 2), 0, Fraction(-1, 2)]
+        with pytest.raises(ValueError, match=r"^row 3 is not a probability distribution \(sum 1\)$"):
+            stationary(matrix)
+
+    @pytest.mark.parametrize("policy", ["x-first", "y-first", "lf", "round-robin"])
+    def test_q4_lookahead_chain_rate(self, policy):
+        # 256 states; only a rule that reads the lookahead offsets could move the rate
+        assert chain_rate(4, policy, 1) == Fraction(4, 7)
