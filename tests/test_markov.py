@@ -675,7 +675,7 @@ def sparse_chains(draw):
 
 
 class TestSparseStationary:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(sparse_chains())
     def test_equals_fraction_reference(self, chain):
         matrix, shape, closed = chain
