@@ -7,12 +7,11 @@ trial draws its strands from a substream keyed by (master seed, trial
 index), so estimates are bit-reproducible regardless of worker count, and
 runs that share a seed see identical strands trial by trial.
 
-Policy estimates that share (q, L, trials, seed) form a sweep group and
-run as one pass: each trial draws its strands and builds their solo
-slots once, every policy of the group walks them, and a coin-drawing
-policy starts from the trial generator's state right after the strands.
-So a group's rows equal one estimate_policy_time per policy, trial by
-trial, while paying one draw per trial and at most one process pool.
+One trial pass serves every estimate: each trial draws its strands once,
+and every measure of the pass (policies, the optimum, the solo times)
+reads them. Policy estimates that share (q, L, trials, seed) form a sweep
+group, run as one pass, so its rows equal one estimate_policy_time per
+policy, trial by trial, for one draw per trial and at most one pool.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError
-from .model import Strand, _run, _solo_slots, _solo_time, validate_alphabet
+from .model import Strand, _run, _solo_slots, validate_alphabet
 from .optimal import _check_range, _t_star_lanes
 from .policies import TiePolicy, get_policy, policy_names
 from .rng import DEFAULT_SEED, block_stream, trial_rng, validate_seed
@@ -41,6 +40,7 @@ class ExperimentConfig:
 
     def validated(self) -> "ExperimentConfig":
         validate_alphabet(self.q)
+        _check_drawable(self.q)
         if self.length < 1:
             raise ConfigError(f"strand length must be >= 1, got {self.length}")
         if self.trials < 1:
@@ -75,9 +75,18 @@ class EstimateResult:
         return self.stderr / (self.mean / self.slope) if self.mean else 0.0
 
 
+def _check_drawable(q: int) -> None:
+    """Refuse an alphabet numpy's int64 draw below an exclusive q cannot hold."""
+    if q > 1 << 63:
+        raise ConfigError(f"random strands draw int64 symbols, so q must be <= 2**63, got {q}")
+
+
 def random_strand(q: int, length: int, rng: np.random.Generator) -> Strand:
     """A strand of i.i.d. uniform symbols."""
     validate_alphabet(q)
+    _check_drawable(q)
+    if length < 0:
+        raise ConfigError(f"strand length must be >= 0, got {length}")
     return tuple(rng.integers(0, q, size=length).tolist())
 
 
@@ -88,50 +97,61 @@ def _summarize(times, length: int) -> EstimateResult:
     return EstimateResult(mean, stderr, len(arr), mean / length, tuple(times))
 
 
-def _random_pair(gen: np.random.Generator, q: int, length: int) -> tuple[Strand, Strand]:
-    return random_strand(q, length, gen), random_strand(q, length, gen)
+# Most cells one diagonal of a lane block holds, over all its lanes. Wider
+# diagonals spread the wavefront's fixed cost per numpy call over more
+# trials, with less gain per lane as they grow: at q=2, L=200 a trial took
+# 2.5 ms alone, 0.37 ms in 32 lanes and 0.31 ms in 64 (2-vCPU VM; every
+# lane reads its y symbols as consecutive runs).
+_LANE_CELLS = 1 << 13
+
+_MEASURES = ("optimal", "solo", "max-of-solos")  # beside the catalog policies
 
 
-# The trial measures pass strands they have just drawn, valid by
-# construction, to internal entries that do not check them again.
-def _policy_block(seed: int, args: tuple, lo: int, hi: int) -> list[tuple[int, ...]]:
-    """Completion times of trials lo..hi - 1, one per policy named in ``args``.
+def _trial_block(seed: int, args: tuple, lo: int, hi: int) -> list[tuple[int, ...]]:
+    """Trials lo..hi - 1, one tuple per trial of each measure named in ``args``.
 
-    A trial draws its strands once from trial_rng(seed, idx), x then y as
-    random_strand would, and builds their solo slots once from the drawn
-    arrays; every policy walks them, bound to the trial. A policy that draws
-    coins starts from the generator's state right after the strands,
-    restored for each one.
+    A name is a catalog policy or one of _MEASURES. A trial draws x then y
+    once from trial_rng(seed, idx), as random_strand would, and hands the
+    arrays, valid by construction, to kernels that do not check them.
+    Solo slots are built once, when a policy or solo measure needs them:
+    solo is x's last and max-of-solos the later last. Every policy walks
+    them, bound to the trial; one that draws coins starts from the
+    generator's state right after the strands, restored for each one.
+    optimal solves the pairs as lanes of at most _LANE_CELLS cells per diagonal.
     """
     q, length, names = args
-    policies = [get_policy(name) for name in names]
+    policies = [get_policy(name) for name in names if name not in _MEASURES]
     look = any(policy.lookahead for policy in policies)
     coined = any(policy.uses_rng for policy in policies)
-    rows = []
+    slotted = bool(policies) or "solo" in names or "max-of-solos" in names
+    lanes = max(1, _LANE_CELLS // (length + 1))
+    columns: dict[str, list[int]] = {name: [] for name in names}
+    pairs = []
     for idx in range(lo, hi):
         gen = trial_rng(seed, idx)
         ax, ay = gen.integers(0, q, size=length), gen.integers(0, q, size=length)
+        if "optimal" in columns:
+            pairs.append((ax, ay))
+            if len(pairs) == lanes or idx == hi - 1:
+                xs, ys = zip(*pairs)
+                columns["optimal"] += _t_star_lanes(xs, ys, q)
+                pairs = []
+        if not slotted:
+            continue
         sx, sy = _solo_slots(ax, q), _solo_slots(ay, q)
+        if "solo" in columns:
+            columns["solo"].append(sx[-1])
+        if "max-of-solos" in columns:
+            columns["max-of-solos"].append(max(sx[-1], sy[-1]))
         nx, ny = (ax[1:].tolist() + [None], ay[1:].tolist() + [None]) if look else (None, None)
         state = gen.bit_generator.state if coined else None
-        times = []
         for policy in policies:
             coins = None
             if policy.uses_rng:
                 gen.bit_generator.state = state
                 coins = block_stream(gen, 2)
-            times.append(_run(sx, sy, q, policy.bind(q, nx, ny, coins)))
-        rows.append(tuple(times))
-    return rows
-
-
-def _solo_trial(gen: np.random.Generator, q: int, length: int) -> int:
-    return _solo_time(random_strand(q, length, gen), q)
-
-
-def _max_of_solos_trial(gen: np.random.Generator, q: int, length: int) -> int:
-    x, y = _random_pair(gen, q, length)
-    return max(_solo_time(x, q), _solo_time(y, q))
+            columns[policy.name].append(_run(sx, sy, q, policy.bind(q, nx, ny, coins)))
+    return list(zip(*(columns[name] for name in names)))
 
 
 def pool_size(workers: int, trials: int) -> int:
@@ -142,31 +162,6 @@ def pool_size(workers: int, trials: int) -> int:
     if workers < 1:
         raise ConfigError(f"worker count must be >= 1, got {workers}")
     return min(workers, os.cpu_count() or 1, trials)
-
-
-def _trial_block(measure, seed: int, args: tuple, lo: int, hi: int) -> list[int]:
-    """The block measure that calls ``measure(trial_rng(seed, idx), *args)`` per trial."""
-    return [measure(trial_rng(seed, idx), *args) for idx in range(lo, hi)]
-
-
-# Most cells one diagonal of a lane block holds, over all its lanes. Wider
-# diagonals spread the wavefront's fixed cost per numpy call over more
-# trials, with less gain per lane as they grow: at q=2, L=200 a trial took
-# 2.5 ms alone, 0.37 ms in 32 lanes and 0.31 ms in 64 (2-vCPU VM; every
-# lane reads its y symbols as consecutive runs).
-_LANE_CELLS = 1 << 13
-
-
-def _optimal_block(seed: int, args: tuple, lo: int, hi: int) -> list[int]:
-    """t* of trials lo..hi - 1, solved as lanes of at most _LANE_CELLS cells per diagonal."""
-    q, length = args
-    pairs = [_random_pair(trial_rng(seed, idx), q, length) for idx in range(lo, hi)]
-    lanes = max(1, _LANE_CELLS // (length + 1))
-    times: list[int] = []
-    for k in range(0, len(pairs), lanes):
-        xs, ys = zip(*pairs[k:k + lanes])
-        times += _t_star_lanes(xs, ys, q)
-    return times
 
 
 # Symbol walks (trials x L x policies) below which a policy sweep group
@@ -205,11 +200,11 @@ def _map_trials(block, seed: int, args: tuple, trials: int, workers: int,
 def estimate_policy_times(configs, workers: int = 1) -> list[EstimateResult]:
     """estimate_policy_time of each config, in config order, one pass per sweep group.
 
-    Configs that share (q, L, trials, seed) form a group. Each of its
-    trials draws its strands once, and every policy of the group walks
-    them, so a group costs one draw per trial and starts at most one
-    pool. A policy listed twice reuses its result. Every config is
-    validated before any trial runs.
+    Configs that share (q, L, trials, seed) form a group, run as one
+    trial pass: each trial draws its strands once, and every policy of
+    the group walks them, so a group costs one draw per trial and starts
+    at most one pool. A policy listed twice reuses its result. Every
+    config is validated before any trial runs.
     """
     configs = [config.validated() for config in configs]
     groups: dict[tuple, dict[str, None]] = {}
@@ -218,7 +213,7 @@ def estimate_policy_times(configs, workers: int = 1) -> list[EstimateResult]:
     results = {}
     for key, names in groups.items():
         q, length, trials, seed = key
-        times = _map_trials(_policy_block, seed, (q, length, tuple(names)), trials,
+        times = _map_trials(_trial_block, seed, (q, length, tuple(names)), trials,
                             workers, trials * length * len(names))
         for name, column in zip(names, zip(*times)):
             results[key + (name,)] = _summarize(column, length)
@@ -230,6 +225,13 @@ def estimate_policy_time(config: ExperimentConfig, workers: int = 1) -> Estimate
     return estimate_policy_times([config], workers)[0]
 
 
+def _estimate_measure(config: ExperimentConfig, name: str, workers: int = 1) -> EstimateResult:
+    """The trial pass of the one measure ``name`` over a validated config's trials."""
+    times = _map_trials(_trial_block, config.seed, (config.q, config.length, (name,)),
+                        config.trials, workers)
+    return _summarize([time for time, in times], config.length)
+
+
 def estimate_optimal_time(config: ExperimentConfig, workers: int = 1) -> EstimateResult:
     """Mean optimal completion time (exact solver per trial) over random pairs.
 
@@ -239,17 +241,13 @@ def estimate_optimal_time(config: ExperimentConfig, workers: int = 1) -> Estimat
     """
     config = config.validated()
     _check_range(config.q, config.length, config.length)
-    times = _map_trials(_optimal_block, config.seed, (config.q, config.length),
-                        config.trials, workers)
-    return _summarize(times, config.length)
+    return _estimate_measure(config, "optimal", workers)
 
 
 def estimate_solo_time(q: int, length: int, trials: int,
                        seed: int = DEFAULT_SEED) -> EstimateResult:
     """Mean unconstrained single-strand synthesis time; slope targets (q+1)/2."""
-    ExperimentConfig(q, length, trials, seed).validated()
-    return _summarize(_map_trials(partial(_trial_block, _solo_trial), seed, (q, length),
-                                  trials, 1), length)
+    return _estimate_measure(ExperimentConfig(q, length, trials, seed).validated(), "solo")
 
 
 def estimate_max_lower_bound(q: int, length: int, trials: int,
@@ -261,9 +259,8 @@ def estimate_max_lower_bound(q: int, length: int, trials: int,
     """
     if q <= 2:
         raise ConfigError("max-of-solos bound applies to q > 2; use the trivial 2L bound for q=2")
-    ExperimentConfig(q, length, trials, seed).validated()
-    return _summarize(_map_trials(partial(_trial_block, _max_of_solos_trial), seed,
-                                  (q, length), trials, 1), length)
+    return _estimate_measure(ExperimentConfig(q, length, trials, seed).validated(),
+                             "max-of-solos")
 
 
 # --- analytic targets --------------------------------------------------------

@@ -174,8 +174,10 @@ def _row_sweep(x, y, q: int, ties: list | None = None) -> int:
     sym = np.int8 if q <= 128 else np.int64
     # xs[i] is x[i - 1], the q - 1 before x's first at 0; with k = len_y - j,
     # ys[k] is y[j - 1], the q - 1 before y's first at len_y, and y[j] is ys[k - 1]
-    xs = np.array((q - 1, *x), dtype=sym)
-    ys = np.array((*y[::-1], q - 1), dtype=sym)
+    xs = np.empty(lx + 1, dtype=sym)
+    xs[0], xs[1:] = q - 1, x
+    ys = np.empty(ly + 1, dtype=sym)
+    ys[:-1], ys[-1] = y[::-1], q - 1
     wrap_x = np.less_equal(xs[1:], xs[:-1]).view(np.int8)  # x[i] <= x[i - 1]
     wrap_y = np.less_equal(ys[:-1], ys[1:]).view(np.int8)  # y[j] <= y[j - 1] at k - 1
     base = q * (np.count_nonzero(wrap_x) + np.count_nonzero(wrap_y)) - (q - 1)

@@ -15,6 +15,7 @@ from rowsynth import (Schedule, apply_schedule, enumerate_interleavings_min, pol
                       trial_rng)
 from rowsynth import cli, experiments
 from rowsynth.cli import load_config, main
+from conftest import random_pair
 
 
 def run_cli(capsys, *argv):
@@ -109,7 +110,7 @@ class TestSolverRange:
         proc = self._capped("sys.exit(main(sys.argv[1:]))", "conjecture", "--q", "1000000000",
                             "--length", "2", "--trials", "2", "--seed", "7", "--no-timestamp")
         assert proc.returncode == 0, proc.stderr
-        pairs = [experiments._random_pair(trial_rng(7, idx), 10**9, 2) for idx in range(2)]
+        pairs = [random_pair(trial_rng(7, idx), 10**9, 2) for idx in range(2)]
         times = [enumerate_interleavings_min(x, y, 10**9) for x, y in pairs]
         assert json.loads(proc.stdout)["meanTStar"] == sum(times) / 2
 
@@ -142,6 +143,15 @@ class TestSolverRange:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1
         assert err.startswith("error: the exact solver needs q * (len_x + len_y + 1) < 2**60")
+
+    @pytest.mark.parametrize("command", ["experiment", "conjecture"])
+    def test_alphabet_past_the_int64_draw_exits_one(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(experiments, "_map_trials", None)  # any trial would fail
+        code, out, err = run_cli(capsys, command, "--q", str(10**19), "--length", "2",
+                                 "--trials", "2")
+        assert (code, out) == (1, "")
+        assert err == ("error: random strands draw int64 symbols, so q must be <= 2**63, "
+                       "got 10000000000000000000\n")
 
 
 class TestOracle:

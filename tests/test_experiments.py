@@ -36,7 +36,7 @@ from rowsynth.experiments import (
     rows_to_csv,
     run_experiment_row,
 )
-from conftest import BlockDraws
+from conftest import BlockDraws, random_pair
 
 
 class TestRandomStrand:
@@ -49,6 +49,17 @@ class TestRandomStrand:
 
     def test_empty(self):
         assert random_strand(3, 0, trial_rng(1, 0)) == ()
+
+    def test_largest_int64_alphabet_draws(self):
+        strand = random_strand(2**63, 3, trial_rng(1, 0))
+        assert len(strand) == 3 and all(0 <= s < 2**63 for s in strand)
+
+    @pytest.mark.parametrize("q, length, what", [(2**63 + 1, 3, "q must be <= 2\\*\\*63"),
+                                                 (2**64, 0, "q must be <= 2\\*\\*63"),
+                                                 (2, -1, "strand length must be >= 0, got -1")])
+    def test_refuses_what_the_int64_draw_cannot_make(self, q, length, what):
+        with pytest.raises(ConfigError, match=what):
+            random_strand(q, length, trial_rng(1, 0))
 
     def test_histogram_is_uniform_within_four_sigma(self):
         n = 1_000_000
@@ -74,6 +85,17 @@ class TestConfigValidation:
             ExperimentConfig(2, 0, 5).validated()
         with pytest.raises(ConfigError):
             ExperimentConfig(2, 10, 0).validated()
+
+    def test_alphabet_past_the_int64_draw_refused_before_any_trial(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_map_trials", None)  # any trial would fail
+        assert ExperimentConfig(2**63, 10, 5).validated().q == 2**63
+        too_big = ExperimentConfig(2**63 + 1, 10, 5)
+        for estimate in (estimate_policy_time, estimate_optimal_time):
+            with pytest.raises(ConfigError, match=rf"q must be <= 2\*\*63, got {2**63 + 1}$"):
+                estimate(too_big, workers=2)
+        for estimate in (estimate_solo_time, estimate_max_lower_bound):
+            with pytest.raises(ConfigError, match=rf"q must be <= 2\*\*63, got {2**64}$"):
+                estimate(2**64, 3, 2)
 
     def test_negative_seed_refused_before_any_trial(self, monkeypatch):
         monkeypatch.setattr(experiments, "_map_trials", None)  # any trial would fail
@@ -103,12 +125,6 @@ class TestEstimatePolicyTime:
         assert est.stderr > 0
         assert est.slope == est.mean / 100
         assert len(est.times) == 30
-
-
-def _drawn_pair(seed, idx, q, length):
-    """Trial idx's strands: x, then y, from its own substream."""
-    gen = trial_rng(seed, idx)
-    return random_strand(q, length, gen), random_strand(q, length, gen)
 
 
 class TestEstimateOptimalTime:
@@ -152,7 +168,8 @@ class TestEstimateOptimalTime:
         times = estimate_optimal_time(config).times
         assert sum(blocks) == trials
         assert max(blocks) == min(trials, max(1, cap // (length + 1)))
-        assert times == tuple(t_star(*_drawn_pair(8, idx, 2, length), 2) for idx in range(trials))
+        assert times == tuple(t_star(*random_pair(trial_rng(8, idx), 2, length), 2)
+                              for idx in range(trials))
 
     def test_quaternary_slope_near_three(self):
         from rowsynth import DEFAULT_SEED
@@ -450,15 +467,51 @@ class TestGroupPass:
         assert [est.times for est in group] == [reference_policy_times(c) for c in configs]
 
 
+class TestOneTrialPass:
+    """Every measure is a column of one pass that draws each trial once."""
+
+    NAMES = ("optimal", "solo", "max-of-solos", "lf", "random")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_column_equals_its_single_measure_estimate(self, monkeypatch, workers):
+        import concurrent.futures
+
+        q, length, trials, seed = 3, 40, 7, 21
+        drawn = []
+        rng = experiments.trial_rng
+        monkeypatch.setattr(experiments, "trial_rng",
+                            lambda seed, idx: drawn.append((seed, idx)) or rng(seed, idx))
+        # threads stand in for the pool's processes, so the draws are seen here
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            concurrent.futures.ThreadPoolExecutor)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        rows = experiments._map_trials(experiments._trial_block, seed,
+                                       (q, length, self.NAMES), trials, workers)
+        assert sorted(drawn) == [(seed, idx) for idx in range(trials)]
+        monkeypatch.setattr(experiments, "trial_rng", rng)
+        optimal, solo, max_of_solos, lf, random = zip(*rows)
+        assert optimal == estimate_optimal_time(ExperimentConfig(q, length, trials, seed)).times
+        assert solo == estimate_solo_time(q, length, trials, seed).times
+        assert max_of_solos == estimate_max_lower_bound(q, length, trials, seed).times
+        for name, column in (("lf", lf), ("random", random)):
+            config = ExperimentConfig(q, length, trials, seed, name)
+            assert column == estimate_policy_time(config).times == reference_policy_times(config)
+
+    def test_columns_hold_through_the_process_pool(self):
+        args = (4, 30, self.NAMES)
+        assert (experiments._map_trials(experiments._trial_block, 5, args, 6, 2)
+                == experiments._trial_block(5, args, 0, 6))
+
+
 class TestBoundWalks:
     """A policy is bound once per walk: no state carries from one trial to the next."""
 
     @pytest.mark.parametrize("q, names", [(2, ALL_POLICIES), (4, DEPTH0)])
     def test_trials_in_any_order(self, q, names):
         args = (q, 40, tuple(names))
-        whole = experiments._policy_block(3, args, 0, 12)
+        whole = experiments._trial_block(3, args, 0, 12)
         order = [5, 0, 11, 3, 9, 1, 7, 10, 2, 8, 4, 6]
-        alone = {idx: experiments._policy_block(3, args, idx, idx + 1)[0] for idx in order}
+        alone = {idx: experiments._trial_block(3, args, idx, idx + 1)[0] for idx in order}
         assert [alone[idx] for idx in range(12)] == whole
 
     @pytest.mark.parametrize("name", ALL_POLICIES)
