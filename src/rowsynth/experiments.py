@@ -114,10 +114,10 @@ def _trial_block(seed: int, args: tuple, lo: int, hi: int) -> list[tuple[int, ..
     once from trial_rng(seed, idx), as random_strand would, and hands the
     arrays, valid by construction, to kernels that do not check them.
     Solo slots are built once, when a policy or solo measure needs them:
-    solo is x's last and max-of-solos the later last. Every policy walks
-    them, bound to the trial; one that draws coins starts from the
-    generator's state right after the strands, restored for each one.
-    optimal solves the pairs as lanes of at most _LANE_CELLS cells per diagonal.
+    solo is x's last slot, max-of-solos the later of the two last slots.
+    Every policy walks them, bound to the trial; one that draws coins
+    starts from the generator's state right after the strands, restored
+    for each one. optimal solves the pairs as lanes, at most _LANE_CELLS cells a diagonal.
     """
     q, length, names = args
     policies = [get_policy(name) for name in names if name not in _MEASURES]
