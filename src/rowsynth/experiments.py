@@ -175,18 +175,29 @@ def pool_size(workers: int, trials: int) -> int:
 # half as much: 64 / 97 ms at 2 * 10**5, 171 / 158 at 3 * 10**5.
 _POOL_MIN_WALKS = 200_000
 
+# Solver cells (trials x (L + 1)^2) below which estimate_optimal_time runs
+# serially at any --workers. Median wall time of a fresh `rowsynth
+# conjecture` process, serial / --workers 2, over 9 alternating runs (2-vCPU
+# VM): at 6 * 10**7 cells, 396 / 498 ms (q=2, L=200) and 365 / 422 (q=2,
+# L=1000); 355 / 340 at 8 * 10**7 (q=4, L=2000), 466 / 505 at 9 * 10**7
+# (q=4, L=300), 442 / 423 at 10**8 (q=2, L=1000); over 7 runs at q=2, 886 /
+# 658 at 1.6 * 10**8 (L=200) and 1019 / 642 at 2 * 10**8 (L=1000).
+_POOL_MIN_CELLS = 10**8
+
 
 def _map_trials(block, seed: int, args: tuple, trials: int, workers: int,
-                walks: int | None = None) -> list:
+                walks: int | None = None, cells: int | None = None) -> list:
     """Every trial's result, in index order, from ``block(seed, args, lo, hi)``.
 
     A block measure returns the results of trials lo..hi - 1, each drawn
     from its own substream trial_rng(seed, idx). With more than one worker
     the indices are split into one contiguous block per process, unless
-    ``walks`` says the work is under _POOL_MIN_WALKS.
+    ``walks`` or ``cells`` says the work is under _POOL_MIN_WALKS symbol
+    walks or _POOL_MIN_CELLS solver cells.
     """
     workers = pool_size(workers, trials)
-    if workers == 1 or walks is not None and walks < _POOL_MIN_WALKS:
+    if (workers == 1 or walks is not None and walks < _POOL_MIN_WALKS
+            or cells is not None and cells < _POOL_MIN_CELLS):
         return block(seed, args, 0, trials)
     from concurrent.futures import ProcessPoolExecutor  # only a pool pays for its import
     chunk = -(-trials // workers)
@@ -225,10 +236,11 @@ def estimate_policy_time(config: ExperimentConfig, workers: int = 1) -> Estimate
     return estimate_policy_times([config], workers)[0]
 
 
-def _estimate_measure(config: ExperimentConfig, name: str, workers: int = 1) -> EstimateResult:
+def _estimate_measure(config: ExperimentConfig, name: str, workers: int = 1,
+                      cells: int | None = None) -> EstimateResult:
     """The trial pass of the one measure ``name`` over a validated config's trials."""
     times = _map_trials(_trial_block, config.seed, (config.q, config.length, (name,)),
-                        config.trials, workers)
+                        config.trials, workers, cells=cells)
     return _summarize([time for time, in times], config.length)
 
 
@@ -241,7 +253,7 @@ def estimate_optimal_time(config: ExperimentConfig, workers: int = 1) -> Estimat
     """
     config = config.validated()
     _check_range(config.q, config.length, config.length)
-    return _estimate_measure(config, "optimal", workers)
+    return _estimate_measure(config, "optimal", workers, config.trials * (config.length + 1) ** 2)
 
 
 def estimate_solo_time(q: int, length: int, trials: int,

@@ -40,30 +40,46 @@ pays nothing, and a cross term is two symbol comparisons, so no table of
 advance costs is needed and no array is sized by q. At the root both shifts
 vanish, so U'(0, 0), all that the kernels return, is the optimum.
 
-_row_sweep solves one pair row by row, i = len_x down to 0, with y read
-backwards: a row's V' is a running minimum, as in Gotoh's horizontal-gap
-state (J. Mol. Biol. 162:705, 1982), so V'(i, .) is one
-np.minimum.accumulate of U'(i + 1, .) + F'(i, .) and U'(i, .) one add and
-one minimum. _wavefront solves B pairs of equal lengths as lanes, one
-anti-diagonal per step, on one symbol array with x[i] at row c + 1 + i and
-y[j] at row c - 1 - j: a band of diagonals reads x as one slice and y as a
-view of consecutive runs, and lane b's cell i sits at i * B + b. Both take
-E' and F' at most _BAND_CELLS cells at a time; memory is O(len_y), or
-O((len_x + len_y) * B) for lanes, plus those cells. One pair sweeps rows
-while its shorter strand has fewer than _WAVEFRONT_SYMBOLS = 2500 symbols,
-as each of the wavefront's len_x + len_y diagonals pays four numpy calls;
-from there on np.minimum.accumulate's 3.5 ns per cell loses and the pair
-runs as one lane. Rows against one lane took 0.98-1.05 against 2.0-2.2 ms
-at q=4, L=200; at q=2, 19/27 ms at L=1500, 46/46 at 2500 and 511/255 at
-10^4 (q=4: 15/16, 37/35, 598/298). 100 pairs at q=2, L=200 took 94-102 ms
-one sweep each against 21-24 ms as lanes (2-vCPU VM, best of 7).
+_row_sweep solves B pairs of equal lengths as lanes, row by row, i = len_x
+down to 0, with y read backwards: a row's V' is a running minimum, as in
+Gotoh's horizontal-gap state (J. Mol. Biol. 162:705, 1982), so V'(i, .) is
+one np.minimum.accumulate of U'(i + 1, .) + F'(i, .) and U'(i, .) one add
+and one minimum. One row array holds every lane, lane b's len_y + 1 cells
+from b (len_y + 1) on, as in Rognes' inter-sequence layout (BMC
+Bioinformatics 12:221, 2011), and lane b's values are stored b D below
+their own, with D = q (len_x + len_y + 2) above any value plus a cross
+term. Every lane then lies below every earlier one, so the running minimum
+never carries a value into the next lane and the E' cell that spans two
+lanes never wins: a row is four numpy calls whatever B is. _wavefront
+solves B pairs as lanes, one anti-diagonal per step, on one symbol array
+with x[i] at row c + 1 + i and y[j] at row c - 1 - j: a band of diagonals
+reads x as one slice and y as a view of consecutive runs, and lane b's cell
+i sits at i * B + b. Both take E' and F' at most _BAND_CELLS cells at a
+time; memory is O(len_y * B) for rows and O((len_x + len_y) * B) for the
+wavefront, plus those cells.
+
+A block sweeps rows while B (min(len_x, len_y) + 1) is at most _ROW_CELLS
+= 2500 cells, as each of the wavefront's len_x + len_y diagonals pays four
+numpy calls against each of len_x rows' four; from there on
+np.minimum.accumulate's 3 ns per cell loses and the block runs the
+wavefront. Wavefront over rows at B = 1, 2, 4 and 8 (q = 2 and 4): 1.09-1.27
+at 1000 cells a row, 0.95-1.14 at 2000, 0.79-0.90 at 2500 and 0.63-0.79 at
+3200, so the crossover lies between 2000 and 2500 cells at every lane
+count; at one lane a shorter strand of 2500 symbols had measured 46 ms both
+ways at q=2 (best of 7). Rows against the wavefront took 1.45/1.78
+ms for 4 lanes at q=2, L=200 and 1.02/1.83 for one lane at q=4, L=300
+(median of 25 alternating runs), but 9.4/4.3 ms for 40 lanes at q=2, L=200
+and 56/45 ms for one lane at q=2, L=3000 (2-vCPU VM).
 
 No value exceeds q (len_x + len_y), and the wavefront's entries past the
 end plus a cross term stay within q of its sentinel, so with S = q (len_x
 + len_y + 1) values are int32 with sentinel 2**30 when S < 2**30, and
 int64 with _UNREACHABLE above; callers refuse S >= _UNREACHABLE before
-allocating. int32 took the 100 lane trials from 34-40 to 18-29 ms, and
-t_star at q=2, L=10^4 from 894 to 686-716 ms.
+allocating. A rows block of B lanes spans q (B (len_x + len_y + 2) - 1),
+which is S at one lane, and takes its type by the same bounds; past
+_UNREACHABLE it runs the wavefront, whose lanes are not shifted. int32
+took 100 wavefront lane trials from 34-40 to 18-29 ms, and t_star at q=2,
+L=10^4 from 894 to 686-716 ms.
 
 An optimal schedule never idles while a strand can advance, so both
 schedule builders run the greedy simulator's walk (model._run) with a tie
@@ -155,50 +171,72 @@ def _check_range(q: int, len_x: int, len_y: int) -> None:
             f"got q = {q} with {len_x} + {len_y} symbols")
 
 
-def _value_type(q: int, len_x: int, len_y: int):
-    """The kernels' value dtype and past-the-end sentinel, by the module docstring's rule."""
-    small = q * (len_x + len_y + 1) < 1 << 30
-    return (np.int32, 1 << 30) if small else (np.int64, _UNREACHABLE)
+def _value_type(q: int, len_x: int, len_y: int, lanes: int = 1):
+    """The kernels' value dtype and past-the-end sentinel, by the module docstring's rule.
 
-
-def _row_sweep(x, y, q: int, ties: list | None = None) -> int:
-    """The optimum of one pair, U'(0, 0), solved row by row with y read backwards.
-
-    x and y are valid, and _check_range passes. Row i holds cell (i, j) at
-    k = len_y - j. Given ``ties``, rows len_x - 1 down to 0 each append
-    their tie bits packed big-endian into bytes: bit len_y - 1 - j is
-    U'(i + 1, j) > V'(i, j + 1) + E'(i, j), the second candidate winning.
+    None when a rows block of ``lanes`` lanes spans _UNREACHABLE or more.
     """
-    lx, ly = len(x), len(y)
-    value = _value_type(q, lx, ly)[0]
-    sym = np.int8 if q <= 128 else np.int64
-    # xs[i] is x[i - 1], the q - 1 before x's first at 0; with k = len_y - j,
-    # ys[k] is y[j - 1], the q - 1 before y's first at len_y, and y[j] is ys[k - 1]
-    xs = np.empty(lx + 1, dtype=sym)
-    xs[0], xs[1:] = q - 1, x
-    ys = np.empty(ly + 1, dtype=sym)
-    ys[:-1], ys[-1] = y[::-1], q - 1
-    wrap_x = np.less_equal(xs[1:], xs[:-1]).view(np.int8)  # x[i] <= x[i - 1]
-    wrap_y = np.less_equal(ys[:-1], ys[1:]).view(np.int8)  # y[j] <= y[j - 1] at k - 1
-    base = q * (np.count_nonzero(wrap_x) + np.count_nonzero(wrap_y)) - (q - 1)
-    # row len_x: V' is V'(len_x, len_y) all along; U'(i, len_y) = U'(len_x, len_y)
-    u = np.empty(ly + 1, dtype=value)
-    u[0] = base + int(xs[-1])
-    np.multiply(np.subtract(np.less_equal(ys[:-1], xs[-1]), wrap_y), q, out=u[1:], dtype=value)
-    u[1:] += base + int(ys[0])
-    v = np.empty(ly + 1, dtype=value)
+    span = q * (lanes * (len_x + len_y + 2) - 1)
+    if span < 1 << 30:
+        return np.int32, 1 << 30
+    return (np.int64, _UNREACHABLE) if span < _UNREACHABLE else None
+
+
+def _row_sweep(xs, ys, q: int, ties: list | None = None) -> list[int]:
+    """Each lane's optimum, U'(0, 0), solved row by row with y read backwards.
+
+    xs and ys hold B strands each, all of one length per side; pair b is
+    (xs[b], ys[b]), the strands are valid and _value_type(q, len_x, len_y,
+    B) is not None. Row i holds lane b's cell (i, j) at b * (len_y + 1) +
+    len_y - j, less b * q * (len_x + len_y + 2). Given ``ties`` and one
+    lane, rows len_x - 1 down to 0 each append their tie bits packed
+    big-endian into bytes: bit len_y - 1 - j is U'(i + 1, j) > V'(i, j + 1)
+    + E'(i, j), the second candidate winning.
+    """
+    lanes, lx, ly = len(xs), len(xs[0]), len(ys[0])
+    value = _value_type(q, lx, ly, lanes)[0]
+    # each lane's strands read backwards, each followed by the q - 1 before
+    # its first symbol: y, then x. With k = len_y - j, y[j - 1] sits at k and
+    # y[j] at k - 1; x[i] sits at len_y + len_x - i and x[i - 1] one on
+    sym = np.empty((lanes, lx + ly + 2), dtype=np.int8 if q <= 128 else np.int64)
+    sym[:, :ly][:, ::-1], sym[:, ly + 1:-1][:, ::-1] = ys, xs
+    sym[:, ly::lx + 1] = q - 1  # at len_y and at the end
+    # 1 where a symbol is not above the one before it in its strand: y[j] <=
+    # y[j - 1] at k - 1, x[i] <= x[i - 1] at len_y + len_x - i; 0 at len_y
+    wrap = np.less_equal(sym[:, :-1], sym[:, 1:]).view(np.int8)
+    wrap[:, ly] = 0
+    # V'(len_x, len_y), q N(len_x, len_y) - (q - 1) + y[len_y - 1], less each
+    # lane's shift, in Python ints, which cost less than numpy calls on B values
+    delta = q * (lx + ly + 2)
+    start = [q * wraps - (q - 1) + last - b * delta
+             for b, (wraps, last) in enumerate(zip(wrap.sum(1).tolist(), sym[:, 0].tolist()))]
+    y_cells, wrap_y = sym[:, :ly + 1], wrap[:, :ly + 1]
+    # x[i] and x[i] <= x[i - 1] at row len_x - 1 - i, as (row, lane, 1) views
+    x_rows, wrap_x = sym[:, ly + 1:].T[:, :, None], wrap[:, ly + 1:].T[:, :, None]
+    # row len_x: V' is V'(len_x, len_y) all along, so U'(len_x, j) is that
+    # plus E'(len_x, j), and U'(len_x, len_y) is that plus x[len_x - 1] -
+    # y[len_y - 1]; U'(i, len_y) = U'(len_x, len_y) in every row
+    n = lanes * (ly + 1)
+    u = np.empty(n, dtype=value)
+    by_lane = u.reshape(lanes, ly + 1)
+    np.multiply(np.subtract(np.less_equal(sym[:, :ly], sym[:, ly + 1:ly + 2]), wrap[:, :ly]), q,
+                out=by_lane[:, 1:], dtype=value)
+    by_lane[:, 0] = sym[:, ly + 1] - sym[:, 0]
+    by_lane += np.array(start, dtype=value)[:, None]
+    v = np.empty(n, dtype=value)
     u_on, v_before = u[1:], v[:-1]  # U'(., j) and V'(., j + 1) for j < len_y
-    rows = max(1, min(lx, _BAND_CELLS // (ly + 1)))
-    bits = np.empty((rows, ly), dtype=bool) if ties is not None else [None] * rows
+    rows = max(1, min(lx, _BAND_CELLS // n))
+    bits = np.empty((rows, n - 1), dtype=bool) if ties is not None else [None] * rows
     add, minimum, accumulate, greater = np.add, np.minimum, np.minimum.accumulate, np.greater
-    for hi in range(lx - 1, -1, -rows):
-        # F' and E' of rows lo..hi as (row, k) arrays, E' from k = 1
-        lo = max(0, hi - rows + 1)
-        x_at = xs[lo:hi + 2, None]  # x[i - 1] at row i - lo, x[i] one row on
-        f = np.multiply(np.subtract(np.less_equal(x_at[1:], ys), wrap_x[lo:hi + 1, None]), q,
-                        dtype=value)
-        e = np.multiply(np.subtract(np.less_equal(ys[:-1], x_at[:-1]), wrap_y), q, dtype=value)
-        for fi, ei, tie in zip(f[::-1], e[::-1], bits):
+    for at in range(0, lx, rows):
+        # F' and E' of rows len_x - 1 - at on down as (row, cell) arrays, E'
+        # from k = 1 and at the cell before each later lane, where it never wins
+        x_at = x_rows[at:at + rows + 1]  # x[i], then x[i - 1] one row on
+        f = np.multiply(np.subtract(np.less_equal(x_at[:-1], y_cells), wrap_x[at:at + rows]), q,
+                        dtype=value).reshape(-1, n)
+        e = np.multiply(np.subtract(np.less_equal(y_cells, x_at[1:]), wrap_y), q,
+                        dtype=value).reshape(-1, n)[:, :-1]
+        for fi, ei, tie in zip(f, e, bits):
             add(u, fi, out=fi)
             accumulate(fi, out=v)  # V'(i, .)
             add(v_before, ei, out=ei)
@@ -206,8 +244,8 @@ def _row_sweep(x, y, q: int, ties: list | None = None) -> int:
                 greater(u_on, ei, out=tie)
             minimum(u_on, ei, out=u_on)  # U'(i, .)
         if ties is not None:
-            ties += map(bytes, np.packbits(bits[:hi + 1 - lo], axis=1))
-    return int(u[ly])
+            ties += map(bytes, np.packbits(bits[:len(f)], axis=1))
+    return [root + b * delta for b, root in enumerate(by_lane[:, ly].tolist())]
 
 
 def _wavefront(xs, ys, q: int) -> np.ndarray:
@@ -244,7 +282,7 @@ def _wavefront(xs, ys, q: int) -> np.ndarray:
     # U' of diagonal d sits at (d' + i) * B + b with d' = top - d, so U'(i, d - i)
     # overwrites U'(i + 1, d - i) in place; V' sits at i * B + b. Entries never
     # written stay _UNREACHABLE, which is what the cells past the end read.
-    value, unreachable = _value_type(q, lx, ly)
+    value, unreachable = _value_type(q, lx, ly)  # its lanes are not shifted
     uv = np.empty((top + lx + 2) * lanes, dtype=value)
     uv.fill(unreachable)
     u, v = uv[:(top + 1) * lanes], uv[(top + 1) * lanes:]
@@ -375,19 +413,20 @@ def t_star(x, y, q: int) -> int:
     return _t_star_lanes([x], [y], q)[0]
 
 
-_WAVEFRONT_SYMBOLS = 2500  # see the module docstring
+_ROW_CELLS = 2500  # see the module docstring
 
 
 def _t_star_lanes(xs, ys, q: int) -> list[int]:
-    """Optimal completion time of each pair (xs[b], ys[b]), solved as lanes of one wavefront.
+    """Optimal completion time of each pair (xs[b], ys[b]), solved as lanes of one block.
 
-    A single pair sweeps rows instead while its shorter strand has fewer
-    than _WAVEFRONT_SYMBOLS symbols. Every x has one length and every y
-    one length, the strands are already valid and _check_range passes:
-    nothing is checked.
+    The block sweeps rows while lanes * (shorter strand + 1) is at most
+    _ROW_CELLS and its shifted lanes fit int64, and runs the wavefront
+    otherwise. Every x has one length and every y one length, the strands
+    are already valid and _check_range passes: nothing is checked.
     """
-    if len(xs) == 1 and min(len(xs[0]), len(ys[0])) < _WAVEFRONT_SYMBOLS:
-        return [_row_sweep(xs[0], ys[0], q)]
+    lanes, lx, ly = len(xs), len(xs[0]), len(ys[0])
+    if lanes * (min(lx, ly) + 1) <= _ROW_CELLS and _value_type(q, lx, ly, lanes):
+        return _row_sweep(xs, ys, q)
     return _wavefront(xs, ys, q).tolist()
 
 
@@ -458,7 +497,7 @@ def optimal_schedule(x, y, q: int) -> OptimalResult:
     if cells > MAX_TIE_BITS:
         raise BudgetExceededError(cells, MAX_TIE_BITS, what="tie-bit table", unit="bits")
     ties: list[bytes] = []  # row i at ties[lx - 1 - i]
-    slots = _row_sweep(x, y, q, ties)
+    slots = _row_sweep([x], [y], q, ties)[0]
     if slots > MAX_SCHEDULE_SLOTS:
         raise BudgetExceededError(slots, MAX_SCHEDULE_SLOTS, what="optimal schedule",
                                   unit="slots")

@@ -106,7 +106,7 @@ class TestSolverRange:
             assert proc.returncode == 0, proc.stderr
             docs[command] = json.loads(proc.stdout)
         assert docs["solve"]["tStar"] == docs["oracle"]["tStar"] == 8
-        # conjecture solves its two trials as lanes of the wavefront, on int64 values
+        # conjecture solves its two trials as one rows block of two lanes, on int64 values
         proc = self._capped("sys.exit(main(sys.argv[1:]))", "conjecture", "--q", "1000000000",
                             "--length", "2", "--trials", "2", "--seed", "7", "--no-timestamp")
         assert proc.returncode == 0, proc.stderr
@@ -372,6 +372,15 @@ class TestConjecture:
                        "--no-timestamp")
         assert doc["conjecturedSlope"] == 2.16
         assert 2.0 <= doc["slope"] <= 2.6
+
+    def test_small_solves_start_no_pool_at_two_workers(self, capsys, monkeypatch):
+        import concurrent.futures
+
+        base = ("conjecture", "--q", "2", "--length", "20", "--trials", "4", "--no-timestamp")
+        serial = run_cli(capsys, *base, "--workers", "1")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # no pool may start
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        assert run_cli(capsys, *base, "--workers", "2") == serial
 
 
 class TestGoldenStability:

@@ -134,7 +134,8 @@ class TestEstimateOptimalTime:
         pol = estimate_policy_time(cfg)
         assert all(o <= p for o, p in zip(opt.times, pol.times))
 
-    def test_worker_equality(self):
+    def test_worker_equality(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_POOL_MIN_CELLS", 0)  # a pool at any size
         cfg = ExperimentConfig(2, 80, 10, 3)
         assert estimate_optimal_time(cfg, workers=1) == estimate_optimal_time(cfg, workers=2)
 
@@ -536,6 +537,35 @@ class TestPoolThreshold:
         assert estimate_policy_time(cfg, workers=2) == estimate_policy_time(cfg)
         with pytest.raises(ConfigError, match="worker count"):
             estimate_policy_time(cfg, workers=0)
+
+    def test_small_solves_run_serially_at_any_worker_count(self, monkeypatch):
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # no pool may start
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        cfg = ExperimentConfig(2, 20, 4, 3)
+        assert cfg.trials * (cfg.length + 1) ** 2 < experiments._POOL_MIN_CELLS
+        assert estimate_optimal_time(cfg, workers=2) == estimate_optimal_time(cfg)
+        with pytest.raises(ConfigError, match="worker count"):
+            estimate_optimal_time(cfg, workers=0)
+
+    @pytest.mark.parametrize("cells, pooled", [(99, False), (100, True)])
+    def test_solver_pool_starts_at_the_cell_threshold(self, monkeypatch, cells, pooled):
+        import concurrent.futures
+
+        started = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(experiments, "_POOL_MIN_CELLS", 100)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        block = lambda seed, args, lo, hi: list(range(lo, hi))  # noqa: E731
+        assert experiments._map_trials(block, 0, (), 5, 2, cells=cells) == [0, 1, 2, 3, 4]
+        assert started == ([2] if pooled else [])
 
     @pytest.mark.parametrize("walks, pooled", [(99, False), (100, True)])
     def test_pool_starts_at_the_threshold(self, monkeypatch, walks, pooled):

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from itertools import product
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rowsynth import (
@@ -208,6 +209,32 @@ def _stub_kernels(monkeypatch):
     monkeypatch.setattr(optimal, "_wavefront", None)
 
 
+def _kernels_called(monkeypatch, xs, ys, q):
+    """_t_star_lanes' optima of the pairs and the kernels it called to solve them."""
+    calls = []
+
+    def spy(name):
+        solve = getattr(optimal, name)
+
+        def counted(*args):
+            calls.append(name)
+            return solve(*args)
+        return counted
+
+    for name in ("_row_sweep", "_wavefront"):
+        monkeypatch.setattr(optimal, name, spy(name))
+    return optimal._t_star_lanes(xs, ys, q), calls
+
+
+def _kernel_at(monkeypatch, lanes, row_cells):
+    """The kernel that solves ``lanes`` copies of a 3-cell-row pair under _ROW_CELLS = row_cells."""
+    expected = [t_star((0, 1, 1), (1, 0), 2)] * lanes
+    monkeypatch.setattr(optimal, "_ROW_CELLS", row_cells)
+    got, calls = _kernels_called(monkeypatch, [(0, 1, 1)] * lanes, [(1, 0)] * lanes, 2)
+    assert got == expected
+    return calls
+
+
 class TestRowSweep:
     @settings(max_examples=300, deadline=None)
     @given(solver_instances(), st.integers(1, 64))
@@ -215,50 +242,36 @@ class TestRowSweep:
         """Blocks of 1 to 64 cells split rows as well as holding several."""
         q, x, y = instance
         with mock.patch.object(optimal, "_BAND_CELLS", band):
-            got = optimal._row_sweep(x, y, q)
+            got, = optimal._row_sweep([x], [y], q)
         assert got == dp_solve(x, y, q).value(0, 0, 0)
         if len(x) <= 6 and len(y) <= 6:
             assert got == enumerate_interleavings_min(x, y, q)
 
-    @pytest.mark.parametrize("lanes, kernel", [(1, "_row_sweep"), (2, "_wavefront"),
-                                                (5, "_wavefront")])
-    def test_one_pair_sweeps_rows_and_lanes_run_the_wavefront(self, monkeypatch, lanes, kernel,
-                                                              crossover=None):
-        if crossover is not None:
-            monkeypatch.setattr(optimal, "_WAVEFRONT_SYMBOLS", crossover)
-        calls = []
-
-        def spy(name):
-            solve = getattr(optimal, name)
-
-            def counted(*args):
-                calls.append(name)
-                return solve(*args)
-            return counted
-
-        expected = [t_star((0, 1, 1), (1, 0), 2)] * lanes
-        for name in ("_row_sweep", "_wavefront"):
-            monkeypatch.setattr(optimal, name, spy(name))
-        assert optimal._t_star_lanes([(0, 1, 1)] * lanes, [(1, 0)] * lanes, 2) == expected
-        assert calls == [kernel]
+    @pytest.mark.parametrize("lanes, over, kernel", [
+        (1, 0, "_row_sweep"), (1, 1, "_wavefront"),
+        (2, 0, "_row_sweep"), (2, 1, "_wavefront"),
+        (5, 0, "_row_sweep"), (5, 1, "_wavefront"),
+    ])
+    def test_lanes_sweep_rows_up_to_the_cell_threshold(self, monkeypatch, lanes, over, kernel):
+        """B lanes of 3 cells a row sweep rows at B * 3 = _ROW_CELLS, not one cell past it."""
+        assert _kernel_at(monkeypatch, lanes, lanes * 3 - over) == [kernel]
 
     @pytest.mark.parametrize("crossover, kernel", [(3, "_row_sweep"), (2, "_wavefront")])
     def test_one_pair_runs_one_lane_from_the_crossover(self, monkeypatch, crossover, kernel):
-        # the pair's shorter strand has 2 symbols
-        self.test_one_pair_sweeps_rows_and_lanes_run_the_wavefront(monkeypatch, 1, kernel,
-                                                                   crossover)
+        # the pair's shorter strand has 2 symbols, so a row has 3 cells
+        assert _kernel_at(monkeypatch, 1, crossover) == [kernel]
 
     @settings(max_examples=100, deadline=None)
     @given(solver_instances(), st.integers(0, 8))
     def test_one_lane_past_the_crossover_equals_rows(self, instance, crossover):
         q, x, y = instance
-        with mock.patch.object(optimal, "_WAVEFRONT_SYMBOLS", crossover):
-            assert t_star(x, y, q) == optimal._row_sweep(x, y, q)
+        with mock.patch.object(optimal, "_ROW_CELLS", crossover):
+            assert [t_star(x, y, q)] == optimal._row_sweep([x], [y], q)
 
     @pytest.mark.parametrize("q", [2, 4])
     def test_one_lane_equals_rows_at_the_crossover(self, rng, q):
-        x, y = random_pair(rng, q, optimal._WAVEFRONT_SYMBOLS)
-        assert t_star(x, y, q) == optimal._row_sweep(x, y, q)
+        x, y = random_pair(rng, q, optimal._ROW_CELLS)  # one cell a row past it
+        assert [t_star(x, y, q)] == optimal._row_sweep([x], [y], q)
 
 
 class TestLanes:
@@ -271,14 +284,20 @@ class TestLanes:
 
     @settings(max_examples=300, deadline=None)
     @given(lane_instances())
+    @example((3, [(), ()], [(2, 0, 1), (0, 0, 2)], 4))
+    @example((2, [(1, 0, 1, 1)] * 3, [()] * 3, 64))
+    @example((4, [(3, 1, 0, 2, 2, 1, 3), (0, 0, 1, 3, 2, 2, 0)], [(0,), (3,)], 1))
     def test_each_lane_equals_its_table_root_and_the_oracle(self, instance):
+        """Rows and the wavefront, each forced by the cell threshold, on the same lanes."""
         q, xs, ys, band = instance
-        with mock.patch.object(optimal, "_BAND_CELLS", band):
-            got = optimal._t_star_lanes(xs, ys, q)
-        assert got == [dp_solve(x, y, q).value(0, 0, 0) for x, y in zip(xs, ys)]
-        for x, y, t in zip(xs, ys, got):
+        expected = [dp_solve(x, y, q).value(0, 0, 0) for x, y in zip(xs, ys)]
+        for x, y, t in zip(xs, ys, expected):
             if len(x) <= 6 and len(y) <= 6:
                 assert t == enumerate_interleavings_min(x, y, q)
+        for row_cells in (0, math.inf):  # the wavefront, then rows
+            with mock.patch.object(optimal, "_BAND_CELLS", band), \
+                    mock.patch.object(optimal, "_ROW_CELLS", row_cells):
+                assert optimal._t_star_lanes(xs, ys, q) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(solver_instances(), st.integers(1, 64))
@@ -318,8 +337,31 @@ class TestSolverRange:
         expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
         assert [t_star(x, y, q) for x, y in zip(xs, ys)] == expected
         # optimal_schedule refuses these optima past MAX_SCHEDULE_SLOTS
-        assert [optimal._row_sweep(x, y, q, []) for x, y in zip(xs, ys)] == expected
+        assert [optimal._row_sweep([x], [y], q, [])[0] for x, y in zip(xs, ys)] == expected
         assert optimal._t_star_lanes(xs, ys, q) == expected
+
+    def test_lane_offsets_widen_the_value_type(self):
+        """Lane b sits b * q * (len_x + len_y + 2) below lane 0, so more lanes need a wider type."""
+        q = (2**30 - 1) // 15  # two lanes of 3 + 3 symbols span q * (2 * 8 - 1) = 15 q
+        assert optimal._value_type(q, 3, 3, 2)[0] is np.int32
+        assert optimal._value_type(q + 1, 3, 3, 2)[0] is np.int64
+        assert optimal._value_type(q + 1, 3, 3)[0] is np.int32
+        # five lanes at q = 10**8 reach 4 * 8 q = 3.2e9 below lane 0, past int32
+        q = 10**8
+        assert optimal._value_type(q, 3, 3)[0] is np.int32
+        assert optimal._value_type(q, 3, 3, 5)[0] is np.int64
+        xs = [(q - 1, q - 2, q - 3), (q - 1, 0, q - 2), (1, 0, 0), (0, 0, 0), (5, 4, 3)]
+        ys = [(q - 1, q - 2, q - 3), (q - 1, q - 1, 3), (0, 1, 1), (q - 1, 0, 0), (5, 4, 3)]
+        expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
+        assert optimal._row_sweep(xs, ys, q) == expected
+        assert optimal._t_star_lanes(xs, ys, q) == expected
+
+    def test_lanes_past_the_int64_offsets_run_the_wavefront(self, monkeypatch):
+        q = (optimal._UNREACHABLE - 1) // 4  # one pair of 2 + 1 symbols fits int64
+        assert optimal._value_type(q, 2, 1) is not None
+        assert optimal._value_type(q, 2, 1, 2) is None
+        got, calls = _kernels_called(monkeypatch, [(1, 0), (q - 1, q - 2)], [(0,), (q - 1,)], q)
+        assert (got, calls) == ([q + 1, 2 * q], ["_wavefront"])
 
     @settings(max_examples=150, deadline=None)
     @given(lane_instances(st.sampled_from([2, 3, 4, 5, 6, 10**9]), lanes=4, length=6))
@@ -340,8 +382,14 @@ class TestSolverRange:
         """numpy 1.x keeps an int8 array times a small scalar in int8, where NEP 50 gives the
         values' int32 or int64; the kernels ask for that type by ``dtype``."""
         x, y = (1, 1, 0, 1) * 20, (0, 1, 0, 0) * 20
-        expected = t_star(x, y, 2), optimal_schedule(x, y, 2), dp_solve(x, y, 2).values
+
+        def solve():
+            lanes = optimal._row_sweep([x, y, x], [y, x, x], 2)  # one rows block of three lanes
+            return t_star(x, y, 2), optimal_schedule(x, y, 2), dp_solve(x, y, 2).values, lanes
+
+        expected = solve()
         assert expected[0] > 127  # would wrap in int8
+        assert expected[3][0] == expected[0]
         multiply = np.multiply
 
         def value_based(a, b, *args, **kwargs):
@@ -351,7 +399,7 @@ class TestSolverRange:
             return product.astype(a.dtype)
 
         monkeypatch.setattr(np, "multiply", value_based)
-        assert (t_star(x, y, 2), optimal_schedule(x, y, 2), dp_solve(x, y, 2).values) == expected
+        assert solve() == expected
 
     @pytest.mark.parametrize("solve", [t_star, optimal_schedule])
     def test_refuses_past_the_int64_range_before_allocating(self, monkeypatch, solve):
