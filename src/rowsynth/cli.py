@@ -10,11 +10,15 @@ All randomness flows from --seed (default 0xDA7A); ROWSYNTH_SEED and
 ROWSYNTH_FORMAT provide environment overrides, with flags taking
 precedence. Both are read on every main() call, after parsing, so the one
 parser a process builds on its first call still sees a changed
-environment; every command refuses a negative seed, and JSON-only
-commands take only --format json and ignore ROWSYNTH_FORMAT. JSON output
-always carries a metadata object; --no-timestamp suppresses the
-timestamp for byte-stable golden files. Exit status: 0 on success, 1 on
-validation/configuration errors, 2 on usage errors.
+environment. A call that names its command goes straight to that
+command's parser; the top-level parser still reads a call with no command
+or an unknown one, the top-level --help and a call with a flag its command
+does not know, so every usage message stays the same. Every command
+refuses a negative seed, and JSON-only commands take only --format json
+and ignore ROWSYNTH_FORMAT. JSON output always carries a metadata object;
+--no-timestamp suppresses the timestamp for byte-stable golden files. Exit
+status: 0 on success, 1 on validation/configuration errors, 2 on usage
+errors.
 """
 
 from __future__ import annotations
@@ -407,6 +411,31 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser by name: the choices of _parser()'s subparsers action."""
+    return next(a.choices for a in _parser()._actions if a.dest == "command")
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as _parser() does, handing a named command's arguments straight to its parser.
+
+    The top-level parser matches argv against its own actions before its
+    subparsers action hands the rest to the command's parser; a call that
+    names its command skips that step and sets ``command`` as the action
+    would. No command, an unknown one, the top-level --help and arguments
+    the command does not know go through the top-level parser, whose usage
+    messages and exits are then the same as without the shortcut.
+    """
+    sub = _commands().get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _parser().parse_args(argv)
+
+
 def _bind_schedule(argv: list[str]) -> list[str]:
     """Join "--schedule S" into "--schedule=S".
 
@@ -423,7 +452,7 @@ def _bind_schedule(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(_bind_schedule(sys.argv[1:] if argv is None else argv))
+        args = _parse(_bind_schedule(sys.argv[1:] if argv is None else argv))
         if args.format is None:
             args.format = _env_format(args.formats)
         args.seed_given = args.seed is not None

@@ -55,6 +55,7 @@ Strand = tuple[int, ...]
 MAX_SCHEDULE_SLOTS = 10**7
 
 _BYTES = bytes(range(256))
+_DIGITS = bytes.maketrans(b"0123456789", _BYTES[:10])  # ASCII digit to its value
 
 
 def validate_alphabet(q: int) -> int:
@@ -68,10 +69,13 @@ def validate_strand(strand, q: int) -> Strand:
 
     Symbols convert with operator.index, so Python and numpy integers pass
     while floats and strings are refused rather than truncated; up to q =
-    256, bytes() converts and checks them first, 3x faster at 400 symbols.
+    256, bytes() converts and checks them first, 3x faster at 400 symbols,
+    and a bytes strand, as parse_strand's digit form gives, goes to that
+    check as it is.
     """
     validate_alphabet(q)
-    strand = tuple(strand)
+    if type(strand) is not bytes:
+        strand = tuple(strand)
     try:
         if q <= 256 and not (packed := bytes(strand)).translate(None, _BYTES[:q]):
             return tuple(packed)
@@ -90,7 +94,11 @@ def validate_strand(strand, q: int) -> Strand:
 
 
 def parse_strand(text: str, q: int) -> Strand:
-    """Parse "1,3,2,2" or, for q <= 10, the compact digit form "1322"."""
+    """Parse "1,3,2,2" or, for q <= 10, the compact digit form "1322".
+
+    The digit form takes ASCII 0-9 only and reads the whole string in one
+    bytes.translate, whose bytes validate_strand checks as they are.
+    """
     text = text.strip()
     if not text:
         return ()
@@ -100,18 +108,18 @@ def parse_strand(text: str, q: int) -> Strand:
         except ValueError as exc:
             raise InvalidStrandError(f"cannot parse strand {text!r}: {exc}") from None
     else:
-        if not text.isdigit():
+        if not (text.isascii() and text.isdigit()):  # isdigit alone passes '²' and '٣'
             raise InvalidStrandError(f"cannot parse strand {text!r}")
         if q > 10:
             raise InvalidStrandError(
                 f"digit-string strands are ambiguous for q={q} > 10; use comma-separated form"
             )
-        symbols = [int(ch) for ch in text]
+        symbols = text.encode().translate(_DIGITS)
     return validate_strand(symbols, q)
 
 
 def format_strand(strand) -> str:
-    return ",".join(str(s) for s in strand)
+    return ",".join([str(s) for s in strand])
 
 
 def periodic_symbol(q: int, t: int) -> int:
@@ -208,6 +216,12 @@ ADVANCE_X = Action(1)
 ADVANCE_Y = Action(2)
 
 
+# Schedule text of the actions of a pair, by strand and by token; Action.token
+# and _parse_token handle every other strand and token.
+_TOKENS = {None: "-", 1: "X", 2: "Y"}
+_ACTIONS = {"-": IDLE, "X": ADVANCE_X, "Y": ADVANCE_Y}
+
+
 def _parse_token(tok: str) -> Action:
     tok = tok.strip()
     if tok in ("-", "−"):
@@ -252,14 +266,22 @@ class Schedule:
         return sum(1 for a in self.actions if a.strand == strand)
 
     def to_string(self) -> str:
-        return ",".join(a.token() for a in self.actions)
+        try:
+            return ",".join([_TOKENS[a.strand] for a in self.actions])
+        except KeyError:  # strands 3 and up
+            return ",".join([a.token() for a in self.actions])
 
     @classmethod
     def from_string(cls, text: str) -> "Schedule":
         text = text.strip()
         if not text:
             return cls(())
-        return cls(tuple(_parse_token(tok) for tok in text.split(",")))
+        tokens = text.split(",")
+        try:
+            actions = tuple([_ACTIONS[tok] for tok in tokens])
+        except KeyError:  # "−", padded, "X<k>" or unknown tokens
+            actions = tuple(map(_parse_token, tokens))
+        return cls(actions)
 
 
 @dataclass(frozen=True)

@@ -59,14 +59,16 @@ time; memory is O(len_y * B) for rows and O((len_x + len_y) * B) for the
 wavefront, plus those cells.
 
 A block sweeps rows while B (min(len_x, len_y) + 1) is at most _ROW_CELLS
-= 2500 cells, as each of the wavefront's len_x + len_y diagonals pays four
+= 2200 cells, as each of the wavefront's len_x + len_y diagonals pays four
 numpy calls against each of len_x rows' four; from there on
 np.minimum.accumulate's 3 ns per cell loses and the block runs the
-wavefront. Wavefront over rows at B = 1, 2, 4 and 8 (q = 2 and 4): 1.09-1.27
-at 1000 cells a row, 0.95-1.14 at 2000, 0.79-0.90 at 2500 and 0.63-0.79 at
-3200, so the crossover lies between 2000 and 2500 cells at every lane
-count; at one lane a shorter strand of 2500 symbols had measured 46 ms both
-ways at q=2 (best of 7). Rows against the wavefront took 1.45/1.78
+wavefront. Wavefront over rows, pooled over B = 1, 2, 4 and 8 at q = 2
+and 4 (21 rounds, each timing every size once, both kernels alternating):
+1.24 at 1000 cells a row, 1.11 at 2000, 1.00 at 2100 and 2200, 0.99 at
+2300, 0.96 at 2500 and 0.78 at 3200, so the crossover lies at about 2200
+cells; a lane count's own median ranged 0.92-1.02 at 2200. The host moves
+it by a few hundred cells either way: runs minutes apart read 1.04-1.16
+and 0.86-0.94 at 2200. Rows against the wavefront took 1.45/1.78
 ms for 4 lanes at q=2, L=200 and 1.02/1.83 for one lane at q=4, L=300
 (median of 25 alternating runs), but 9.4/4.3 ms for 40 lanes at q=2, L=200
 and 56/45 ms for one lane at q=2, L=3000 (2-vCPU VM).
@@ -413,7 +415,7 @@ def t_star(x, y, q: int) -> int:
     return _t_star_lanes([x], [y], q)[0]
 
 
-_ROW_CELLS = 2500  # see the module docstring
+_ROW_CELLS = 2200  # see the module docstring
 
 
 def _t_star_lanes(xs, ys, q: int) -> list[int]:

@@ -698,6 +698,50 @@ class TestCachedParser:
         assert proc.stdout.strip() == "0"
 
 
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of main(argv), usage exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestDispatch:
+    """A named command goes straight to its own parser, with every outcome unchanged."""
+
+    INSTANCE = ("--q", "4", "--x", "1322", "--y", "0,1,3,0")
+    CALLS = [
+        ("solve", *INSTANCE, "--no-timestamp"),
+        ("validate", *INSTANCE, "--schedule", "-,Y,X,-,X,-,Y,X,Y,Y,-,X"),
+        ("simulate", *INSTANCE, "--policy", "random", "--seed", "7", "--no-timestamp"),
+        ("oracle", *INSTANCE, "--no-timestamp"),
+        ("rotations", "--q", "2,3", "--rotations", "200", "--seed", "3"),
+        ("chain", "--stationary", "--no-timestamp"),
+        ("bounds", "--q", "2", "--length", "10"),
+        ("experiment", "--q", "2", "--length", "5", "--trials", "2"),
+        ("conjecture", "--q", "2", "--length", "5", "--trials", "2", "--no-timestamp"),
+        ("solve", "--help"),
+        ("solve", *INSTANCE, "--frob"),
+        ("solve", "--q", "2", "--x", "0"),
+        (),
+        ("frobnicate",),
+        ("--help",),
+    ]
+
+    @pytest.mark.parametrize("argv", CALLS, ids=lambda argv: " ".join(argv) or "no command")
+    def test_same_outcome_through_the_top_level_parser(self, capsys, monkeypatch, argv):
+        direct = outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_commands", dict)  # no command table: no dispatch
+        assert outcome(capsys, argv) == direct
+
+    def test_a_named_command_skips_the_top_level_parser(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli._parser(), "parse_args", None)
+        code, out, _ = outcome(capsys, self.CALLS[0])
+        assert code == 0 and json.loads(out)["tStar"] == 11
+
+
 class TestUsageAndHelp:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -735,6 +779,10 @@ class TestStrandParsing:
     def test_out_of_alphabet_symbol(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--q", "2", "--x", "0,2", "--y", "0")
         assert code == 1
+
+    def test_non_ascii_digit_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--q", "4", "--x", "\u00b2", "--y", "01")
+        assert (code, out, err) == (1, "", "error: cannot parse strand '\u00b2'\n")
 
 
 class TestLoadConfig:

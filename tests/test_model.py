@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import re
 from itertools import product
 from unittest import mock
 
@@ -216,6 +217,9 @@ class TestSimulate:
                     continue
                 sched, _ = simulate(x, y, policy, q, rng)
                 assert apply_schedule(x, y, sched, q) == sched.completion_time
+                text = sched.to_string()
+                assert text == ",".join(a.token() for a in sched)
+                assert apply_schedule(x, y, Schedule.from_string(text), q) == len(sched)
                 assert sched.advance_count(1) == len(x)
                 assert sched.advance_count(2) == len(y)
 
@@ -348,7 +352,10 @@ class TestSimulateK:
 
 class TestApplySchedule:
     def test_example_schedule_a(self):
-        assert apply_schedule(X1, Y1, Schedule.from_string(SCHEDULE_A), 4) == 11
+        # the minus-sign idle and padded tokens read as "-" and as the bare token
+        padded = " , ".join(SCHEDULE_A.split(","))
+        for text in (SCHEDULE_A, SCHEDULE_A.replace("-", "\u2212"), padded):
+            assert apply_schedule(X1, Y1, Schedule.from_string(text), 4) == 11
 
     def test_example_schedule_b(self):
         assert apply_schedule(X1, Y1, Schedule.from_string(SCHEDULE_B), 4) == 15
@@ -368,8 +375,9 @@ class TestApplySchedule:
         assert err.value.slot == 3
 
     def test_unknown_strand_index_rejected(self):
-        with pytest.raises(IllegalActionError):
-            apply_schedule((0,), (0,), Schedule((Action(3),)), 2)
+        for sched in (Schedule((Action(3),)), Schedule.from_string("X3")):
+            with pytest.raises(IllegalActionError):
+                apply_schedule((0,), (0,), sched, 2)
 
     def test_non_greedy_idles_are_permitted(self):
         # slot 1 idles although strand 1 could advance; still scores fine
@@ -378,8 +386,22 @@ class TestApplySchedule:
 
 class TestScheduleType:
     def test_string_round_trip(self):
-        text = "X,-,Y,X3,-,X"
-        assert Schedule.from_string(text).to_string() == text
+        row = simulate_k([(0, 1), (0, 0), (1, 0)], get_policy("lf"), 2).to_string()
+        assert "X3" in row
+        canonical = ["X,-,Y,X3,-,X", row]
+        others = ["X,\u2212,Y", " X , - ,Y,X2 ", "-,X1,X4", "X,Z", "X,-", "X, \u2212 "]
+        for text in canonical + others:
+            try:  # the reference: one _parse_token call per token
+                expected = Schedule(tuple(model._parse_token(tok) for tok in text.split(",")))
+            except ScheduleError as exc:
+                with pytest.raises(ScheduleError, match=f"^{re.escape(str(exc))}$"):
+                    Schedule.from_string(text)
+                continue
+            sched = Schedule.from_string(text)
+            assert sched == expected
+            assert sched.to_string() == ",".join(a.token() for a in expected.actions)
+            if text in canonical:
+                assert sched.to_string() == text
 
     def test_trailing_idle_forbidden(self):
         with pytest.raises(ScheduleError):
@@ -421,6 +443,10 @@ class TestStrandText:
             parse_strand("1,a,2", 4)
         with pytest.raises(InvalidStrandError):
             parse_strand("xyz", 4)
+        # digits outside ASCII 0-9: superscript two, Arabic-Indic three and zero
+        for text in ("\u00b2", "\u0663\u0660", "1\u00b2"):
+            with pytest.raises(InvalidStrandError, match=f"^cannot parse strand {text!r}$"):
+                parse_strand(text, 4)
 
     def test_first_offending_position_is_named(self):
         with pytest.raises(InvalidStrandError,
