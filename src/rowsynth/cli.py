@@ -43,7 +43,7 @@ from .experiments import (
     rows_to_csv,
 )
 from .markov import closed_form_rotation, lf1_matrix, rotation_moments, stationary, synthesis_rate
-from .model import Schedule, apply_schedule, format_strand, parse_strand, simulate_k
+from .model import Schedule, apply_schedule, digit_tokens, format_strand, parse_strand, simulate_k
 from .optimal import enumerate_interleavings_min, optimal_schedule
 from .policies import get_policy, policy_names
 from .rng import DEFAULT_SEED, master_rng, validate_seed
@@ -108,7 +108,10 @@ def _emit_rows(args, rows: list[dict]) -> None:
 
 
 def _parse_q_list(text: str) -> list[int]:
-    return [int(tok) for tok in str(text).split(",")]
+    tokens = digit_tokens(text)  # the tokens of a comma-separated strand
+    if tokens is None:
+        raise RowSynthError(f"--q must be comma-separated alphabet sizes, got {text!r}")
+    return list(map(int, tokens))
 
 
 # --- subcommand handlers -----------------------------------------------------

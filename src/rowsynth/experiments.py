@@ -39,8 +39,7 @@ class ExperimentConfig:
     policy: str = "lf"
 
     def validated(self) -> "ExperimentConfig":
-        validate_alphabet(self.q)
-        _check_drawable(self.q)
+        _check_drawable(self.q, self.length)
         if self.length < 1:
             raise ConfigError(f"strand length must be >= 1, got {self.length}")
         if self.trials < 1:
@@ -75,16 +74,23 @@ class EstimateResult:
         return self.stderr / (self.mean / self.slope) if self.mean else 0.0
 
 
-def _check_drawable(q: int) -> None:
-    """Refuse an alphabet numpy's int64 draw below an exclusive q cannot hold."""
+# Longest strand a trial draws: about 600 MB at the trial pass's 105-150
+# bytes per symbol of L (int64 draws, solo-slot and next-symbol lists).
+MAX_DRAW_LENGTH = 4 * 10**6
+
+
+def _check_drawable(q: int, length: int) -> None:
+    """Refuse an alphabet numpy's int64 draw cannot hold, or a length past MAX_DRAW_LENGTH."""
+    validate_alphabet(q)
     if q > 1 << 63:
         raise ConfigError(f"random strands draw int64 symbols, so q must be <= 2**63, got {q}")
+    if length > MAX_DRAW_LENGTH:
+        raise ConfigError(f"strand length {length} is over the draw budget of {MAX_DRAW_LENGTH}")
 
 
 def random_strand(q: int, length: int, rng: np.random.Generator) -> Strand:
     """A strand of i.i.d. uniform symbols."""
-    validate_alphabet(q)
-    _check_drawable(q)
+    _check_drawable(q, length)
     if length < 0:
         raise ConfigError(f"strand length must be >= 0, got {length}")
     return tuple(rng.integers(0, q, size=length).tolist())

@@ -96,26 +96,30 @@ def validate_strand(strand, q: int) -> Strand:
 def parse_strand(text: str, q: int) -> Strand:
     """Parse "1,3,2,2" or, for q <= 10, the compact digit form "1322".
 
-    The digit form takes ASCII 0-9 only and reads the whole string in one
-    bytes.translate, whose bytes validate_strand checks as they are.
+    Each comma-separated token, padding stripped, must be ASCII digits. A
+    single token is the digit form, read whole by one bytes.translate whose
+    bytes validate_strand checks as they are.
     """
     text = text.strip()
     if not text:
         return ()
-    if "," in text:
-        try:
-            symbols = [int(tok) for tok in text.split(",")]
-        except ValueError as exc:
-            raise InvalidStrandError(f"cannot parse strand {text!r}: {exc}") from None
-    else:
-        if not (text.isascii() and text.isdigit()):  # isdigit alone passes '²' and '٣'
-            raise InvalidStrandError(f"cannot parse strand {text!r}")
-        if q > 10:
-            raise InvalidStrandError(
-                f"digit-string strands are ambiguous for q={q} > 10; use comma-separated form"
-            )
-        symbols = text.encode().translate(_DIGITS)
-    return validate_strand(symbols, q)
+    tokens = digit_tokens(text)
+    if tokens is None:
+        raise InvalidStrandError(f"cannot parse strand {text!r}")
+    if len(tokens) > 1:
+        return validate_strand(map(int, tokens), q)
+    if q > 10:
+        raise InvalidStrandError(f"digit-string strands are ambiguous for q={q} > 10; "
+                                 "use comma-separated form")
+    return validate_strand(tokens[0].encode().translate(_DIGITS), q)
+
+
+def digit_tokens(text: str) -> list[str] | None:
+    """text's comma-separated tokens, padding stripped, or None unless each is ASCII digits."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    digits = "".join(tokens)
+    # all(tokens) refuses an empty token; isdigit alone passes '²' and '٣'
+    return tokens if all(tokens) and digits.isascii() and digits.isdigit() else None
 
 
 def format_strand(strand) -> str:
@@ -202,13 +206,7 @@ class Action:
         return self.strand is not None
 
     def token(self) -> str:
-        if self.strand is None:
-            return "-"
-        if self.strand == 1:
-            return "X"
-        if self.strand == 2:
-            return "Y"
-        return f"X{self.strand}"
+        return _TOKENS.get(self.strand) or f"X{self.strand}"
 
 
 IDLE = Action(None)
@@ -216,24 +214,19 @@ ADVANCE_X = Action(1)
 ADVANCE_Y = Action(2)
 
 
-# Schedule text of the actions of a pair, by strand and by token; Action.token
-# and _parse_token handle every other strand and token.
+# Schedule text of the actions of a pair, by strand and by token (an idle also
+# reads as the minus sign); any other strand k >= 1 is written X<k>.
 _TOKENS = {None: "-", 1: "X", 2: "Y"}
-_ACTIONS = {"-": IDLE, "X": ADVANCE_X, "Y": ADVANCE_Y}
+_ACTIONS = {"-": IDLE, "\u2212": IDLE, "X": ADVANCE_X, "Y": ADVANCE_Y}
 
 
 def _parse_token(tok: str) -> Action:
     tok = tok.strip()
-    if tok in ("-", "−"):
-        return IDLE
-    if tok == "X":
-        return ADVANCE_X
-    if tok == "Y":
-        return ADVANCE_Y
-    if tok.startswith("X") and tok[1:].isdigit():
-        idx = int(tok[1:])
-        if idx >= 1:
-            return Action(idx)
+    if tok in _ACTIONS:
+        return _ACTIONS[tok]
+    k = tok[1:].encode()  # bytes.isdigit passes ASCII digits only
+    if tok[:1] == "X" and k.isdigit() and int(k) >= 1:
+        return Action(int(k))
     raise ScheduleError(f"unknown schedule token {tok!r}")
 
 
@@ -279,7 +272,7 @@ class Schedule:
         tokens = text.split(",")
         try:
             actions = tuple([_ACTIONS[tok] for tok in tokens])
-        except KeyError:  # "−", padded, "X<k>" or unknown tokens
+        except KeyError:  # padded, "X<k>" or unknown tokens
             actions = tuple(map(_parse_token, tokens))
         return cls(actions)
 

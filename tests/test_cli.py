@@ -75,7 +75,7 @@ class TestSolveBudget:
 
 
 class TestSolverRange:
-    """Alphabets too large for the solver's int64 values are refused in one line; large ones run."""
+    """Sizes past int64 values or memory are refused in one line; large alphabets run."""
 
     # Address space for the child: numpy with one BLAS thread imports in
     # about 100 MiB (2-vCPU x86-64 VM), and nothing the solver allocates
@@ -143,6 +143,14 @@ class TestSolverRange:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1
         assert err.startswith("error: the exact solver needs q * (len_x + len_y + 1) < 2**60")
+
+    @pytest.mark.parametrize("command", ["experiment", "conjecture"])
+    def test_strand_past_the_draw_budget_exits_one(self, command):
+        # without the budget the trial pass asks numpy for 7.45 GiB of int64 draws
+        proc = self._capped("sys.exit(main(sys.argv[1:]))", command, "--q", "2",
+                            "--length", "1000000000", "--trials", "1")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: strand length 1000000000 is over the draw budget of 4000000\n"
 
     @pytest.mark.parametrize("command", ["experiment", "conjecture"])
     def test_alphabet_past_the_int64_draw_exits_one(self, capsys, monkeypatch, command):
@@ -783,6 +791,22 @@ class TestStrandParsing:
     def test_non_ascii_digit_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--q", "4", "--x", "\u00b2", "--y", "01")
         assert (code, out, err) == (1, "", "error: cannot parse strand '\u00b2'\n")
+
+    @pytest.mark.parametrize("argv,error", [
+        (("solve", "--q", "4", "--x", "\u0663,\u0660", "--y", "0,1"),
+         "cannot parse strand '\u0663,\u0660'"),
+        (("oracle", "--q", "4", "--x", "+1,0", "--y", "0,1"), "cannot parse strand '+1,0'"),
+        (("simulate", "--q", "4", "--x", "1_0,1", "--y", "0,1"), "cannot parse strand '1_0,1'"),
+        (("validate", "--q", "4", "--x", "1,,2", "--y", "0,1", "--schedule=X,Y"),
+         "cannot parse strand '1,,2'"),
+        (("validate", "--q", "2", "--x", "0", "--y", "1", "--schedule=X\u00b2"),
+         "unknown schedule token 'X\u00b2'"),
+        (("rotations", "--q", "2,x"), "--q must be comma-separated alphabet sizes, got '2,x'"),
+        (("bounds", "--q", "2,x"), "--q must be comma-separated alphabet sizes, got '2,x'"),
+    ], ids=["solve", "oracle", "simulate", "validate-strand", "validate-schedule",
+            "rotations-q", "bounds-q"])
+    def test_unreadable_text_exits_one_in_one_line(self, capsys, argv, error):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {error}\n")
 
 
 class TestLoadConfig:

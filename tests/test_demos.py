@@ -27,6 +27,7 @@ def run_demo(name: str) -> subprocess.CompletedProcess:
 # demo script -> text its output must contain
 DEMOS = {
     "01_scheduling_basics.py": ["optimal completion time = 11", "witness validates: True"],
+    "02_policy_comparison.py": ["q = 2, L = 2000, 120 trials per policy"],
     "03_rotation_analysis.py": [],
     "04_lookahead_chain.py": ["6/7"],
     "05_optimal_and_bounds.py": [],

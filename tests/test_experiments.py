@@ -56,7 +56,8 @@ class TestRandomStrand:
 
     @pytest.mark.parametrize("q, length, what", [(2**63 + 1, 3, "q must be <= 2\\*\\*63"),
                                                  (2**64, 0, "q must be <= 2\\*\\*63"),
-                                                 (2, -1, "strand length must be >= 0, got -1")])
+                                                 (2, -1, "strand length must be >= 0, got -1"),
+                                                 (2, 4 * 10**6 + 1, "draw budget of 4000000$")])
     def test_refuses_what_the_int64_draw_cannot_make(self, q, length, what):
         with pytest.raises(ConfigError, match=what):
             random_strand(q, length, trial_rng(1, 0))
@@ -96,6 +97,19 @@ class TestConfigValidation:
         for estimate in (estimate_solo_time, estimate_max_lower_bound):
             with pytest.raises(ConfigError, match=rf"q must be <= 2\*\*63, got {2**64}$"):
                 estimate(2**64, 3, 2)
+
+    def test_strand_past_the_draw_budget_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(experiments, "trial_rng", None)  # any draw would fail
+        too_long = ExperimentConfig(2, experiments.MAX_DRAW_LENGTH + 1, 1)
+        budget = rf"^strand length {too_long.length} is over the draw budget of 4000000$"
+        for estimate in (estimate_policy_time, estimate_optimal_time):
+            with pytest.raises(ConfigError, match=budget):
+                estimate(too_long)
+        for estimate in (estimate_solo_time, estimate_max_lower_bound):
+            with pytest.raises(ConfigError, match="over the draw budget"):
+                estimate(3, too_long.length, 1)
+        with pytest.raises(ConfigError, match=budget):
+            random_strand(2, too_long.length, None)
 
     def test_negative_seed_refused_before_any_trial(self, monkeypatch):
         monkeypatch.setattr(experiments, "_map_trials", None)  # any trial would fail

@@ -408,8 +408,10 @@ class TestScheduleType:
             Schedule.from_string("X,-")
 
     def test_unknown_token(self):
-        with pytest.raises(ScheduleError):
-            Schedule.from_string("X,Z")
+        # X<k> takes ASCII digits only: not superscript two, nor Arabic-Indic three
+        for text in ("X,Z", "X\u00b2", "X,X\u0663"):
+            with pytest.raises(ScheduleError, match="^unknown schedule token"):
+                Schedule.from_string(text)
 
     def test_empty(self):
         sched = Schedule.from_string("")
@@ -419,6 +421,7 @@ class TestScheduleType:
 class TestStrandText:
     def test_comma_form(self):
         assert parse_strand("1,3,2,2", 4) == (1, 3, 2, 2)
+        assert parse_strand(" 1 , 2 ", 4) == (1, 2)  # padded tokens
 
     def test_digit_form(self):
         assert parse_strand("1322", 4) == (1, 3, 2, 2)
@@ -443,9 +446,11 @@ class TestStrandText:
             parse_strand("1,a,2", 4)
         with pytest.raises(InvalidStrandError):
             parse_strand("xyz", 4)
-        # digits outside ASCII 0-9: superscript two, Arabic-Indic three and zero
-        for text in ("\u00b2", "\u0663\u0660", "1\u00b2"):
-            with pytest.raises(InvalidStrandError, match=f"^cannot parse strand {text!r}$"):
+        # digits outside ASCII 0-9 (superscript two, Arabic-Indic three and zero)
+        # in either form, a sign, an underscore and an empty token
+        for text in ("\u00b2", "\u0663\u0660", "1\u00b2", "\u0663,\u0660", "+1,0", "1_0,1", "1,,2"):
+            message = f"cannot parse strand {text!r}"
+            with pytest.raises(InvalidStrandError, match=f"^{re.escape(message)}$"):
                 parse_strand(text, 4)
 
     def test_first_offending_position_is_named(self):
