@@ -119,15 +119,13 @@ def _parse_q_list(text: str) -> list[int]:
 
 def _cmd_simulate(args) -> int:
     policy = get_policy(args.policy)
-    x = parse_strand(args.x, args.q)
-    y = parse_strand(args.y, args.q)
     rng = master_rng(args.seed) if policy.uses_rng else None  # no other policy draws
-    schedule = simulate_k((x, y), policy, args.q, rng)
+    schedule = simulate_k((args.x, args.y), policy, args.q, rng)
     _emit_json(args, {
         "q": args.q,
         "policy": policy.name,
-        "x": format_strand(x),
-        "y": format_strand(y),
+        "x": format_strand(args.x),
+        "y": format_strand(args.y),
         "completionTime": schedule.completion_time,
         "schedule": schedule.to_string(),
     })
@@ -135,8 +133,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    x = parse_strand(args.x, args.q)
-    y = parse_strand(args.y, args.q)
+    x, y = args.x, args.y
     result = optimal_schedule(x, y, args.q)
     payload = {
         "q": args.q,
@@ -152,22 +149,18 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    x = parse_strand(args.x, args.q)
-    y = parse_strand(args.y, args.q)
-    best = enumerate_interleavings_min(x, y, args.q, budget=args.budget)
+    best = enumerate_interleavings_min(args.x, args.y, args.q, budget=args.budget)
     _emit_json(args, {
         "q": args.q,
         "tStar": best,
-        "interleavingsChecked": math.comb(len(x) + len(y), len(x)),
+        "interleavingsChecked": math.comb(len(args.x) + len(args.y), len(args.x)),
     })
     return 0
 
 
 def _cmd_validate(args) -> int:
-    x = parse_strand(args.x, args.q)
-    y = parse_strand(args.y, args.q)
     schedule = Schedule.from_string(args.schedule)
-    t = apply_schedule(x, y, schedule, args.q)
+    t = apply_schedule(args.x, args.y, schedule, args.q)
     _emit_json(args, {"q": args.q, "completionTime": t})
     return 0
 
@@ -462,6 +455,8 @@ def main(argv=None) -> int:
         if args.seed is None:
             args.seed = _env_seed()
         validate_seed(args.seed)
+        if "x" in args:  # an instance: read its strands once, x before y
+            args.x, args.y = parse_strand(args.x, args.q), parse_strand(args.y, args.q)
         return args.func(args)
     except (RowSynthError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

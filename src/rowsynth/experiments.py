@@ -44,6 +44,8 @@ class ExperimentConfig:
             raise ConfigError(f"strand length must be >= 1, got {self.length}")
         if self.trials < 1:
             raise ConfigError(f"trial count must be >= 1, got {self.trials}")
+        if self.trials > MAX_TRIALS:
+            raise ConfigError(f"trial count {self.trials} is over the trial budget of {MAX_TRIALS}")
         validate_seed(self.seed)
         if self.policy not in policy_names():
             raise ConfigError(
@@ -77,6 +79,11 @@ class EstimateResult:
 # Longest strand a trial draws: about 600 MB at the trial pass's 105-150
 # bytes per symbol of L (int64 draws, solo-slot and next-symbol lists).
 MAX_DRAW_LENGTH = 4 * 10**6
+
+# Most trials one estimate runs. A pass of all six catalog policies peaked
+# at 295 bytes a trial, the times EstimateResult keeps included (139 for one
+# policy; q=2, L=100, tracemalloc), so this holds a pass near 600 MB.
+MAX_TRIALS = 2 * 10**6
 
 
 def _check_drawable(q: int, length: int) -> None:
@@ -121,14 +128,13 @@ def _trial_block(seed: int, args: tuple, lo: int, hi: int) -> list[tuple[int, ..
     arrays, valid by construction, to kernels that do not check them.
     Solo slots are built once, when a policy or solo measure needs them:
     solo is x's last slot, max-of-solos the later of the two last slots.
-    Every policy walks them, bound to the trial; one that draws coins
-    starts from the generator's state right after the strands, restored
-    for each one. optimal solves the pairs as lanes, at most _LANE_CELLS cells a diagonal.
+    Every policy walks them, bound to the trial; the one that draws coins
+    (random) reads them from the generator right after the strands. optimal
+    solves the pairs as lanes, at most _LANE_CELLS cells a diagonal.
     """
     q, length, names = args
     policies = [get_policy(name) for name in names if name not in _MEASURES]
     look = any(policy.lookahead for policy in policies)
-    coined = any(policy.uses_rng for policy in policies)
     slotted = bool(policies) or "solo" in names or "max-of-solos" in names
     lanes = max(1, _LANE_CELLS // (length + 1))
     columns: dict[str, list[int]] = {name: [] for name in names}
@@ -150,12 +156,8 @@ def _trial_block(seed: int, args: tuple, lo: int, hi: int) -> list[tuple[int, ..
         if "max-of-solos" in columns:
             columns["max-of-solos"].append(max(sx[-1], sy[-1]))
         nx, ny = (ax[1:].tolist() + [None], ay[1:].tolist() + [None]) if look else (None, None)
-        state = gen.bit_generator.state if coined else None
         for policy in policies:
-            coins = None
-            if policy.uses_rng:
-                gen.bit_generator.state = state
-                coins = block_stream(gen, 2)
+            coins = block_stream(gen, 2) if policy.uses_rng else None
             columns[policy.name].append(_run(sx, sy, q, policy.bind(q, nx, ny, coins)))
     return list(zip(*(columns[name] for name in names)))
 

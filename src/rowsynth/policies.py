@@ -8,9 +8,9 @@ information (progress counts, tie history, an externally drawn coin);
 depth-1 policies additionally see each strand's symbol after the matching
 one.
 
-Each catalog rule is written once, as a binder rule(nx, ny, coins) that
-TiePolicy.bind calls once per walk and that returns tie(i, j, t, n): at
-each tie the walk passes progress counts, the 1-based slot t (emission
+Each catalog rule is written once, as a binder rule(q, nx, ny, coins)
+that TiePolicy.bind calls once per walk and that returns tie(i, j, t, n):
+at each tie the walk passes progress counts, the 1-based slot t (emission
 (t - 1) mod q) and the n ties before it. The public TieContext function
 of the same name is derived from the binder and carries it.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import UnsupportedAlphabetError
@@ -96,14 +95,13 @@ class TiePolicy:
         ``uses_rng`` policy calls ``coins()``, once per tie. A catalog decide
         binds the rule it is derived from, so no TieContext is built; any
         other decide (a custom policy, or a counting wrapper) gets an adapter
-        that builds one, as does lf1 away from q=2, which so raises
-        UnsupportedAlphabetError only at its first tie.
+        that builds one.
         """
         decide = self.decide
         rule = getattr(decide, "rule", None)
         # a wrapper made with functools.wraps copies ``rule`` but is not its decide
-        if rule is not None and rule.decide is decide and (q == 2 or not rule.binary):
-            return rule(nx, ny, coins)
+        if rule is not None and rule.decide is decide:
+            return rule(q, nx, ny, coins)
 
         def adapter(i, j, t, n):
             look = self.lookahead == 1
@@ -114,75 +112,74 @@ class TiePolicy:
         return adapter
 
 
-def _catalog_decide(rule: Callable[..., Tie], binary: bool = False):
-    """The public TieContext function of a catalog rule ``rule(nx, ny, coins) -> tie``.
+def _catalog_decide(rule: Callable[..., Tie]):
+    """The public TieContext function of a catalog rule ``rule(q, nx, ny, coins) -> tie``.
 
-    It binds the rule to {i: lookahead_x}, {j: lookahead_y} and the
-    digest's coin, and asks it at slot r + 1 after the digest's ties. It
-    takes the rule's name and docstring and carries the rule as ``rule``,
-    for TiePolicy.bind; the rule points back at it. A ``binary`` rule
-    refuses any alphabet but q=2 with UnsupportedAlphabetError.
+    It binds the rule to the context's q, {i: lookahead_x}, {j: lookahead_y}
+    and the digest's coin, and asks it at slot r + 1 after the digest's
+    ties. It takes the rule's name and docstring and carries the rule as
+    ``rule``, for TiePolicy.bind; the rule points back at it.
     """
 
     def decide(ctx: TieContext) -> TieDecision:
-        if binary and ctx.q != 2:
-            raise UnsupportedAlphabetError(
-                f"{rule.__name__} is defined only for the binary alphabet, got q={ctx.q}"
-            )
         h = ctx.history
-        tie = rule({ctx.i: ctx.lookahead_x}, {ctx.j: ctx.lookahead_y}, lambda: h.coin)
+        tie = rule(ctx.q, {ctx.i: ctx.lookahead_x}, {ctx.j: ctx.lookahead_y}, lambda: h.coin)
         return TieDecision.ADVANCE_X if tie(ctx.i, ctx.j, ctx.r + 1, h.ties) else TieDecision.ADVANCE_Y
 
     decide.__name__ = decide.__qualname__ = rule.__name__
     decide.__doc__ = rule.__doc__
-    decide.rule, rule.decide, rule.binary = rule, decide, binary
+    decide.rule, rule.decide = rule, decide
     return decide
 
 
 @_catalog_decide
-def x_first(nx, ny, coins):
+def x_first(q, nx, ny, coins):
     """Always advance strand 1."""
     return lambda i, j, t, n: True
 
 
 @_catalog_decide
-def y_first(nx, ny, coins):
+def y_first(q, nx, ny, coins):
     """Always advance strand 2 (mirror of x_first)."""
     return lambda i, j, t, n: False
 
 
 @_catalog_decide
-def laggard_first(nx, ny, coins):
+def laggard_first(q, nx, ny, coins):
     """Advance the strand with fewer synthesized symbols; strand 1 on equality."""
     return lambda i, j, t, n: i <= j
 
 
-@partial(_catalog_decide, binary=True)
-def lf1(nx, ny, coins):
+@_catalog_decide
+def lf1(q, nx, ny, coins):
     """Binary one-symbol lookahead rule.
 
     When the two lookahead symbols differ, advance the strand whose
     lookahead equals the next slot's emission (that strand can then advance
     again immediately). When they are equal, or either strand has no symbol
-    left after the matching one, fall back to laggard_first.
+    left after the matching one, fall back to laggard_first. Bound at any
+    alphabet but q=2, its first tie raises UnsupportedAlphabetError.
     """
     def tie(i, j, t, n):
         la_x, la_y = nx[i], ny[j]
         if la_x is not None and la_y is not None and la_x != la_y:
-            return la_x == t % 2   # slot t + 1 emits t mod 2
+            return la_x == t % q   # slot t + 1 emits t mod q
         return i <= j   # laggard-first
 
-    return tie
+    def refuse(i, j, t, n):
+        raise UnsupportedAlphabetError(f"lf1 is defined only for the binary alphabet, got q={q}")
+
+    return tie if q == 2 else refuse
 
 
 @_catalog_decide
-def round_robin(nx, ny, coins):
+def round_robin(q, nx, ny, coins):
     """Alternate X, Y, X, ... across successive ties."""
     return lambda i, j, t, n: n % 2 == 0
 
 
 @_catalog_decide
-def random_tie(nx, ny, coins):
+def random_tie(q, nx, ny, coins):
     """Resolve by the seeded coin drawn for the tie (the history digest's coin)."""
     return lambda i, j, t, n: coins() % 2 == 0
 

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 
@@ -151,6 +152,15 @@ class TestSolverRange:
                             "--length", "1000000000", "--trials", "1")
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "error: strand length 1000000000 is over the draw budget of 4000000\n"
+
+    @pytest.mark.parametrize("command", ["experiment", "conjecture"])
+    def test_trials_past_the_trial_budget_exit_one(self, capsys, monkeypatch, command):
+        # without the budget the pass's per-trial times grow until memory runs out
+        monkeypatch.setattr(experiments, "_map_trials", None)  # any trial would fail
+        assert experiments.ExperimentConfig(2, 10, experiments.MAX_TRIALS).validated()
+        code, out, err = run_cli(capsys, command, "--length", "10", "--trials", str(10**12))
+        assert (code, out) == (1, "")
+        assert err == "error: trial count 1000000000000 is over the trial budget of 2000000\n"
 
     @pytest.mark.parametrize("command", ["experiment", "conjecture"])
     def test_alphabet_past_the_int64_draw_exits_one(self, capsys, monkeypatch, command):
@@ -854,11 +864,15 @@ class TestWorkerCount:
         assert "worker count" in err and out == ""
 
 
-def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "rowsynth.cli", "solve", "--q", "2", "--x", "0",
-         "--y", "1", "--no-timestamp"],
-        capture_output=True, text=True,
-    )
+def test_console_entry_point_runs(capsys, monkeypatch):
+    argv = ["solve", "--q", "2", "--x", "0", "--y", "1", "--no-timestamp"]
+    proc = subprocess.run([sys.executable, "-m", "rowsynth.cli", *argv],
+                          capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tStar"] == 2
+    # the same module guard in this process; run_module warns of a module already imported
+    monkeypatch.setattr(sys, "argv", ["rowsynth", *argv])
+    monkeypatch.delitem(sys.modules, "rowsynth.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("rowsynth.cli", run_name="__main__")
+    assert (exc.value.code, capsys.readouterr().out) == (0, proc.stdout)

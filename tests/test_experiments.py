@@ -138,6 +138,7 @@ class TestEstimatePolicyTime:
         assert est.trials == 30
         assert est.stderr > 0
         assert est.slope == est.mean / 100
+        assert est.slope_stderr == pytest.approx(est.stderr / 100)
         assert len(est.times) == 30
 
 
@@ -262,6 +263,7 @@ class TestAnalyticBounds:
         assert analytic_slope("y-first", 4) == analytic_slope("x-first", 4)
         assert analytic_slope("lf1", 2) == pytest.approx(7 / 3)
         assert analytic_slope("lf1", 3) is None
+        assert analytic_slope("optimal", 2) is None
 
 
 class TestFloorCheck:

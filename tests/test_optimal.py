@@ -67,6 +67,9 @@ class TestDpSolve:
     def test_unequal_lengths(self):
         table = dp_solve((0, 1), (1,), 2)
         assert table.value(0, 0, 0) == enumerate_interleavings_min((0, 1), (1,), 2)
+        for state in ((3, 0, 0), (0, 2, 0), (0, 0, 2), (-1, 0, 0)):
+            with pytest.raises(IndexError, match=rf"^state \({', '.join(map(str, state))}\) outside"):
+                table.value(*state)
 
 
 class TestTStar:

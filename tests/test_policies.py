@@ -23,6 +23,7 @@ from rowsynth import (
     x_first,
     y_first,
 )
+from rowsynth import policies
 from conftest import random_pair
 
 
@@ -122,6 +123,8 @@ class TestCatalog:
         assert get_policy("lf").lookahead == 0
         assert get_policy("lf1").lookahead == 1
         assert all(p.lookahead == 0 for p in policy_catalog() if p.name != "lf1")
+        with pytest.raises(ValueError, match="^lookahead depth must be 0 or 1, got 2$"):
+            TiePolicy("lf2", 2, lf1)
 
     def test_only_random_declares_randomness(self):
         assert get_policy("random").uses_rng
@@ -238,9 +241,12 @@ class TestPositionalRules:
         assert tie(0, 1, 5, 2) is True
         assert seen == [ctx(0, 1, 1, 3, None, None, 2, 0)]
 
-    def test_lf1_rule_off_binary_raises(self):
+    def test_lf1_rule_off_binary_raises(self, monkeypatch):
+        # the catalog rule refuses by itself: no adapter builds a TieContext
+        monkeypatch.setattr(policies, "TieContext", None)
         tie = get_policy("lf1").bind(3, [1], [0])  # binding alone does not raise
-        with pytest.raises(UnsupportedAlphabetError):
+        with pytest.raises(UnsupportedAlphabetError,
+                           match="^lf1 is defined only for the binary alphabet, got q=3$"):
             tie(0, 0, 1, 0)
 
     def test_lf1_off_binary_walks_a_tie_free_pair(self):
