@@ -85,6 +85,13 @@ MAX_DRAW_LENGTH = 4 * 10**6
 # policy; q=2, L=100, tracemalloc), so this holds a pass near 600 MB.
 MAX_TRIALS = 2 * 10**6
 
+# Most trial results one sweep keeps, summed over its configs (trials x
+# policies): a sweep keeps every config's times until it ends, and
+# tracemalloc read 126 bytes a trial index kept for one lf config and 411
+# for ten (q=2, L=200, 10**4 trials each), 32 to 41 bytes a result, so this
+# holds 0.65 to 0.8 GB: ten configs at MAX_TRIALS.
+MAX_SWEEP_RESULTS = 2 * 10**7
+
 
 def _check_drawable(q: int, length: int) -> None:
     """Refuse an alphabet numpy's int64 draw cannot hold, or a length past MAX_DRAW_LENGTH."""
@@ -223,12 +230,17 @@ def estimate_policy_times(configs, workers: int = 1) -> list[EstimateResult]:
     trial pass: each trial draws its strands once, and every policy of
     the group walks them, so a group costs one draw per trial and starts
     at most one pool. A policy listed twice reuses its result. Every
-    config is validated before any trial runs.
+    config is validated, and the sweep's trials x policies checked against
+    MAX_SWEEP_RESULTS, before any trial runs.
     """
     configs = [config.validated() for config in configs]
     groups: dict[tuple, dict[str, None]] = {}
     for c in configs:
         groups.setdefault((c.q, c.length, c.trials, c.seed), {})[c.policy] = None
+    kept = sum(key[2] * len(names) for key, names in groups.items())
+    if kept > MAX_SWEEP_RESULTS:
+        raise ConfigError(f"a sweep of {kept} trial results is over the sweep budget of "
+                          f"{MAX_SWEEP_RESULTS}")
     results = {}
     for key, names in groups.items():
         q, length, trials, seed = key

@@ -96,9 +96,10 @@ def validate_strand(strand, q: int) -> Strand:
 def parse_strand(text: str, q: int) -> Strand:
     """Parse "1,3,2,2" or, for q <= 10, the compact digit form "1322".
 
-    Each comma-separated token, padding stripped, must be ASCII digits. A
-    single token is the digit form, read whole by one bytes.translate whose
-    bytes validate_strand checks as they are.
+    Each comma-separated token, padding stripped, must be ASCII digits. For
+    q <= 10 a single token is the digit form, read whole by one
+    bytes.translate whose bytes validate_strand checks as they are; for q >
+    10 it is one symbol, as format_strand writes a strand of one.
     """
     text = text.strip()
     if not text:
@@ -108,10 +109,13 @@ def parse_strand(text: str, q: int) -> Strand:
         raise InvalidStrandError(f"cannot parse strand {text!r}")
     if len(tokens) > 1:
         return validate_strand(map(int, tokens), q)
-    if q > 10:
-        raise InvalidStrandError(f"digit-string strands are ambiguous for q={q} > 10; "
-                                 "use comma-separated form")
-    return validate_strand(tokens[0].encode().translate(_DIGITS), q)
+    if q <= 10:
+        return validate_strand(tokens[0].encode().translate(_DIGITS), q)
+    symbol = int(tokens[0])
+    if symbol >= q:
+        raise InvalidStrandError(f"{text} is not one symbol of q={q}; write several symbols "
+                                 "in comma-separated form")
+    return (symbol,)
 
 
 def digit_tokens(text: str) -> list[str] | None:

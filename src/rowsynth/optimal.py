@@ -50,13 +50,72 @@ Bioinformatics 12:221, 2011), and lane b's values are stored b D below
 their own, with D = q (len_x + len_y + 2) above any value plus a cross
 term. Every lane then lies below every earlier one, so the running minimum
 never carries a value into the next lane and the E' cell that spans two
-lanes never wins: a row is four numpy calls whatever B is. _wavefront
-solves B pairs as lanes, one anti-diagonal per step, on one symbol array
-with x[i] at row c + 1 + i and y[j] at row c - 1 - j: a band of diagonals
-reads x as one slice and y as a view of consecutive runs, and lane b's cell
-i sits at i * B + b. Both take E' and F' at most _BAND_CELLS cells at a
-time; memory is O(len_y * B) for rows and O((len_x + len_y) * B) for the
-wavefront, plus those cells.
+lanes never wins: a row is four numpy calls whatever B is, about 2.8 us
+plus 4.5 ns a cell. _wavefront solves B pairs as lanes, one anti-diagonal
+per step, on one symbol array with x[i] at row c + 1 + i and y[j] at row c
+- 1 - j: a band of diagonals reads x as one slice and y as a view of
+consecutive runs, and lane b's cell i sits at i * B + b. It takes E' and F'
+_BAND_CELLS cells at a time; memory is O((len_x + len_y) * B) plus those
+cells.
+
+The row sweep takes E' and F' a block of _ROW_CELL_BLOCK = 2**15 cells at a
+time, at least one row, and keeps O(len_y * B) values besides. A row reads
+x only through x[i], [x[i] <= x[i - 1]] (F') and x[i - 1] (E'), so a
+sweep that fills at least one block and whose tables fit in one, 3 q B
+(len_y + 1) <= _ROW_CELL_BLOCK <= len_x B (len_y + 1), builds each lane's
+2 q rows of F' and q rows of E', one per symbol and wrap bit, and reads a
+block's F' and E' with one np.take each, where the comparisons cost three
+numpy calls and three passes over the block each. The row for len_x is
+then E' of x[len_x - 1], read from the table. A table build costs about
+ten numpy calls, so a smaller sweep, or an alphabet whose tables would not
+fit (large q times long rows), compares symbols: tables over comparisons,
+one lane at q = 2 and 4, 1.13-1.16 at L = 4, 1.07 at 24, 1.01-1.02 at
+100, 0.95-0.97 at 200 and 0.93-0.95 at 300, and four lanes at q = 2, 1.05
+at L = 24, 0.94 at 64, 0.92 at 100 and 0.77 at 200 (median of 11
+alternating rounds). Per call, ms at blocks of 2**13 / 2**14 / 2**15 /
+2**16 cells (median of 15 alternating rounds): 1.90 / 1.33 / 1.30 / 1.66
+for 4 lanes at q=2, L=200 (the first without tables, which do not fit
+2**13), 1.18 / 1.11 / 1.10 / 1.09 for one lane at q=4, L=300, 10.4 / 6.7 /
+6.4 / 8.3 for one lane at q=2, L=1000, and 12.9 / 12.2 / 11.6 / 13.7 for
+optimal_schedule there (2-vCPU VM).
+
+A row costs about as much as four numpy calls on its cells, so a solve of
+few lanes pays for its len_x rows more than for its cells; _split_sweep
+halves the rows, as Hirschberg's alignment (CACM 18:341, 1975) meets in
+the middle. Every schedule passes through the state right after x's m-th
+advance, m = ceil(len_x / 2), with some j symbols of y done, so t* is the
+minimum over j of the cost up to that state plus W(m, j, X) after it.
+Lane A is the recurrence on (x[m - 1:], y): its W(1, j, X) is W(m, j, X).
+An advance from s to a costs (a - s - 1) mod q + 1 slots, which is
+unchanged by complementing both, c(z) = q - 1 - z, and swapping them, so
+the cost up to the state, read backwards from x[m - 1], is that of the
+recurrence on the complemented strands reversed: lane B runs on
+(c(x[m - 1]), c(x[m - 2]), ..., c(x[0])) and c(y) reversed, with len_y -
+j symbols of the latter done, and ends on the step to the start's symbol q
+- 1, c(q - 1) = 0, which costs x[0] + 1 slots after x[0] and y[0] + 1
+after y[0]: those are lane B's end values W(len_x, len_y, X) and W(len_x,
+len_y, Y), where the recurrence's are 0. Both lanes have len_x // 2 + 1
+rows, lane B's led by a q - 1 when len_x is even. In an identity row E' is
+the sentinel, so U'(i, .) = U'(i + 1, .): lane A's row 0 and lane B's row
+0, and row 1 after the q - 1, carry the values after x[m - 1] to each
+lane's final row, which _row_sweep returns. Unshifting them, the wraps of
+y that the two shifts count sum to the same at every j but for the pair
+(y[j - 1], y[j]), and x[m - 1] + c(x[m - 1]) = q - 1, so with R_b the
+count of rises y[j - 1] < y[j] in pair b and r lane B's identity rows,
+
+    t* = min over j of (U'_A(0, j) + U'_B(0, len_y - j)
+                        - q [0 < j < len_y and y[j - 1] < y[j]])
+         + q R_b - q (len_y + r) - 1.
+
+A rows block of B pairs from _SPLIT_ROWS = 64 rows on runs as 2B lanes of
+half the rows, unless that block's lanes do not fit int64 (below). The
+split costs about 25 numpy calls more (the halves' strands, the identity
+rows, the join), so shorter blocks stay whole: split over unsplit (median
+of 21 alternating rounds, 2-vCPU VM) was 1.15-1.19 at L = 32, 0.97-1.01
+at 48, 0.89-1.00 at 64, 0.85-0.96 at 80 and 0.77-0.88 at 128, over one
+lane at q = 2 and 4, two at q = 7 and four at q = 2. A scratch check
+matched the unsplit sweep on 3,000 random blocks (q 2-7, 1-4 lanes, len_x
+1-39, len_y 0-39).
 
 A block sweeps rows while B (min(len_x, len_y) + 1) is at most _ROW_CELLS
 = 2200 cells, as each of the wavefront's len_x + len_y diagonals pays four
@@ -68,10 +127,11 @@ and 4 (21 rounds, each timing every size once, both kernels alternating):
 2300, 0.96 at 2500 and 0.78 at 3200, so the crossover lies at about 2200
 cells; a lane count's own median ranged 0.92-1.02 at 2200. The host moves
 it by a few hundred cells either way: runs minutes apart read 1.04-1.16
-and 0.86-0.94 at 2200. Rows against the wavefront took 1.45/1.78
-ms for 4 lanes at q=2, L=200 and 1.02/1.83 for one lane at q=4, L=300
-(median of 25 alternating runs), but 9.4/4.3 ms for 40 lanes at q=2, L=200
-and 56/45 ms for one lane at q=2, L=3000 (2-vCPU VM).
+and 0.86-0.94 at 2200. Those figures predate the split and the tables,
+which make rows cheaper. Rows against the wavefront took 1.45/1.78 ms for
+4 lanes at q=2, L=200 and 1.02/1.83 for one lane at q=4, L=300 (median of
+25 alternating runs), but 9.4/4.3 ms for 40 lanes at q=2, L=200 and 56/45
+ms for one lane at q=2, L=3000 (2-vCPU VM), before the split.
 
 No value exceeds q (len_x + len_y), and the wavefront's entries past the
 end plus a cross term stay within q of its sentinel, so with S = q (len_x
@@ -79,9 +139,14 @@ end plus a cross term stay within q of its sentinel, so with S = q (len_x
 int64 with _UNREACHABLE above; callers refuse S >= _UNREACHABLE before
 allocating. A rows block of B lanes spans q (B (len_x + len_y + 2) - 1),
 which is S at one lane, and takes its type by the same bounds; past
-_UNREACHABLE it runs the wavefront, whose lanes are not shifted. int32
-took 100 wavefront lane trials from 34-40 to 18-29 ms, and t_star at q=2,
-L=10^4 from 894 to 686-716 ms.
+_UNREACHABLE it runs the wavefront, whose lanes are not shifted, and a
+split block past it runs unsplit. End values of at most q keep a lane's
+values within q (len_x + len_y + 2) - 1 of each other, so the span holds
+them, and an identity row's V' plus the sentinel stays below 2**31 in
+int32. A split block spans about twice its pairs' span, so near 2**30 it
+can take int64 where the pairs alone would not. int32 took 100 wavefront
+lane trials from 34-40 to 18-29 ms, and t_star at q=2, L=10^4 from 894 to
+686-716 ms.
 
 An optimal schedule never idles while a strand can advance, so both
 schedule builders run the greedy simulator's walk (model._run) with a tie
@@ -90,7 +155,8 @@ slot, x[i] == y[j], advancing either from the X-last state costs the same,
 so taking X iff W(i + 1, j, X) <= W(i, j + 1, Y) is taking the first
 candidate of U'(i, j)'s minimum: optimal_schedule has _row_sweep keep that
 as one tie bit per cell, packed eight to a byte, and reads the bit, where
-reconstruct compares the table's two entries after the tie.
+reconstruct compares the table's two entries after the tie. Its sweep is
+never split, as the walk reads a bit from every row.
 
 Alongside the solver live two fully independent cross-checks: a
 brute-force minimum over all interleavings, and the binary runs/LCS
@@ -138,13 +204,22 @@ _UNREACHABLE = 1 << 60
 # Table entries dp_solve expands from numpy to Python ints at a time.
 _EXPAND_BLOCK = 1 << 16
 
-# Cells of E' (and of F') a kernel computes at a time, in a band of
-# diagonals or a block of rows: large enough to cost little per step, small
-# enough to stay in cache. On the int64 wavefront (2-vCPU VM, best of 15) the
-# 4-lane q=2, L=200 solve took 2.5 ms at 2^13 cells, 2.6 ms at 2^14 and 2^16,
-# 3.2 ms at 2^12 and 5.5 ms at 2^20. A band holds at least four diagonals
-# and a block one row, O(len_x + len_y) cells.
+# Cells of E' (and of F') the wavefront computes at a time, in a band of
+# diagonals: large enough to cost little per step, small enough to stay in
+# cache. On the int64 wavefront (2-vCPU VM, best of 15) the 4-lane q=2,
+# L=200 solve took 2.5 ms at 2^13 cells, 2.6 ms at 2^14 and 2^16, 3.2 ms at
+# 2^12 and 5.5 ms at 2^20. A band holds at least four diagonals, O(len_x +
+# len_y) cells.
 _BAND_CELLS = 1 << 13
+
+# Cells of E' (and of F') the row sweep takes at a time, at least one row;
+# its cross-term tables are built only where they fit in one such block and
+# the sweep fills one. See the module docstring.
+_ROW_CELL_BLOCK = 1 << 15
+
+# Rows of x from which _t_star_lanes solves a rows block from both ends;
+# see the module docstring.
+_SPLIT_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -184,8 +259,9 @@ def _value_type(q: int, len_x: int, len_y: int, lanes: int = 1):
     return (np.int64, _UNREACHABLE) if span < _UNREACHABLE else None
 
 
-def _row_sweep(xs, ys, q: int, ties: list | None = None) -> list[int]:
-    """Each lane's optimum, U'(0, 0), solved row by row with y read backwards.
+def _row_sweep(xs, ys, q: int, ties: list | None = None, ends=None, identity=None,
+               out=None) -> list[int]:
+    """Each lane's U'(0, 0), solved row by row with y read backwards.
 
     xs and ys hold B strands each, all of one length per side; pair b is
     (xs[b], ys[b]), the strands are valid and _value_type(q, len_x, len_y,
@@ -193,10 +269,14 @@ def _row_sweep(xs, ys, q: int, ties: list | None = None) -> list[int]:
     len_y - j, less b * q * (len_x + len_y + 2). Given ``ties`` and one
     lane, rows len_x - 1 down to 0 each append their tie bits packed
     big-endian into bytes: bit len_y - 1 - j is U'(i + 1, j) > V'(i, j + 1)
-    + E'(i, j), the second candidate winning.
+    + E'(i, j), the second candidate winning. ``ends`` gives each lane's
+    W(len_x, len_y, X) and W(len_x, len_y, Y), both 0 by default; in its
+    ``identity[b]`` identity rows, rows 0 up, lane b keeps U'(i, .) = U'(i +
+    1, .), as E' is the sentinel there. Given ``out``, a (B, len_y + 1)
+    int64 array, it receives each lane's final row: U'(0, len_y - k) at k.
     """
     lanes, lx, ly = len(xs), len(xs[0]), len(ys[0])
-    value = _value_type(q, lx, ly, lanes)[0]
+    value, sentinel = _value_type(q, lx, ly, lanes)
     # each lane's strands read backwards, each followed by the q - 1 before
     # its first symbol: y, then x. With k = len_y - j, y[j - 1] sits at k and
     # y[j] at k - 1; x[i] sits at len_y + len_x - i and x[i - 1] one on
@@ -207,37 +287,75 @@ def _row_sweep(xs, ys, q: int, ties: list | None = None) -> list[int]:
     # y[j - 1] at k - 1, x[i] <= x[i - 1] at len_y + len_x - i; 0 at len_y
     wrap = np.less_equal(sym[:, :-1], sym[:, 1:]).view(np.int8)
     wrap[:, ly] = 0
-    # V'(len_x, len_y), q N(len_x, len_y) - (q - 1) + y[len_y - 1], less each
-    # lane's shift, in Python ints, which cost less than numpy calls on B values
-    delta = q * (lx + ly + 2)
-    start = [q * wraps - (q - 1) + last - b * delta
-             for b, (wraps, last) in enumerate(zip(wrap.sum(1).tolist(), sym[:, 0].tolist()))]
-    y_cells, wrap_y = sym[:, :ly + 1], wrap[:, :ly + 1]
-    # x[i] and x[i] <= x[i - 1] at row len_x - 1 - i, as (row, lane, 1) views
-    x_rows, wrap_x = sym[:, ly + 1:].T[:, :, None], wrap[:, ly + 1:].T[:, :, None]
-    # row len_x: V' is V'(len_x, len_y) all along, so U'(len_x, j) is that
-    # plus E'(len_x, j), and U'(len_x, len_y) is that plus x[len_x - 1] -
-    # y[len_y - 1]; U'(i, len_y) = U'(len_x, len_y) in every row
     n = lanes * (ly + 1)
+    y_cells, wrap_y = sym[:, :ly + 1], wrap[:, :ly + 1]
     u = np.empty(n, dtype=value)
     by_lane = u.reshape(lanes, ly + 1)
-    np.multiply(np.subtract(np.less_equal(sym[:, :ly], sym[:, ly + 1:ly + 2]), wrap[:, :ly]), q,
-                out=by_lane[:, 1:], dtype=value)
-    by_lane[:, 0] = sym[:, ly + 1] - sym[:, 0]
-    by_lane += np.array(start, dtype=value)[:, None]
+    rows = max(1, min(lx, _ROW_CELL_BLOCK // n))
+    f_tab = None
+    if 3 * q * n <= _ROW_CELL_BLOCK <= lx * n:
+        # per lane and symbol a, F' = q [a <= y[j - 1]] - q w at table row
+        # (w B + b) q + a, w = [x[i] <= x[i - 1]], and E' = q [y[j] <= a] - q
+        # [y[j] <= y[j - 1]] at row b q + a: column k serves cell k, and E'
+        # reads column k - 1, as the comparisons below do
+        a = np.arange(q, dtype=sym.dtype)[:, None]
+        e_tab = np.subtract(np.less_equal(y_cells[:, None], a), wrap_y[:, None]).astype(value)
+        e_tab *= q
+        e_tab = e_tab.reshape(-1, ly + 1)
+        f_up = np.less_equal(a, y_cells[:, None]).astype(value)
+        f_up *= q
+        f_tab = np.concatenate((f_up, f_up - q)).reshape(-1, ly + 1)
+        # e_rows[r], the E' rows of row len_x - r, read x[len_x - 1 - r] (the
+        # q - 1 at r = len_x); f_rows[r], the F' rows of row len_x - 1 - r,
+        # read that symbol and its wrap bit
+        e_rows = np.add(sym[:, ly + 1:], np.arange(0, lanes * q, q)[:, None], dtype=np.intp).T
+        f_rows = np.multiply(wrap[:, ly + 1:].T, lanes * q, dtype=np.intp)
+        f_rows += e_rows[:-1]
+        e_top = e_tab[e_rows[0], :ly]  # E'(len_x, .)
+    else:
+        # x[i] and x[i] <= x[i - 1] at row len_x - 1 - i, as (row, lane, 1) views
+        x_rows, wrap_x = sym[:, ly + 1:].T[:, :, None], wrap[:, ly + 1:].T[:, :, None]
+        e_top = np.multiply(np.subtract(np.less_equal(sym[:, :ly], sym[:, ly + 1:ly + 2]),
+                                        wrap[:, :ly]), q, dtype=value)
+    # row len_x: V' is V'(len_x, len_y) all along, so U'(len_x, j) is that
+    # plus E'(len_x, j), e_top above, and U'(len_x, len_y) is that plus
+    # x[len_x - 1] - y[len_y - 1] - W(len_x, len_y, Y) + W(len_x, len_y, X);
+    # U'(i, len_y) = U'(len_x, len_y) in every row. V'(len_x, len_y) is q
+    # N(len_x, len_y) - (q - 1) + y[len_y - 1] + W(len_x, len_y, Y), less
+    # each lane's shift, in Python ints, which cost less than numpy calls on
+    # B values
+    delta = q * (lx + ly + 2)
+    end_x, end_y = ends or ((0,) * lanes, (0,) * lanes)
+    y_last, x_last = sym[:, 0].tolist(), sym[:, ly + 1].tolist()
+    start = [q * wraps - (q - 1) + last + end - b * delta
+             for b, (wraps, last, end) in enumerate(zip(wrap.sum(1).tolist(), y_last, end_y))]
+    np.add(e_top, np.array(start, dtype=value)[:, None], out=by_lane[:, 1:])
+    by_lane[:, 0] = [s + xl - yl + ex - ey
+                     for s, xl, yl, ex, ey in zip(start, x_last, y_last, end_x, end_y)]
     v = np.empty(n, dtype=value)
     u_on, v_before = u[1:], v[:-1]  # U'(., j) and V'(., j + 1) for j < len_y
-    rows = max(1, min(lx, _BAND_CELLS // n))
     bits = np.empty((rows, n - 1), dtype=bool) if ties is not None else [None] * rows
-    add, minimum, accumulate, greater = np.add, np.minimum, np.minimum.accumulate, np.greater
+    if identity is not None:
+        # (row, lane) in sweep order: row i < identity[b]
+        kept = np.greater_equal(np.arange(lx)[:, None], lx - np.array(identity))
+        kept_from = lx - max(identity)
+    add, minimum, accumulate, greater, take = (
+        np.add, np.minimum, np.minimum.accumulate, np.greater, np.take)
     for at in range(0, lx, rows):
         # F' and E' of rows len_x - 1 - at on down as (row, cell) arrays, E'
         # from k = 1 and at the cell before each later lane, where it never wins
-        x_at = x_rows[at:at + rows + 1]  # x[i], then x[i - 1] one row on
-        f = np.multiply(np.subtract(np.less_equal(x_at[:-1], y_cells), wrap_x[at:at + rows]), q,
-                        dtype=value).reshape(-1, n)
-        e = np.multiply(np.subtract(np.less_equal(y_cells, x_at[1:]), wrap_y), q,
-                        dtype=value).reshape(-1, n)[:, :-1]
+        if f_tab is not None:
+            f = take(f_tab, f_rows[at:at + rows], axis=0).reshape(-1, n)
+            e = take(e_tab, e_rows[at + 1:at + rows + 1], axis=0)
+        else:
+            x_at = x_rows[at:at + rows + 1]  # x[i], then x[i - 1] one row on
+            f = np.multiply(np.subtract(np.less_equal(x_at[:-1], y_cells), wrap_x[at:at + rows]),
+                            q, dtype=value).reshape(-1, n)
+            e = np.multiply(np.subtract(np.less_equal(y_cells, x_at[1:]), wrap_y), q,
+                            dtype=value)
+        if identity is not None and at + rows > kept_from:
+            e[kept[at:at + rows]] = sentinel
+        e = e.reshape(-1, n)[:, :-1]
         for fi, ei, tie in zip(f, e, bits):
             add(u, fi, out=fi)
             accumulate(fi, out=v)  # V'(i, .)
@@ -247,6 +365,8 @@ def _row_sweep(xs, ys, q: int, ties: list | None = None) -> list[int]:
             minimum(u_on, ei, out=u_on)  # U'(i, .)
         if ties is not None:
             ties += map(bytes, np.packbits(bits[:len(f)], axis=1))
+    if out is not None:
+        np.add(by_lane, np.arange(0, lanes * delta, delta)[:, None], out=out)
     return [root + b * delta for b, root in enumerate(by_lane[:, ly].tolist())]
 
 
@@ -406,8 +526,10 @@ def t_star(x, y, q: int) -> int:
     """Optimal completion time of the pair, in O(len_x + len_y) memory.
 
     Equals dp_solve(x, y, q).value(0, 0, 0) without building the table:
-    the pair is _t_star_lanes' one lane. Refuses, before allocating, an
-    alphabet so large that q * (len_x + len_y + 1) reaches 2**60.
+    the pair is _t_star_lanes' one lane, so from _SPLIT_ROWS symbols of x
+    on both halves of x run as two lanes of one row sweep. Refuses, before
+    allocating, an alphabet so large that q * (len_x + len_y + 1) reaches
+    2**60.
     """
     x = validate_strand(x, q)
     y = validate_strand(y, q)
@@ -423,13 +545,46 @@ def _t_star_lanes(xs, ys, q: int) -> list[int]:
 
     The block sweeps rows while lanes * (shorter strand + 1) is at most
     _ROW_CELLS and its shifted lanes fit int64, and runs the wavefront
-    otherwise. Every x has one length and every y one length, the strands
-    are already valid and _check_range passes: nothing is checked.
+    otherwise. A rows block of at least _SPLIT_ROWS rows runs as
+    _split_sweep's 2B lanes of half the rows, unless those lanes do not fit
+    int64. Every x has one length and every y one length, the strands are
+    already valid and _check_range passes: nothing is checked.
     """
     lanes, lx, ly = len(xs), len(xs[0]), len(ys[0])
-    if lanes * (min(lx, ly) + 1) <= _ROW_CELLS and _value_type(q, lx, ly, lanes):
+    if lanes * (min(lx, ly) + 1) > _ROW_CELLS or not _value_type(q, lx, ly, lanes):
+        return _wavefront(xs, ys, q).tolist()
+    if lx < _SPLIT_ROWS or not _value_type(q, lx // 2 + 1, ly, 2 * lanes):
         return _row_sweep(xs, ys, q)
-    return _wavefront(xs, ys, q).tolist()
+    return _split_sweep(xs, ys, q)
+
+
+def _split_sweep(xs, ys, q: int) -> list[int]:
+    """Each pair's optimum, from one row sweep of both halves of x as 2B lanes.
+
+    Lane b is the recurrence on (x[m - 1:], y) and lane B + b on x[:m] and y
+    complemented and reversed, m = ceil(len_x / 2), each of len_x // 2 + 1
+    rows; the module docstring derives the join of their final rows. Every
+    x has one length len_x >= 1 and every y one length; the strands are
+    valid and _value_type(q, len_x // 2 + 1, len_y, 2B) is not None.
+    """
+    x, y = np.array(xs), np.array(ys)
+    lanes, lx, ly = len(xs), len(xs[0]), len(ys[0])
+    m, rows = (lx + 1) // 2, lx // 2 + 1
+    # lane B + b: the complements of x[m - 1], ..., x[0], after a q - 1 when len_x is even
+    back = np.full((lanes, rows), q - 1, dtype=x.dtype)
+    np.subtract(q - 1, x[:, m - 1::-1], out=back[:, rows - m:])
+    lead, zeros = rows - m + 1, [0] * lanes  # identity rows of lane B + b
+    ends = zeros + (x[:, 0] + 1).tolist(), zeros + ((y[:, 0] + 1).tolist() if ly else zeros)
+    out = np.empty((2 * lanes, ly + 1), dtype=np.int64)
+    _row_sweep(np.concatenate((x[:, m - 1:], back)), np.concatenate((y, q - 1 - y[:, ::-1])), q,
+               None, ends, [1] * lanes + [lead] * lanes, out)
+    # at j, U'(0, j) of lane b plus U'(0, len_y - j) of lane B + b, less q
+    # where y[j - 1] < y[j], 0 < j < len_y
+    join = out[:lanes, ::-1] + out[lanes:]
+    rise = np.greater(y[:, 1:], y[:, :-1])
+    join[:, 1:-1] -= q * rise
+    shift = q * (ly + lead) + 1
+    return [low + q * rises - shift for low, rises in zip(join.min(1).tolist(), rise.sum(1).tolist())]
 
 
 @dataclass(frozen=True)

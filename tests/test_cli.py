@@ -162,6 +162,17 @@ class TestSolverRange:
         assert (code, out) == (1, "")
         assert err == "error: trial count 1000000000000 is over the trial budget of 2000000\n"
 
+    def test_sweep_past_the_sweep_budget_exits_one(self, capsys, monkeypatch, tmp_path):
+        # each config is within the trial budget; eleven of them keep 2.2 * 10**7 results
+        monkeypatch.setattr(experiments, "_map_trials", None)  # any trial would fail
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"L": 10, "trials": experiments.MAX_TRIALS,
+                                   "seed": list(range(11))}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == ("error: a sweep of 22000000 trial results is over the sweep budget of "
+                       "20000000\n")
+
     @pytest.mark.parametrize("command", ["experiment", "conjecture"])
     def test_alphabet_past_the_int64_draw_exits_one(self, capsys, monkeypatch, command):
         monkeypatch.setattr(experiments, "_map_trials", None)  # any trial would fail
@@ -793,6 +804,11 @@ class TestStrandParsing:
         code, _, err = run_cli(capsys, "solve", "--q", "11", "--x", "123", "--y", "456")
         assert code == 1
         assert "comma-separated" in err
+
+    def test_one_symbol_strands_at_a_wide_alphabet(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--q", "20", "--x", "5", "--y", "3")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["tStar"] == enumerate_interleavings_min((5,), (3,), 20) == 6
 
     def test_out_of_alphabet_symbol(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--q", "2", "--x", "0,2", "--y", "0")

@@ -98,6 +98,17 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=rf"q must be <= 2\*\*63, got {2**64}$"):
                 estimate(2**64, 3, 2)
 
+    def test_sweep_past_the_sweep_budget_refused_before_any_trial(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_map_trials", None)  # any trial would fail
+        trials = experiments.MAX_TRIALS
+        sweep = [ExperimentConfig(2, 10, trials, seed) for seed in range(10)]
+        with pytest.raises(TypeError):  # at the budget: the first pass is reached
+            estimate_policy_times(sweep + sweep[:1])  # a config listed twice keeps one column
+        budget = experiments.MAX_SWEEP_RESULTS
+        with pytest.raises(ConfigError, match=rf"^a sweep of {budget + trials} trial results "
+                                              rf"is over the sweep budget of {budget}$"):
+            estimate_policy_times(sweep + [ExperimentConfig(2, 10, trials, 0, "x-first")])
+
     def test_strand_past_the_draw_budget_refused_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(experiments, "trial_rng", None)  # any draw would fail
         too_long = ExperimentConfig(2, experiments.MAX_DRAW_LENGTH + 1, 1)

@@ -441,6 +441,20 @@ class TestStrandText:
     def test_format_round_trip(self):
         assert parse_strand(format_strand((0, 10, 3)), 11) == (0, 10, 3)
 
+    @pytest.mark.parametrize("q", [2, 10, 11, 20])
+    @pytest.mark.parametrize("length", [0, 1, 3])
+    def test_format_round_trip_at_every_width(self, q, length):
+        """A strand of one symbol prints as one token, which q > 10 reads as that symbol."""
+        for first in (0, q // 2, q - 1):
+            strand = tuple((first + 7 * k) % q for k in range(length))
+            assert parse_strand(format_strand(strand), q) == strand
+
+    def test_one_token_beyond_ten_symbols_is_one_symbol(self):
+        assert parse_strand("5", 20) == (5,)
+        assert parse_strand(" 19 ", 20) == (19,)
+        with pytest.raises(InvalidStrandError, match="^20 is not one symbol of q=20; "):
+            parse_strand("20", 20)
+
     def test_garbage_rejected(self):
         with pytest.raises(InvalidStrandError):
             parse_strand("1,a,2", 4)

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rowsynth import (
@@ -224,7 +224,7 @@ def _kernels_called(monkeypatch, xs, ys, q):
             return solve(*args)
         return counted
 
-    for name in ("_row_sweep", "_wavefront"):
+    for name in ("_split_sweep", "_row_sweep", "_wavefront"):
         monkeypatch.setattr(optimal, name, spy(name))
     return optimal._t_star_lanes(xs, ys, q), calls
 
@@ -244,7 +244,7 @@ class TestRowSweep:
     def test_equals_table_root_and_the_oracle(self, instance, band):
         """Blocks of 1 to 64 cells split rows as well as holding several."""
         q, x, y = instance
-        with mock.patch.object(optimal, "_BAND_CELLS", band):
+        with mock.patch.object(optimal, "_ROW_CELL_BLOCK", band):
             got, = optimal._row_sweep([x], [y], q)
         assert got == dp_solve(x, y, q).value(0, 0, 0)
         if len(x) <= 6 and len(y) <= 6:
@@ -299,6 +299,7 @@ class TestLanes:
                 assert t == enumerate_interleavings_min(x, y, q)
         for row_cells in (0, math.inf):  # the wavefront, then rows
             with mock.patch.object(optimal, "_BAND_CELLS", band), \
+                    mock.patch.object(optimal, "_ROW_CELL_BLOCK", band), \
                     mock.patch.object(optimal, "_ROW_CELLS", row_cells):
                 assert optimal._t_star_lanes(xs, ys, q) == expected
 
@@ -307,8 +308,141 @@ class TestLanes:
     def test_band_size_changes_no_table_and_no_schedule(self, instance, band):
         q, x, y = instance
         reference = dp_solve(x, y, q), optimal_schedule(x, y, q)
-        with mock.patch.object(optimal, "_BAND_CELLS", band):
+        with mock.patch.object(optimal, "_BAND_CELLS", band), \
+                mock.patch.object(optimal, "_ROW_CELL_BLOCK", band):
             assert (dp_solve(x, y, q), optimal_schedule(x, y, q)) == reference
+
+
+def _takes(monkeypatch):
+    """A list that counts np.take calls, the cross-term tables' only reader in the solver."""
+    calls = []
+    take = np.take
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return take(*args, **kwargs)
+
+    monkeypatch.setattr(optimal.np, "take", counted)
+    return calls
+
+
+class TestTables:
+    """E' and F' read from per-lane symbol tables, where they fit a block and a block is filled."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(lane_instances(st.integers(2, 4), lanes=4, length=24))
+    def test_tables_equal_comparisons_and_the_table_root(self, instance):
+        q, xs, ys, _ = instance
+        assume(len(xs[0]) >= 3 * q)
+        expected = [dp_solve(x, y, q).value(0, 0, 0) for x, y in zip(xs, ys)]
+        cells = len(xs) * (len(ys[0]) + 1)
+        # 3 q rows a block: tables over several blocks; then one block of comparisons
+        for block in (3 * q * cells, 1 << 40):
+            with mock.patch.object(optimal, "_ROW_CELL_BLOCK", block):
+                assert optimal._row_sweep(xs, ys, q) == expected
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_tie_bits_equal_under_tables_and_comparisons(self, monkeypatch, q):
+        x, y = _seeded_pair(23 + q, q, 40, 33)
+        reference = reconstruct(x, y, dp_solve(x, y, q))
+        takes = _takes(monkeypatch)
+        for block in (3 * q * 34, 1 << 40):
+            with mock.patch.object(optimal, "_ROW_CELL_BLOCK", block):
+                assert optimal_schedule(x, y, q) == reference
+        assert takes  # the first block setting read the tables
+
+    def test_block_past_the_table_budget_compares_symbols(self, monkeypatch):
+        """Tables for q = 10**6 would outgrow a 12-cell block the sweep fills: it compares instead."""
+        q = 10**6
+        takes = _takes(monkeypatch)
+        xs = [(q - 1, 0, 5, 5, q - 2, 1) * 2, (3, 3, 2, 1, 0, q - 1) * 2]
+        ys = [(0, q - 1, 2, 2, 7), (q - 1, q - 1, 0, 1, 2)]
+        with mock.patch.object(optimal, "_ROW_CELL_BLOCK", 2 * 6):  # a block is filled
+            got = optimal._row_sweep(xs, ys, q)
+        assert got == [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
+        assert takes == []
+
+    def test_one_block_compares_symbols(self, monkeypatch):
+        """A sweep of fewer cells than a block builds no tables: they would not pay."""
+        takes = _takes(monkeypatch)
+        x, y = _seeded_pair(3, 4, 100, 100)
+        assert 101 * 100 < optimal._ROW_CELL_BLOCK
+        assert optimal._row_sweep([x], [y], 4) == [dp_solve(x, y, 4).value(0, 0, 0)]
+        assert takes == []
+        x, y = _seeded_pair(3, 4, 400, 100)
+        assert optimal._row_sweep([x], [y], 4) == [dp_solve(x, y, 4).value(0, 0, 0)]
+        assert takes
+
+
+@st.composite
+def split_instances(draw, alphabets=st.integers(2, 7)):
+    """lane_instances with len_x >= 1, and a row block size."""
+    q, xs, ys, _ = draw(lane_instances(alphabets, lanes=8, length=16))
+    assume(xs[0])
+    return q, xs, ys, draw(st.integers(1, 64))
+
+
+class TestSplitSweep:
+    """Both halves of x as lanes of one sweep: the backward half on complemented, reversed strands."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(split_instances())
+    @example((2, [(1,)], [()], 1))  # one symbol, no y
+    @example((3, [(2, 0)], [(1,)], 64))  # even len_x: the backward half leads with a pad row
+    @example((4, [(3, 1, 0)] * 2, [(0, 3)] * 2, 5))  # odd len_x, unequal lengths
+    @example((5, [(4,) * 7, (0,) * 7], [(4, 3, 2, 1, 0, 4)] * 2, 2))  # every symbol wraps
+    @example((2, [(0, 1) * 8] * 8, [(1, 0) * 8] * 8, 64))  # eight lanes
+    def test_equals_the_table_root_the_oracle_and_the_unsplit_sweep(self, instance):
+        q, xs, ys, band = instance
+        expected = [dp_solve(x, y, q).value(0, 0, 0) for x, y in zip(xs, ys)]
+        for x, y, t in zip(xs, ys, expected):
+            if len(x) + len(y) <= 12:
+                assert t == enumerate_interleavings_min(x, y, q)
+        assert optimal._row_sweep(xs, ys, q) == expected
+        cells = 2 * len(xs) * (len(ys[0]) + 1)
+        # small blocks; tables of 3 q rows a block; one block of comparisons
+        for block in (band, 3 * q * cells, 1 << 40):
+            with mock.patch.object(optimal, "_ROW_CELL_BLOCK", block):
+                assert optimal._split_sweep(xs, ys, q) == expected
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("lanes, len_x, len_y", [(1, 200, 200), (3, 131, 90), (8, 64, 1)])
+    def test_long_lanes_read_the_tables(self, monkeypatch, q, lanes, len_x, len_y):
+        """The split blocks of 101 and 66 rows fill a rows block; the eight short lanes do not."""
+        pairs = [_seeded_pair(100 * q + b, q, len_x, len_y) for b in range(lanes)]
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        expected = optimal._row_sweep(xs, ys, q)
+        assert expected[0] == t_star(xs[0], ys[0], q) == dp_solve(xs[0], ys[0], q).value(0, 0, 0)
+        takes = _takes(monkeypatch)
+        assert optimal._split_sweep(xs, ys, q) == expected
+        assert bool(takes) == (len_y > 1)
+
+    def test_overflowing_tables_split_on_comparisons(self, monkeypatch):
+        q = 10**6  # tables of 3 q rows pass any block budget
+        takes = _takes(monkeypatch)
+        xs = [(q - 1, 0, 5, 5, q - 2, 1), (3, 3, 2, 1, 0, q - 1)]
+        ys = [(0, q - 1, 2, 2, 7), (q - 1, q - 1, 0, 1, 2)]
+        expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
+        for block in (1, 1 << 40):
+            with mock.patch.object(optimal, "_ROW_CELL_BLOCK", block):
+                assert optimal._split_sweep(xs, ys, q) == expected
+        assert takes == []
+
+    @pytest.mark.parametrize("len_x, kernels", [
+        (3, ["_row_sweep"]), (4, ["_split_sweep", "_row_sweep"]), (5, ["_split_sweep", "_row_sweep"]),
+    ])
+    def test_lanes_split_from_the_split_threshold(self, monkeypatch, len_x, kernels):
+        monkeypatch.setattr(optimal, "_SPLIT_ROWS", 4)
+        xs, ys = [(1, 0, 1, 1, 0)[:len_x], (0, 0, 1, 1, 1)[:len_x]], [(1, 1, 0), (0, 1, 0)]
+        expected = [dp_solve(x, y, 2).value(0, 0, 0) for x, y in zip(xs, ys)]
+        assert _kernels_called(monkeypatch, xs, ys, 2) == (expected, kernels)
+
+    def test_split_threshold_reaches_t_star(self, monkeypatch):
+        x, y = _seeded_pair(5, 3, optimal._SPLIT_ROWS, 9)
+        got, calls = _kernels_called(monkeypatch, [x], [y], 3)
+        assert (got, calls) == ([dp_solve(x, y, 3).value(0, 0, 0)], ["_split_sweep", "_row_sweep"])
+        got, calls = _kernels_called(monkeypatch, [x[1:]], [y], 3)
+        assert (got, calls) == ([dp_solve(x[1:], y, 3).value(0, 0, 0)], ["_row_sweep"])
 
 
 class TestSolverRange:
@@ -365,6 +499,49 @@ class TestSolverRange:
         assert optimal._value_type(q, 2, 1, 2) is None
         got, calls = _kernels_called(monkeypatch, [(1, 0), (q - 1, q - 2)], [(0,), (q - 1,)], q)
         assert (got, calls) == ([q + 1, 2 * q], ["_wavefront"])
+
+    @pytest.mark.parametrize("q, value", [
+        ((2**30 - 1) // 13, np.int32),  # 13 q = 2**30 - 1
+        ((2**30 - 1) // 13 + 1, np.int64),
+    ])
+    def test_split_value_type_boundary(self, q, value):
+        """A 3 + 3 pair spans 7 q; its split block, two lanes of 2 + 3 symbols, spans 13 q.
+
+        So past 2**30 / 13 the split block falls back to int64 while the pair alone keeps int32.
+        """
+        assert optimal._value_type(q, 3, 3)[0] is np.int32
+        assert optimal._value_type(q, 2, 3, 2)[0] is value
+        # every symbol wraps in the first pair, so its values come within q of the bound
+        xs = [(q - 1, q - 2, q - 3), (q - 1, 0, q - 2), (1, 0, 0), (0, q - 1, 0)]
+        ys = [(q - 1, q - 2, q - 3), (q - 1, q - 1, 3), (0, 1, 1), (q - 1, 0, q - 1)]
+        expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
+        assert [optimal._split_sweep([x], [y], q)[0] for x, y in zip(xs, ys)] == expected
+
+    @pytest.mark.parametrize("lanes", [1, 2, 8, 16])
+    @pytest.mark.parametrize("len_x, len_y", [(1, 0), (2, 3), (33, 1), (101, 200)])
+    def test_identity_rows_cannot_overflow_int32(self, lanes, len_x, len_y):
+        """An identity row adds the sentinel to V', which an int32 block keeps inside its span."""
+        q = (2**30 - 1) // (lanes * (len_x + len_y + 2) - 1)  # the widest int32 alphabet
+        value, sentinel = optimal._value_type(q, len_x, len_y, lanes)
+        assert value is np.int32
+        # lane 0's values, end values included, reach q (len_x + len_y + 1); the last
+        # lane's lie (lanes - 1) q (len_x + len_y + 2) + q - 1 below 0
+        span = q * (lanes * (len_x + len_y + 2) - 1)
+        highest = q * (len_x + len_y + 1)
+        lowest = -(lanes - 1) * q * (len_x + len_y + 2) - (q - 1)
+        assert highest <= span and -span <= lowest
+        assert highest + sentinel < 2**31
+        assert lowest - q >= -2**31  # plus a cross term
+
+    def test_split_block_past_the_int64_range_runs_unsplit(self, monkeypatch):
+        q = (optimal._UNREACHABLE - 1) // 4  # the pair of 2 + 1 symbols spans 4 q
+        monkeypatch.setattr(optimal, "_SPLIT_ROWS", 1)
+        assert optimal._value_type(q, 2, 1) is not None
+        assert optimal._value_type(q, 2, 1, 2) is None  # its split block spans 9 q
+        assert _kernels_called(monkeypatch, [(1, 0)], [(0,)], q) == ([q + 1], ["_row_sweep"])
+        q = (optimal._UNREACHABLE - 1) // 9  # now the split block fits int64
+        assert optimal._split_sweep([(1, 0)], [(0,)], q) == [q + 1]
+        assert optimal._split_sweep([(q - 1, q - 2)], [(q - 1,)], q) == [2 * q]
 
     @settings(max_examples=150, deadline=None)
     @given(lane_instances(st.sampled_from([2, 3, 4, 5, 6, 10**9]), lanes=4, length=6))
