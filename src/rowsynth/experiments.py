@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import Strand, _run, _solo_slots, validate_alphabet
-from .optimal import _check_range, _t_star_lanes
+from .optimal import _LANE_CELLS, _check_range, _t_star_lanes
 from .policies import TiePolicy, get_policy, policy_names
 from .rng import DEFAULT_SEED, block_stream, trial_rng, validate_seed
 
@@ -117,13 +117,6 @@ def _summarize(times, length: int) -> EstimateResult:
     return EstimateResult(mean, stderr, len(arr), mean / length, tuple(times))
 
 
-# Most cells one diagonal of a lane block holds, over all its lanes. Wider
-# diagonals spread the wavefront's fixed cost per numpy call over more
-# trials, with less gain per lane as they grow: at q=2, L=200 a trial took
-# 2.5 ms alone, 0.37 ms in 32 lanes and 0.31 ms in 64 (2-vCPU VM; every
-# lane reads its y symbols as consecutive runs).
-_LANE_CELLS = 1 << 13
-
 _MEASURES = ("optimal", "solo", "max-of-solos")  # beside the catalog policies
 
 
@@ -137,7 +130,8 @@ def _trial_block(seed: int, args: tuple, lo: int, hi: int) -> list[tuple[int, ..
     solo is x's last slot, max-of-solos the later of the two last slots.
     Every policy walks them, bound to the trial; the one that draws coins
     (random) reads them from the generator right after the strands. optimal
-    solves the pairs as lanes, at most _LANE_CELLS cells a diagonal.
+    solves the pairs in blocks of lanes of at most _LANE_CELLS cells a row,
+    a quarter of the solver's cell block.
     """
     q, length, names = args
     policies = [get_policy(name) for name in names if name not in _MEASURES]

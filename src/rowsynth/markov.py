@@ -138,10 +138,6 @@ class RotationStats:
     cov_t_vx: float
 
     @property
-    def means(self) -> tuple[float, float, float]:
-        return (self.mean_vx, self.mean_vy, self.mean_t)
-
-    @property
     def stderr_vx(self) -> float:
         return math.sqrt(self.var_vx / self.n)
 

@@ -54,15 +54,24 @@ lanes never wins: a row is four numpy calls whatever B is, about 2.8 us
 plus 4.5 ns a cell. _wavefront solves B pairs as lanes, one anti-diagonal
 per step, on one symbol array with x[i] at row c + 1 + i and y[j] at row c
 - 1 - j: a band of diagonals reads x as one slice and y as a view of
-consecutive runs, and lane b's cell i sits at i * B + b. It takes E' and F'
-_BAND_CELLS cells at a time; memory is O((len_x + len_y) * B) plus those
-cells.
+consecutive runs, and lane b's cell i sits at i * B + b; memory is
+O((len_x + len_y) * B) plus one band.
 
-The row sweep takes E' and F' a block of _ROW_CELL_BLOCK = 2**15 cells at a
-time, at least one row, and keeps O(len_y * B) values besides. A row reads
+Both kernels take E' and F' _CELL_BLOCK = 2**15 cells at a time: the row
+sweep in rows, at least one, and the wavefront in bands of at least four
+diagonals. conjecture's lane blocks hold at most _LANE_CELLS = _CELL_BLOCK /
+4 cells a row, so a full block's four-diagonal band fills one cell block.
+Wavefront at 2**15-cell bands over 2**13 (median of 15 alternating rounds,
+2-vCPU VM): 0.76-0.95 on blocks of 2,814-6,432 cells a row (14-32 lanes at
+q=2, L=200; 10-21 at q=4, L=300; 3-6 at q=2, L=1000), narrowing as the
+block widens; 0.77 / 0.82 / 0.89 / 0.94 for one lane at q=2, L=3000 / 4000
+/ 5000 / 6000; and 0.998-1.005 on full blocks of 8,004-8,127 cells, whose
+band is four diagonals at either size.
+
+The row sweep keeps O(len_y * B) values besides its block. A row reads
 x only through x[i], [x[i] <= x[i - 1]] (F') and x[i - 1] (E'), so a
 sweep that fills at least one block and whose tables fit in one, 3 q B
-(len_y + 1) <= _ROW_CELL_BLOCK <= len_x B (len_y + 1), builds each lane's
+(len_y + 1) <= _CELL_BLOCK <= len_x B (len_y + 1), builds each lane's
 2 q rows of F' and q rows of E', one per symbol and wrap bit, and reads a
 block's F' and E' with one np.take each, where the comparisons cost three
 numpy calls and three passes over the block each. The row for len_x is
@@ -118,20 +127,21 @@ matched the unsplit sweep on 3,000 random blocks (q 2-7, 1-4 lanes, len_x
 1-39, len_y 0-39).
 
 A block sweeps rows while B (min(len_x, len_y) + 1) is at most _ROW_CELLS
-= 2200 cells, as each of the wavefront's len_x + len_y diagonals pays four
-numpy calls against each of len_x rows' four; from there on
-np.minimum.accumulate's 3 ns per cell loses and the block runs the
-wavefront. Wavefront over rows, pooled over B = 1, 2, 4 and 8 at q = 2
-and 4 (21 rounds, each timing every size once, both kernels alternating):
-1.24 at 1000 cells a row, 1.11 at 2000, 1.00 at 2100 and 2200, 0.99 at
-2300, 0.96 at 2500 and 0.78 at 3200, so the crossover lies at about 2200
-cells; a lane count's own median ranged 0.92-1.02 at 2200. The host moves
-it by a few hundred cells either way: runs minutes apart read 1.04-1.16
-and 0.86-0.94 at 2200. Those figures predate the split and the tables,
-which make rows cheaper. Rows against the wavefront took 1.45/1.78 ms for
-4 lanes at q=2, L=200 and 1.02/1.83 for one lane at q=4, L=300 (median of
-25 alternating runs), but 9.4/4.3 ms for 40 lanes at q=2, L=200 and 56/45
-ms for one lane at q=2, L=3000 (2-vCPU VM), before the split.
+= 2700 cells, as each of the wavefront's len_x + len_y diagonals pays four
+numpy calls against each of the split sweep's len_x / 2 + 1 rows' four on
+twice the cells; past it the rows' per-cell work loses and the block runs
+the wavefront. Wavefront over split rows, on 2**15-cell blocks (median of
+11-15 alternating rounds a shape, four runs; 2-vCPU VM), at q=2: 1.00-1.30
+at 2,613 cells a row (13 lanes at L=200) and 0.83-0.95 at 2,814 (14
+lanes); 1.16-1.41 at 2,002 (2 lanes at L=1000) and 0.75-0.98 at 3,003 (3
+lanes); for one lane, 1.02-1.44 at L=2600-2698 and 0.93-1.03 at L=2800.
+At q=2 the split block builds its tables up to 2**15 / 12 = 2730 cells a
+row; at q=3 and 4 they stop at 1820 and 1365, and the kernels cross
+earlier and less steadily: 0.77-1.01 at 2,408 cells (8 lanes at q=4,
+L=300), 0.91-1.00 at q=3, and 0.76-0.96 at 2,709 (9 lanes); one lane at
+q=4, 0.84-1.17 at L=2400 and 0.96-1.06 at L=2800. 2700 lies inside the
+q=2 crossover; any value that sends 8 lanes at q=4, L=300 to the wavefront
+also sends 12 lanes at q=2, L=200 (2,412 cells, 1.14-1.34) there.
 
 No value exceeds q (len_x + len_y), and the wavefront's entries past the
 end plus a cross term stay within q of its sentinel, so with S = q (len_x
@@ -204,18 +214,15 @@ _UNREACHABLE = 1 << 60
 # Table entries dp_solve expands from numpy to Python ints at a time.
 _EXPAND_BLOCK = 1 << 16
 
-# Cells of E' (and of F') the wavefront computes at a time, in a band of
-# diagonals: large enough to cost little per step, small enough to stay in
-# cache. On the int64 wavefront (2-vCPU VM, best of 15) the 4-lane q=2,
-# L=200 solve took 2.5 ms at 2^13 cells, 2.6 ms at 2^14 and 2^16, 3.2 ms at
-# 2^12 and 5.5 ms at 2^20. A band holds at least four diagonals, O(len_x +
-# len_y) cells.
-_BAND_CELLS = 1 << 13
+# Cells of E' (and of F') either kernel computes at a time: the row sweep
+# in rows, at least one, and the wavefront in bands of at least four
+# diagonals. The row sweep's cross-term tables are built only where they fit
+# in one block and the sweep fills one. See the module docstring.
+_CELL_BLOCK = 1 << 15
 
-# Cells of E' (and of F') the row sweep takes at a time, at least one row;
-# its cross-term tables are built only where they fit in one such block and
-# the sweep fills one. See the module docstring.
-_ROW_CELL_BLOCK = 1 << 15
+# Most cells a row of one of conjecture's lane blocks holds, over all its
+# lanes, so that a full block's four-diagonal band fills one cell block.
+_LANE_CELLS = _CELL_BLOCK // 4
 
 # Rows of x from which _t_star_lanes solves a rows block from both ends;
 # see the module docstring.
@@ -235,9 +242,6 @@ class DpTable:
         if not (0 <= i <= self.len_x and 0 <= j <= self.len_y and 0 <= r < self.q):
             raise IndexError(f"state ({i}, {j}, {r}) outside table")
         return self.values[(i * (self.len_y + 1) + j) * self.q + r]
-
-    def __getitem__(self, state) -> int:
-        return self.value(*state)
 
 
 def _check_range(q: int, len_x: int, len_y: int) -> None:
@@ -291,9 +295,9 @@ def _row_sweep(xs, ys, q: int, ties: list | None = None, ends=None, identity=Non
     y_cells, wrap_y = sym[:, :ly + 1], wrap[:, :ly + 1]
     u = np.empty(n, dtype=value)
     by_lane = u.reshape(lanes, ly + 1)
-    rows = max(1, min(lx, _ROW_CELL_BLOCK // n))
+    rows = max(1, min(lx, _CELL_BLOCK // n))
     f_tab = None
-    if 3 * q * n <= _ROW_CELL_BLOCK <= lx * n:
+    if 3 * q * n <= _CELL_BLOCK <= lx * n:
         # per lane and symbol a, F' = q [a <= y[j - 1]] - q w at table row
         # (w B + b) q + a, w = [x[i] <= x[i - 1]], and E' = q [y[j] <= a] - q
         # [y[j] <= y[j - 1]] at row b q + a: column k serves cell k, and E'
@@ -422,7 +426,7 @@ def _wavefront(xs, ys, q: int) -> np.ndarray:
     # Local names for the loop's numpy calls took 3-9% off solves at L=16 to 10^4
     add, minimum, less_equal, subtract, multiply = (
         np.add, np.minimum, np.less_equal, np.subtract, np.multiply)
-    rows = max(4, _BAND_CELLS // width_max)
+    rows = max(4, _CELL_BLOCK // width_max)
     band_lo = top
     for d in range(top - 1, -1, -1):
         if d < band_lo:
@@ -537,7 +541,7 @@ def t_star(x, y, q: int) -> int:
     return _t_star_lanes([x], [y], q)[0]
 
 
-_ROW_CELLS = 2200  # see the module docstring
+_ROW_CELLS = 2700  # see the module docstring
 
 
 def _t_star_lanes(xs, ys, q: int) -> list[int]:

@@ -25,7 +25,7 @@ from rowsynth import (
     t_star,
     trial_rng,
 )
-from rowsynth import experiments
+from rowsynth import experiments, optimal
 from rowsynth.cli import expand_configs
 from rowsynth.experiments import (
     EXPERIMENT_COLUMNS,
@@ -176,8 +176,8 @@ class TestEstimateOptimalTime:
         assert estimate_optimal_time(config, workers=workers).times == times
 
     @pytest.mark.parametrize("cap, length, trials", [
-        (experiments._LANE_CELLS, 200, 90),
-        (experiments._LANE_CELLS, 1, 5000),
+        (optimal._LANE_CELLS, 200, 90),
+        (optimal._LANE_CELLS, 1, 5000),
         (50, 60, 3),
     ])
     def test_lane_blocks_stay_under_the_cell_cap(self, monkeypatch, cap, length, trials):

@@ -212,8 +212,8 @@ def _stub_kernels(monkeypatch):
     monkeypatch.setattr(optimal, "_wavefront", None)
 
 
-def _kernels_called(monkeypatch, xs, ys, q):
-    """_t_star_lanes' optima of the pairs and the kernels it called to solve them."""
+def _spy_kernels(monkeypatch):
+    """A list that names each solver kernel as it is called."""
     calls = []
 
     def spy(name):
@@ -226,6 +226,12 @@ def _kernels_called(monkeypatch, xs, ys, q):
 
     for name in ("_split_sweep", "_row_sweep", "_wavefront"):
         monkeypatch.setattr(optimal, name, spy(name))
+    return calls
+
+
+def _kernels_called(monkeypatch, xs, ys, q):
+    """_t_star_lanes' optima of the pairs and the kernels it called to solve them."""
+    calls = _spy_kernels(monkeypatch)
     return optimal._t_star_lanes(xs, ys, q), calls
 
 
@@ -244,7 +250,7 @@ class TestRowSweep:
     def test_equals_table_root_and_the_oracle(self, instance, band):
         """Blocks of 1 to 64 cells split rows as well as holding several."""
         q, x, y = instance
-        with mock.patch.object(optimal, "_ROW_CELL_BLOCK", band):
+        with mock.patch.object(optimal, "_CELL_BLOCK", band):
             got, = optimal._row_sweep([x], [y], q)
         assert got == dp_solve(x, y, q).value(0, 0, 0)
         if len(x) <= 6 and len(y) <= 6:
@@ -276,6 +282,23 @@ class TestRowSweep:
         x, y = random_pair(rng, q, optimal._ROW_CELLS)  # one cell a row past it
         assert [t_star(x, y, q)] == optimal._row_sweep([x], [y], q)
 
+    def test_eleven_lanes_at_length_200_split_rows(self, monkeypatch):
+        """A conjecture block of 11 trials at q=2, L=200, 2,211 cells a row, is under the crossover."""
+        pairs = [random_pair(trial_rng(8, idx), 2, 200) for idx in range(11)]
+        expected = [t_star(x, y, 2) for x, y in pairs]
+        xs, ys = zip(*pairs)
+        assert _kernels_called(monkeypatch, xs, ys, 2) == (expected, ["_split_sweep", "_row_sweep"])
+
+    def test_a_full_trial_block_at_length_200_runs_the_wavefront(self, monkeypatch):
+        """conjecture's 40 lanes of 201 cells a row, one block of the trial pass, are past it."""
+        trials = optimal._LANE_CELLS // 201
+        assert trials == 40
+        expected = tuple(t_star(*random_pair(trial_rng(8, idx), 2, 200), 2) for idx in range(trials))
+        calls = _spy_kernels(monkeypatch)
+        config = experiments.ExperimentConfig(2, 200, trials, 8)
+        assert experiments.estimate_optimal_time(config).times == expected
+        assert calls == ["_wavefront"]
+
 
 class TestLanes:
     def test_pinned_roots(self):
@@ -298,8 +321,7 @@ class TestLanes:
             if len(x) <= 6 and len(y) <= 6:
                 assert t == enumerate_interleavings_min(x, y, q)
         for row_cells in (0, math.inf):  # the wavefront, then rows
-            with mock.patch.object(optimal, "_BAND_CELLS", band), \
-                    mock.patch.object(optimal, "_ROW_CELL_BLOCK", band), \
+            with mock.patch.object(optimal, "_CELL_BLOCK", band), \
                     mock.patch.object(optimal, "_ROW_CELLS", row_cells):
                 assert optimal._t_star_lanes(xs, ys, q) == expected
 
@@ -308,8 +330,7 @@ class TestLanes:
     def test_band_size_changes_no_table_and_no_schedule(self, instance, band):
         q, x, y = instance
         reference = dp_solve(x, y, q), optimal_schedule(x, y, q)
-        with mock.patch.object(optimal, "_BAND_CELLS", band), \
-                mock.patch.object(optimal, "_ROW_CELL_BLOCK", band):
+        with mock.patch.object(optimal, "_CELL_BLOCK", band):
             assert (dp_solve(x, y, q), optimal_schedule(x, y, q)) == reference
 
 
@@ -338,7 +359,7 @@ class TestTables:
         cells = len(xs) * (len(ys[0]) + 1)
         # 3 q rows a block: tables over several blocks; then one block of comparisons
         for block in (3 * q * cells, 1 << 40):
-            with mock.patch.object(optimal, "_ROW_CELL_BLOCK", block):
+            with mock.patch.object(optimal, "_CELL_BLOCK", block):
                 assert optimal._row_sweep(xs, ys, q) == expected
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -347,7 +368,7 @@ class TestTables:
         reference = reconstruct(x, y, dp_solve(x, y, q))
         takes = _takes(monkeypatch)
         for block in (3 * q * 34, 1 << 40):
-            with mock.patch.object(optimal, "_ROW_CELL_BLOCK", block):
+            with mock.patch.object(optimal, "_CELL_BLOCK", block):
                 assert optimal_schedule(x, y, q) == reference
         assert takes  # the first block setting read the tables
 
@@ -357,7 +378,7 @@ class TestTables:
         takes = _takes(monkeypatch)
         xs = [(q - 1, 0, 5, 5, q - 2, 1) * 2, (3, 3, 2, 1, 0, q - 1) * 2]
         ys = [(0, q - 1, 2, 2, 7), (q - 1, q - 1, 0, 1, 2)]
-        with mock.patch.object(optimal, "_ROW_CELL_BLOCK", 2 * 6):  # a block is filled
+        with mock.patch.object(optimal, "_CELL_BLOCK", 2 * 6):  # a block is filled
             got = optimal._row_sweep(xs, ys, q)
         assert got == [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
         assert takes == []
@@ -366,7 +387,7 @@ class TestTables:
         """A sweep of fewer cells than a block builds no tables: they would not pay."""
         takes = _takes(monkeypatch)
         x, y = _seeded_pair(3, 4, 100, 100)
-        assert 101 * 100 < optimal._ROW_CELL_BLOCK
+        assert 101 * 100 < optimal._CELL_BLOCK
         assert optimal._row_sweep([x], [y], 4) == [dp_solve(x, y, 4).value(0, 0, 0)]
         assert takes == []
         x, y = _seeded_pair(3, 4, 400, 100)
@@ -402,7 +423,7 @@ class TestSplitSweep:
         cells = 2 * len(xs) * (len(ys[0]) + 1)
         # small blocks; tables of 3 q rows a block; one block of comparisons
         for block in (band, 3 * q * cells, 1 << 40):
-            with mock.patch.object(optimal, "_ROW_CELL_BLOCK", block):
+            with mock.patch.object(optimal, "_CELL_BLOCK", block):
                 assert optimal._split_sweep(xs, ys, q) == expected
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7])
@@ -424,7 +445,7 @@ class TestSplitSweep:
         ys = [(0, q - 1, 2, 2, 7), (q - 1, q - 1, 0, 1, 2)]
         expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
         for block in (1, 1 << 40):
-            with mock.patch.object(optimal, "_ROW_CELL_BLOCK", block):
+            with mock.patch.object(optimal, "_CELL_BLOCK", block):
                 assert optimal._split_sweep(xs, ys, q) == expected
         assert takes == []
 
