@@ -273,14 +273,8 @@ def expand_configs(raw: dict, source: str = "<flags>") -> list[ExperimentConfig]
 
 def _cmd_experiment(args) -> int:
     raw = _read_config_raw(args.config) if args.config else {}
-    if args.q is not None:
-        raw["q"] = args.q
-    if args.length is not None:
-        raw["L"] = args.length
-    if args.policy is not None:
-        raw["policy"] = args.policy
-    if args.trials is not None:
-        raw["trials"] = args.trials
+    flags = {"q": args.q, "L": args.length, "policy": args.policy, "trials": args.trials}
+    raw.update((key, value) for key, value in flags.items() if value is not None)
     if args.seed_given or "seed" not in raw:
         raw["seed"] = args.seed
     configs = expand_configs(raw, args.config or "<flags>")

@@ -27,7 +27,7 @@ from .errors import ConfigError
 from .model import Strand, _run, _solo_slots, validate_alphabet
 from .optimal import _LANE_CELLS, _check_range, _t_star_lanes
 from .policies import TiePolicy, get_policy, policy_names
-from .rng import DEFAULT_SEED, block_stream, trial_rng, validate_seed
+from .rng import DEFAULT_SEED, block_stream, check_draw_base, trial_rng, validate_seed
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,7 @@ MAX_SWEEP_RESULTS = 2 * 10**7
 def _check_drawable(q: int, length: int) -> None:
     """Refuse an alphabet numpy's int64 draw cannot hold, or a length past MAX_DRAW_LENGTH."""
     validate_alphabet(q)
-    if q > 1 << 63:
-        raise ConfigError(f"random strands draw int64 symbols, so q must be <= 2**63, got {q}")
+    check_draw_base(q, "random strands draw int64 symbols")
     if length > MAX_DRAW_LENGTH:
         raise ConfigError(f"strand length {length} is over the draw budget of {MAX_DRAW_LENGTH}")
 
@@ -174,23 +173,17 @@ def pool_size(workers: int, trials: int) -> int:
 
 
 # Symbol walks (trials x L x policies) below which a policy sweep group
-# runs serially at any --workers. A fresh `rowsynth experiment` process paid
-# about 30-45 ms for a pool of two (the multiprocessing import, two forks).
-# Median wall time of the call, serial / --workers 2, over 7 alternating
-# fresh processes (lf, L=2000 unless noted; 2-vCPU VM): at q=2, 32 / 58 ms
-# at 5 * 10**4 walks, 76 / 91 at 10**5, 116 / 110 at 1.5 * 10**5, 148 / 127
-# at 2 * 10**5, 214 / 160 at 3 * 10**5; six policies, 80 / 91 at 1.2 * 10**5
-# and 148 / 126 at 2.4 * 10**5. A walk at q=4 has fewer ties and costs about
-# half as much: 64 / 97 ms at 2 * 10**5, 171 / 158 at 3 * 10**5.
+# runs serially at any --workers: a fresh `rowsynth experiment` process pays
+# about 30-45 ms for a pool of two (the multiprocessing import, two forks),
+# which a pool of two wins back at about this many walks at q=2; a walk at
+# q=4 has fewer ties and costs about half as much. Measured with
+# BENCH_15.json; CHANGES.md quotes the figures.
 _POOL_MIN_WALKS = 200_000
 
 # Solver cells (trials x (L + 1)^2) below which estimate_optimal_time runs
-# serially at any --workers. Median wall time of a fresh `rowsynth
-# conjecture` process, serial / --workers 2, over 9 alternating runs (2-vCPU
-# VM): at 6 * 10**7 cells, 396 / 498 ms (q=2, L=200) and 365 / 422 (q=2,
-# L=1000); 355 / 340 at 8 * 10**7 (q=4, L=2000), 466 / 505 at 9 * 10**7
-# (q=4, L=300), 442 / 423 at 10**8 (q=2, L=1000); over 7 runs at q=2, 886 /
-# 658 at 1.6 * 10**8 (L=200) and 1019 / 642 at 2 * 10**8 (L=1000).
+# serially at any --workers: below it, fresh `rowsynth conjecture` processes
+# ran no faster with two workers than with one. Measured with BENCH_19.json;
+# CHANGES.md quotes the figures.
 _POOL_MIN_CELLS = 10**8
 
 

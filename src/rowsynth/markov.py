@@ -38,9 +38,7 @@ import numpy as np
 
 from .model import validate_alphabet
 from .policies import LF1, Tie, TieDecision, TiePolicy, policy_catalog
-from .rng import block_stream, master_rng
-
-_DRAW_BLOCK = 8192  # offsets _rotations draws from its generator at a time
+from .rng import block_stream, check_draw_base, master_rng
 
 
 class OffsetState(NamedTuple):
@@ -173,11 +171,13 @@ class RotationStats:
 def _policy_rotations(q: int, n_rotations: int, rng, policy: str) -> Iterator[tuple[int, int, int]]:
     """The first n_rotations rotations under the named policy's catalog rule.
 
-    q and the policy are checked before any draw. The chain keeps advances
-    and ties but no lookahead symbols or coin, so lf1, random and unknown
-    names raise ValueError. ``rng`` is a numpy Generator or a master seed.
+    q and the policy are checked before any draw: q must pass
+    rng.check_draw_base. The chain keeps advances and ties but no lookahead
+    symbols or coin, so lf1, random and unknown names raise ValueError.
+    ``rng`` is a numpy Generator or a master seed.
     """
     validate_alphabet(q)
+    check_draw_base(q, "the offset chain draws int64 offsets")
     runnable = {p.name: p for p in policy_catalog() if not (p.lookahead or p.uses_rng)}
     if policy not in runnable:
         raise ValueError(f"the offset chain cannot run policy {policy!r}; "
@@ -192,14 +192,14 @@ def _rotations(q: int, tie: Tie, gen) -> Iterator[tuple[int, int, int]]:
     Steps from advance to advance: after each advance the forced idles,
     min(a, b) of them, are skipped in one step, and a rotation closes when
     that skip lands on (0, 0). Every advance takes one draw on [0, q) from
-    the numpy Generator ``gen`` in blocks of _DRAW_BLOCK, each read from
-    its end (rng.block_stream), in the order ``chain_step`` takes it, so a
-    slot-by-slot ``chain_step`` loop on the same stream gives the same
-    rotations. The bound tie rule is asked at the (0, 0) slot that opens a
-    rotation, as ``tie(adv_x, adv_y, 1, rotation)``: each strand's advances
-    and the ties (rotations) before it, at a slot that emits 0.
+    the numpy Generator ``gen`` in rng.block_stream's blocks, each read
+    from its end, in the order ``chain_step`` takes it, so a slot-by-slot
+    ``chain_step`` loop on the same stream gives the same rotations. The
+    bound tie rule is asked at the (0, 0) slot that opens a rotation, as
+    ``tie(adv_x, adv_y, 1, rotation)``: each strand's advances and the ties
+    (rotations) before it, at a slot that emits 0.
     """
-    draw = block_stream(gen, q, _DRAW_BLOCK)
+    draw = block_stream(gen, q)
     top = q - 1
     adv_x = adv_y = 0
     for rotation in count():

@@ -160,10 +160,9 @@ def _solo_time(z: Strand, q: int) -> int:
 
 
 # _solo_slots takes numpy from this strand length on, and while q * (len(z)
-# + 1) stays below _SLOT_RANGE, in int64. numpy's fixed cost loses below it:
-# from a tuple at q=3, numpy took 10.9 / 15.2 / 21.9 / 29.1 us at 4 / 64 /
-# 160 / 256 symbols, a Python loop 1.0 / 8.8 / 23.2 / 40.2 us (2-vCPU VM,
-# best of 5).
+# + 1) stays below _SLOT_RANGE, in int64. numpy's fixed cost loses to a
+# Python loop below it. Measured with BENCH_15.json; CHANGES.md quotes the
+# figures.
 _NUMPY_SLOTS = 160
 _SLOT_RANGE = 1 << 62
 

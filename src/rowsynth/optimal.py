@@ -61,12 +61,8 @@ Both kernels take E' and F' _CELL_BLOCK = 2**15 cells at a time: the row
 sweep in rows, at least one, and the wavefront in bands of at least four
 diagonals. conjecture's lane blocks hold at most _LANE_CELLS = _CELL_BLOCK /
 4 cells a row, so a full block's four-diagonal band fills one cell block.
-Wavefront at 2**15-cell bands over 2**13 (median of 15 alternating rounds,
-2-vCPU VM): 0.76-0.95 on blocks of 2,814-6,432 cells a row (14-32 lanes at
-q=2, L=200; 10-21 at q=4, L=300; 3-6 at q=2, L=1000), narrowing as the
-block widens; 0.77 / 0.82 / 0.89 / 0.94 for one lane at q=2, L=3000 / 4000
-/ 5000 / 6000; and 0.998-1.005 on full blocks of 8,004-8,127 cells, whose
-band is four diagonals at either size.
+dp_solve expands its table _CELL_BLOCK entries at a time. BENCH_24.json's
+`band` measures the wavefront's bands at this size against 2**13 cells.
 
 The row sweep keeps O(len_y * B) values besides its block. A row reads
 x only through x[i], [x[i] <= x[i - 1]] (F') and x[i - 1] (E'), so a
@@ -77,16 +73,9 @@ block's F' and E' with one np.take each, where the comparisons cost three
 numpy calls and three passes over the block each. The row for len_x is
 then E' of x[len_x - 1], read from the table. A table build costs about
 ten numpy calls, so a smaller sweep, or an alphabet whose tables would not
-fit (large q times long rows), compares symbols: tables over comparisons,
-one lane at q = 2 and 4, 1.13-1.16 at L = 4, 1.07 at 24, 1.01-1.02 at
-100, 0.95-0.97 at 200 and 0.93-0.95 at 300, and four lanes at q = 2, 1.05
-at L = 24, 0.94 at 64, 0.92 at 100 and 0.77 at 200 (median of 11
-alternating rounds). Per call, ms at blocks of 2**13 / 2**14 / 2**15 /
-2**16 cells (median of 15 alternating rounds): 1.90 / 1.33 / 1.30 / 1.66
-for 4 lanes at q=2, L=200 (the first without tables, which do not fit
-2**13), 1.18 / 1.11 / 1.10 / 1.09 for one lane at q=4, L=300, 10.4 / 6.7 /
-6.4 / 8.3 for one lane at q=2, L=1000, and 12.9 / 12.2 / 11.6 / 13.7 for
-optimal_schedule there (2-vCPU VM).
+fit (large q times long rows), compares symbols. The tables and the row
+sweep's block size were measured with BENCH_23.json; CHANGES.md quotes the
+per-shape figures.
 
 A row costs about as much as four numpy calls on its cells, so a solve of
 few lanes pays for its len_x rows more than for its cells; _split_sweep
@@ -119,29 +108,19 @@ count of rises y[j - 1] < y[j] in pair b and r lane B's identity rows,
 A rows block of B pairs from _SPLIT_ROWS = 64 rows on runs as 2B lanes of
 half the rows, unless that block's lanes do not fit int64 (below). The
 split costs about 25 numpy calls more (the halves' strands, the identity
-rows, the join), so shorter blocks stay whole: split over unsplit (median
-of 21 alternating rounds, 2-vCPU VM) was 1.15-1.19 at L = 32, 0.97-1.01
-at 48, 0.89-1.00 at 64, 0.85-0.96 at 80 and 0.77-0.88 at 128, over one
-lane at q = 2 and 4, two at q = 7 and four at q = 2. A scratch check
-matched the unsplit sweep on 3,000 random blocks (q 2-7, 1-4 lanes, len_x
-1-39, len_y 0-39).
+rows, the join), so shorter blocks stay whole; _SPLIT_ROWS was measured
+with BENCH_23.json, and CHANGES.md quotes the figures.
 
 A block sweeps rows while B (min(len_x, len_y) + 1) is at most _ROW_CELLS
 = 2700 cells, as each of the wavefront's len_x + len_y diagonals pays four
 numpy calls against each of the split sweep's len_x / 2 + 1 rows' four on
 twice the cells; past it the rows' per-cell work loses and the block runs
-the wavefront. Wavefront over split rows, on 2**15-cell blocks (median of
-11-15 alternating rounds a shape, four runs; 2-vCPU VM), at q=2: 1.00-1.30
-at 2,613 cells a row (13 lanes at L=200) and 0.83-0.95 at 2,814 (14
-lanes); 1.16-1.41 at 2,002 (2 lanes at L=1000) and 0.75-0.98 at 3,003 (3
-lanes); for one lane, 1.02-1.44 at L=2600-2698 and 0.93-1.03 at L=2800.
-At q=2 the split block builds its tables up to 2**15 / 12 = 2730 cells a
-row; at q=3 and 4 they stop at 1820 and 1365, and the kernels cross
-earlier and less steadily: 0.77-1.01 at 2,408 cells (8 lanes at q=4,
-L=300), 0.91-1.00 at q=3, and 0.76-0.96 at 2,709 (9 lanes); one lane at
-q=4, 0.84-1.17 at L=2400 and 0.96-1.06 at L=2800. 2700 lies inside the
-q=2 crossover; any value that sends 8 lanes at q=4, L=300 to the wavefront
-also sends 12 lanes at q=2, L=200 (2,412 cells, 1.14-1.34) there.
+the wavefront. 2700 lies inside the q=2 crossover, where the split block
+builds its tables up to 2**15 / 12 = 2730 cells a row. At q=3 and 4 the
+tables stop at 1820 and 1365 cells, and the kernels cross earlier and less
+steadily; a value that sent those blocks to the wavefront would send q=2
+blocks that rows win with them. BENCH_24.json's `crossover` holds the
+measurement.
 
 No value exceeds q (len_x + len_y), and the wavefront's entries past the
 end plus a cross term stay within q of its sentinel, so with S = q (len_x
@@ -154,9 +133,9 @@ split block past it runs unsplit. End values of at most q keep a lane's
 values within q (len_x + len_y + 2) - 1 of each other, so the span holds
 them, and an identity row's V' plus the sentinel stays below 2**31 in
 int32. A split block spans about twice its pairs' span, so near 2**30 it
-can take int64 where the pairs alone would not. int32 took 100 wavefront
-lane trials from 34-40 to 18-29 ms, and t_star at q=2, L=10^4 from 894 to
-686-716 ms.
+can take int64 where the pairs alone would not. int32 values halve the
+bytes each numpy call moves; they were measured with BENCH_14.json, and
+CHANGES.md quotes the figures.
 
 An optimal schedule never idles while a strand can advance, so both
 schedule builders run the greedy simulator's walk (model._run) with a tie
@@ -211,13 +190,11 @@ MAX_TIE_BITS = 10**9
 # completion time, so a term through such a cell never wins a minimum.
 _UNREACHABLE = 1 << 60
 
-# Table entries dp_solve expands from numpy to Python ints at a time.
-_EXPAND_BLOCK = 1 << 16
-
 # Cells of E' (and of F') either kernel computes at a time: the row sweep
 # in rows, at least one, and the wavefront in bands of at least four
 # diagonals. The row sweep's cross-term tables are built only where they fit
-# in one block and the sweep fills one. See the module docstring.
+# in one block and the sweep fills one; dp_solve expands its table from
+# numpy to Python ints this many entries at a time. See the module docstring.
 _CELL_BLOCK = 1 << 15
 
 # Most cells a row of one of conjecture's lane blocks holds, over all its
@@ -245,8 +222,8 @@ class DpTable:
 
 
 def _check_range(q: int, len_x: int, len_y: int) -> None:
-    """Refuse an instance whose times could reach _UNREACHABLE, the kernels' int64 sentinel."""
-    if q * (len_x + len_y + 1) >= _UNREACHABLE:
+    """Refuse an instance that _value_type gives no value type for."""
+    if _value_type(q, len_x, len_y) is None:
         raise UnsupportedAlphabetError(
             f"the exact solver needs q * (len_x + len_y + 1) < 2**60, "
             f"got q = {q} with {len_x} + {len_y} symbols")
@@ -261,6 +238,16 @@ def _value_type(q: int, len_x: int, len_y: int, lanes: int = 1):
     if span < 1 << 30:
         return np.int32, 1 << 30
     return (np.int64, _UNREACHABLE) if span < _UNREACHABLE else None
+
+
+def _symbol_type(q: int):
+    """The kernels' symbol dtype: int8 while every symbol and q - 1 fit it, else int64.
+
+    int8 symbols let a kernel's comparisons read an eighth of the bytes: a
+    4-lane q=2, L=200 wavefront solve took 2.1 ms against 2.4 ms on int64
+    symbols (2-vCPU VM, best of 15).
+    """
+    return np.int8 if q <= 128 else np.int64
 
 
 def _row_sweep(xs, ys, q: int, ties: list | None = None, ends=None, identity=None,
@@ -284,7 +271,7 @@ def _row_sweep(xs, ys, q: int, ties: list | None = None, ends=None, identity=Non
     # each lane's strands read backwards, each followed by the q - 1 before
     # its first symbol: y, then x. With k = len_y - j, y[j - 1] sits at k and
     # y[j] at k - 1; x[i] sits at len_y + len_x - i and x[i - 1] one on
-    sym = np.empty((lanes, lx + ly + 2), dtype=np.int8 if q <= 128 else np.int64)
+    sym = np.empty((lanes, lx + ly + 2), dtype=_symbol_type(q))
     sym[:, :ly][:, ::-1], sym[:, ly + 1:-1][:, ::-1] = ys, xs
     sym[:, ly::lx + 1] = q - 1  # at len_y and at the end
     # 1 where a symbol is not above the one before it in its strand: y[j] <=
@@ -378,11 +365,10 @@ def _wavefront(xs, ys, q: int) -> np.ndarray:
     """Each lane's optimum, U'(0, 0), as an array of B values.
 
     xs and ys hold B strands each, all of one length per side (already
-    validated, with q * (len_x + len_y + 1) < _UNREACHABLE); pair b is
-    (xs[b], ys[b]). The wavefront runs on the shifted values U' and V' of
-    the module docstring, from diagonal len_x + len_y down to the root,
-    where a strand that has not advanced yet counts as having advanced
-    symbol q - 1.
+    validated, and _check_range passes); pair b is (xs[b], ys[b]). The
+    wavefront runs on the shifted values U' and V' of the module docstring,
+    from diagonal len_x + len_y down to the root, where a strand that has
+    not advanced yet counts as having advanced symbol q - 1.
     """
     lanes, lx, ly = len(xs), len(xs[0]), len(ys[0])
     top = lx + ly
@@ -390,11 +376,9 @@ def _wavefront(xs, ys, q: int) -> np.ndarray:
     # c - 1 - j, and q - 1 elsewhere. At row c it is the symbol before each
     # strand's first; the lx + 1 rows before y's and the row after x's are
     # read only by cells past the end, whose cross terms, at least -q, are
-    # added to the sentinel. Symbols are int8 when they fit, so the band's
-    # comparisons read an eighth of the bytes: a 4-lane q=2, L=200 solve took
-    # 2.1 ms against 2.4 ms on int64 symbols (2-vCPU VM, best of 15).
+    # added to the sentinel.
     c = top + 1
-    grid = np.empty((c + lx + 2, lanes), dtype=np.int8 if q <= 128 else np.int64)
+    grid = np.empty((c + lx + 2, lanes), dtype=_symbol_type(q))
     grid.fill(q - 1)
     grid.T[:, c + 1:c + lx + 1] = xs
     grid.T[:, c - 1:lx:-1] = ys
@@ -509,7 +493,7 @@ def dp_solve(x, y, q: int) -> DpTable:
     via_x_cost = (x_sym[1:, None] - r) % q + 1
     via_y_cost = (y_sym[1:, None] - r) % q + 1
     # rows of cells per expansion block, so numpy temporaries stay small
-    block = max(1, _EXPAND_BLOCK // ((ly + 1) * q))
+    block = max(1, _CELL_BLOCK // ((ly + 1) * q))
     # every entry is at most q slots per remaining symbol; the table shares
     # one Python int per value instead of allocating one per state
     ints = np.array(range(q * (lx + ly) + 1), dtype=object)

@@ -35,11 +35,21 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     )
 
 
+def check_draw_base(base: int, draws: str) -> None:
+    """Refuse, before any draw, a base numpy's int64 draw cannot hold: past 2**63.
+
+    Every sampler that draws on [0, q) checks q here; ``draws`` names what
+    it draws, and opens the message.
+    """
+    if base > 1 << 63:
+        raise ConfigError(f"{draws}, so q must be <= 2**63, got {base}")
+
+
 # block_stream turns a block's draws into Python ints this many at a time,
-# as the stream reaches them: a Monte Carlo trial of the random policy reads
-# one coin per tie, about 1,000 at q=4 and 2,000 at q=2 for L=2000, of its
-# block of 8192, and converting the whole block took 55 us of the first
-# coin's 105-120 us (2-vCPU VM, best of 7).
+# as the stream reaches them: a random-policy trial reads one coin per tie,
+# a small part of its block, and converting the whole block cost about half
+# of the first coin's time. Measured with BENCH_15.json; CHANGES.md quotes
+# the figures.
 _RUN = 1024
 
 
@@ -49,6 +59,9 @@ def block_stream(gen: np.random.Generator, base: int, block: int = 8192):
     Blocks of ``block`` draws are taken when the one before runs out and
     read from their end, without a Python method call per draw; a block's
     draws become Python ints _RUN at a time, as the stream reaches them.
+    The default block is the one both samplers read, the trial pass's
+    coins and the offset chain's offsets. The base must pass
+    check_draw_base.
     """
     def runs():
         while True:

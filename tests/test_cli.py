@@ -892,3 +892,73 @@ def test_console_entry_point_runs(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         runpy.run_module("rowsynth.cli", run_name="__main__")
     assert (exc.value.code, capsys.readouterr().out) == (0, proc.stdout)
+
+
+# --- every size argument at a huge value, one child process each -------------------------
+
+_HUGE_Q = (str(10**30), str(2**63 + 1))
+_INSTANCE = ("--x", "0,1", "--y", "1,0")
+_ONE_ALPHABET = {  # each command that takes one alphabet, with small other sizes
+    "simulate": _INSTANCE,
+    "solve": _INSTANCE,
+    "oracle": _INSTANCE,
+    "validate": ("--x", "0", "--y", "1", "--schedule=X,Y"),
+    "rotations": ("--rotations", "10"),
+    "bounds": ("--length", "10"),
+    "experiment": ("--length", "10", "--trials", "2"),
+    "conjecture": ("--length", "10", "--trials", "2"),
+}
+_SAMPLERS = ("experiment", "conjecture")
+EXTREME_INPUTS = [
+    *[(command, "--q", q, *rest) for command, rest in _ONE_ALPHABET.items() for q in _HUGE_Q],
+    *[(command, "--length", str(10**12), "--trials", "2") for command in _SAMPLERS],
+    ("bounds", "--length", str(10**12)),
+    *[(command, "--length", "10", "--trials", str(10**12)) for command in _SAMPLERS],
+    ("rotations", "--q", "2", "--rotations", str(10**12)),
+    ("oracle", "--q", "2", "--x", "0,1,1,0", "--y", "1,0,0,1", "--budget", str(10**30)),
+    # x's 4 comes round a whole alphabet after its 5: the schedule passes MAX_SCHEDULE_SLOTS
+    *[(command, "--q", str(10**8), "--x", "5,4", "--y", "1,2")
+      for command in ("solve", "simulate")],
+]
+
+# Text that numpy or the interpreter, not the program, would put in an error line.
+_FOREIGN_WORDS = ("Traceback", "out of bounds", "Unable to allocate", "Maximum allowed",
+                  "too large to convert", "array", "dtype", "overflow", "numpy")
+
+
+class TestExtremeInputSweep:
+    """Every size argument at a huge value ends in a typed refusal or runs in bounded memory.
+
+    Each case runs ``python -m rowsynth.cli`` in a child, one at a time,
+    under an address-space cap and a short timeout. It passes if it exits 1
+    with one ``error:`` line in the program's own words, exits 0, or is
+    still running at its timeout, which the cap makes a run in bounded
+    memory. --workers is left out: a test must never ask for many processes.
+    """
+
+    # numpy with one BLAS thread imports in about 100 MiB of address space
+    ADDRESS_SPACE = 768 * 2**20
+    TIMEOUT = 2.0
+
+    @staticmethod
+    def _cap():
+        import resource
+        cap = TestExtremeInputSweep.ADDRESS_SPACE
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    @pytest.mark.parametrize("argv", EXTREME_INPUTS, ids=" ".join)
+    def test_refused_or_bounded(self, argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            proc = subprocess.run([sys.executable, "-m", "rowsynth.cli", *argv],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=self.TIMEOUT, preexec_fn=self._cap)
+        except subprocess.TimeoutExpired:
+            return  # still running in bounded memory
+        if proc.returncode == 0:
+            return
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert not any(word in proc.stderr for word in _FOREIGN_WORDS), proc.stderr

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from functools import partial
 from itertools import islice, product
 from unittest import mock
 
@@ -32,7 +33,7 @@ from rowsynth import (
 from rowsynth import markov
 from rowsynth.errors import ConfigError, InvalidStrandError
 from rowsynth.markov import _offset_chain, _rotations
-from rowsynth.rng import master_rng
+from rowsynth.rng import block_stream, master_rng
 from conftest import BlockDraws, random_pair
 
 HALF = Fraction(1, 2)
@@ -476,7 +477,7 @@ def test_rotations_equal_slot_by_slot_chain(q, seed, policy, n, block):
     # rotations, and the generator left in the same state afterwards
     tie = get_policy(policy).bind(q)
     gen, reference_gen = master_rng(seed), master_rng(seed)
-    with mock.patch.object(markov, "_DRAW_BLOCK", block):
+    with mock.patch.object(markov, "block_stream", partial(block_stream, block=block)):
         rotations = list(islice(_rotations(q, tie, gen), n))
     draws = BlockDraws(reference_gen, q, block=block)
     assert rotations == list(islice(_slot_by_slot_rotations(q, tie, draws), n))
@@ -535,6 +536,41 @@ class TestAlphabetCheckedBeforeDrawing:
         with pytest.raises(InvalidStrandError, match="alphabet size"):
             drift_series(q, 50_000, gen)
         assert gen.integers(2**32) == master_rng(1).integers(2**32)
+
+    @pytest.mark.parametrize("sampler", [rotation_moments, drift_series])
+    def test_past_the_int64_draw(self, sampler):
+        # numpy's int64 draw holds a base of at most 2**63: one past it is
+        # refused in the program's words before the generator moves
+        gen = master_rng(1)
+        with pytest.raises(ConfigError, match=rf"^the offset chain draws int64 offsets, so q must "
+                                              rf"be <= 2\*\*63, got {2**63 + 1}$"):
+            sampler(2**63 + 1, 50, gen)
+        assert gen.integers(2**32) == master_rng(1).integers(2**32)
+
+    @pytest.mark.parametrize("sampler", [rotation_moments, drift_series])
+    def test_at_the_int64_draw(self, sampler, monkeypatch):
+        # q = 2**63 still draws; a rotation there takes about q advances, so
+        # the stream ends the run after its first five draws
+        draws = []
+
+        def stream(gen, base):
+            draw = block_stream(gen, base)
+
+            def first_five():
+                if len(draws) == 5:
+                    raise _StreamEnd
+                draws.append(draw())
+                return draws[-1]
+            return first_five
+
+        monkeypatch.setattr(markov, "block_stream", stream)
+        with pytest.raises(_StreamEnd):
+            sampler(2**63, 50, master_rng(1))
+        assert len(draws) == 5 and all(0 <= d < 2**63 for d in draws)
+
+
+class _StreamEnd(Exception):
+    """Raised by a test's draw stream to end a run that would not end."""
 
 
 # --- integer stationary solve against a Fraction reference ------------------

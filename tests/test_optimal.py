@@ -614,6 +614,27 @@ class TestSolverRange:
         with pytest.raises(UnsupportedAlphabetError):
             experiments.estimate_optimal_time(experiments.ExperimentConfig(10**18, 1, 2))
 
+    @pytest.mark.parametrize("len_x, len_y", [(0, 0), (2, 1), (5, 9), (400, 3)])
+    def test_range_check_refuses_exactly_where_no_value_type_holds(self, len_x, len_y):
+        """Each side of q (len_x + len_y + 1) = 2**60: below it a type holds the values and
+        _check_range passes; from it on neither does, and _check_range refuses."""
+        q = (2**60 - 1) // (len_x + len_y + 1)  # the widest alphabet below the bound
+        assert optimal._value_type(q, len_x, len_y) is not None
+        optimal._check_range(q, len_x, len_y)
+        assert optimal._value_type(q + 1, len_x, len_y) is None
+        with pytest.raises(UnsupportedAlphabetError, match="2\\*\\*60"):
+            optimal._check_range(q + 1, len_x, len_y)
+
+    @pytest.mark.parametrize("q, symbols", [(128, np.int8), (129, np.int64)])
+    def test_symbol_type_boundary(self, q, symbols):
+        """Symbols and the q - 1 before a strand are int8 up to q = 128; both kernels agree."""
+        assert optimal._symbol_type(q) is symbols
+        xs = [(q - 1, 0, q - 1, q - 2), (q - 2, q - 1, 1, q - 1)]
+        ys = [(q - 1, q - 1, 0, 1), (0, q - 1, q - 2, q - 1)]
+        expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
+        assert optimal._row_sweep(xs, ys, q) == expected
+        assert optimal._wavefront(xs, ys, q).tolist() == expected
+
 
 class TestInterleavingOracle:
     def test_identical_binary_pair(self):
