@@ -129,8 +129,7 @@ def _trial_block(seed: int, args: tuple, lo: int, hi: int) -> list[tuple[int, ..
     solo is x's last slot, max-of-solos the later of the two last slots.
     Every policy walks them, bound to the trial; the one that draws coins
     (random) reads them from the generator right after the strands. optimal
-    solves the pairs in blocks of lanes of at most _LANE_CELLS cells a row,
-    a quarter of the solver's cell block.
+    solves the pairs in blocks of lanes of at most _LANE_CELLS cells a row.
     """
     q, length, names = args
     policies = [get_policy(name) for name in names if name not in _MEASURES]
@@ -182,8 +181,9 @@ _POOL_MIN_WALKS = 200_000
 
 # Solver cells (trials x (L + 1)^2) below which estimate_optimal_time runs
 # serially at any --workers: below it, fresh `rowsynth conjecture` processes
-# ran no faster with two workers than with one. Measured with BENCH_19.json;
-# CHANGES.md quotes the figures.
+# ran no faster with two workers than with one. Measured with BENCH_19.json,
+# and again on the bit-parallel solver with BENCH_26.json; CHANGES.md quotes
+# the figures.
 _POOL_MIN_CELLS = 10**8
 
 

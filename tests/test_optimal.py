@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import math
 from itertools import product
 from unittest import mock
 
@@ -88,6 +87,13 @@ class TestTStar:
     def test_refuses_float_symbols(self):
         with pytest.raises(InvalidStrandError, match="position 0"):
             t_star([0.9], [1.5], 2)
+
+    @pytest.mark.parametrize("q, expected", [(2, 21549), (4, 30654)])
+    def test_long_strands(self, q, expected):
+        """Optima of two strands of 10**4 symbols, recorded on the row-sweep solver."""
+        gen = np.random.default_rng(26)
+        x, y = gen.integers(0, q, 10**4), gen.integers(0, q, 10**4)
+        assert t_star(x.tolist(), y.tolist(), q) == expected
 
 
 class TestReconstruct:
@@ -183,10 +189,11 @@ class TestOptimalSchedule:
             optimal_schedule((0, 1), (0, 0), 2)
 
     def test_t_star_builds_no_tie_bits(self, monkeypatch):
+        """t_star never runs the tie-bit kernel."""
         def refuse(*args, **kwargs):
-            raise AssertionError("t_star packed tie bits")
+            raise AssertionError("t_star ran the row sweep")
 
-        monkeypatch.setattr(optimal.np, "packbits", refuse)
+        monkeypatch.setattr(optimal, "_row_sweep", refuse)
         assert t_star(X1, Y1, 4) == 11
 
 
@@ -206,42 +213,21 @@ def lane_instances(draw, alphabets=st.integers(2, 6), lanes=6, length=20):
     return q, xs, ys, draw(st.integers(1, 64))
 
 
+@st.composite
+def kernel_instances(draw):
+    """lane_instances at each alphabet the bit kernel treats apart, up to 40 lanes; in some, each
+    lane's strands end on one symbol."""
+    alphabets = st.sampled_from([2, 3, 4, 5, 6, 7, 128, 129, 10**9])
+    q, xs, ys, band = draw(lane_instances(alphabets, lanes=40, length=9))
+    if xs[0] and ys[0] and draw(st.booleans()):
+        ys = [y[:-1] + x[-1:] for x, y in zip(xs, ys)]
+    return q, xs, ys, band
+
+
 def _stub_kernels(monkeypatch):
     """Make both solver kernels fail on any call, so a refusal must come first."""
     monkeypatch.setattr(optimal, "_row_sweep", None)
-    monkeypatch.setattr(optimal, "_wavefront", None)
-
-
-def _spy_kernels(monkeypatch):
-    """A list that names each solver kernel as it is called."""
-    calls = []
-
-    def spy(name):
-        solve = getattr(optimal, name)
-
-        def counted(*args):
-            calls.append(name)
-            return solve(*args)
-        return counted
-
-    for name in ("_split_sweep", "_row_sweep", "_wavefront"):
-        monkeypatch.setattr(optimal, name, spy(name))
-    return calls
-
-
-def _kernels_called(monkeypatch, xs, ys, q):
-    """_t_star_lanes' optima of the pairs and the kernels it called to solve them."""
-    calls = _spy_kernels(monkeypatch)
-    return optimal._t_star_lanes(xs, ys, q), calls
-
-
-def _kernel_at(monkeypatch, lanes, row_cells):
-    """The kernel that solves ``lanes`` copies of a 3-cell-row pair under _ROW_CELLS = row_cells."""
-    expected = [t_star((0, 1, 1), (1, 0), 2)] * lanes
-    monkeypatch.setattr(optimal, "_ROW_CELLS", row_cells)
-    got, calls = _kernels_called(monkeypatch, [(0, 1, 1)] * lanes, [(1, 0)] * lanes, 2)
-    assert got == expected
-    return calls
+    monkeypatch.setattr(optimal, "_t_star_lanes", None)
 
 
 class TestRowSweep:
@@ -251,53 +237,10 @@ class TestRowSweep:
         """Blocks of 1 to 64 cells split rows as well as holding several."""
         q, x, y = instance
         with mock.patch.object(optimal, "_CELL_BLOCK", band):
-            got, = optimal._row_sweep([x], [y], q)
+            got = optimal._row_sweep(x, y, q)
         assert got == dp_solve(x, y, q).value(0, 0, 0)
         if len(x) <= 6 and len(y) <= 6:
             assert got == enumerate_interleavings_min(x, y, q)
-
-    @pytest.mark.parametrize("lanes, over, kernel", [
-        (1, 0, "_row_sweep"), (1, 1, "_wavefront"),
-        (2, 0, "_row_sweep"), (2, 1, "_wavefront"),
-        (5, 0, "_row_sweep"), (5, 1, "_wavefront"),
-    ])
-    def test_lanes_sweep_rows_up_to_the_cell_threshold(self, monkeypatch, lanes, over, kernel):
-        """B lanes of 3 cells a row sweep rows at B * 3 = _ROW_CELLS, not one cell past it."""
-        assert _kernel_at(monkeypatch, lanes, lanes * 3 - over) == [kernel]
-
-    @pytest.mark.parametrize("crossover, kernel", [(3, "_row_sweep"), (2, "_wavefront")])
-    def test_one_pair_runs_one_lane_from_the_crossover(self, monkeypatch, crossover, kernel):
-        # the pair's shorter strand has 2 symbols, so a row has 3 cells
-        assert _kernel_at(monkeypatch, 1, crossover) == [kernel]
-
-    @settings(max_examples=100, deadline=None)
-    @given(solver_instances(), st.integers(0, 8))
-    def test_one_lane_past_the_crossover_equals_rows(self, instance, crossover):
-        q, x, y = instance
-        with mock.patch.object(optimal, "_ROW_CELLS", crossover):
-            assert [t_star(x, y, q)] == optimal._row_sweep([x], [y], q)
-
-    @pytest.mark.parametrize("q", [2, 4])
-    def test_one_lane_equals_rows_at_the_crossover(self, rng, q):
-        x, y = random_pair(rng, q, optimal._ROW_CELLS)  # one cell a row past it
-        assert [t_star(x, y, q)] == optimal._row_sweep([x], [y], q)
-
-    def test_eleven_lanes_at_length_200_split_rows(self, monkeypatch):
-        """A conjecture block of 11 trials at q=2, L=200, 2,211 cells a row, is under the crossover."""
-        pairs = [random_pair(trial_rng(8, idx), 2, 200) for idx in range(11)]
-        expected = [t_star(x, y, 2) for x, y in pairs]
-        xs, ys = zip(*pairs)
-        assert _kernels_called(monkeypatch, xs, ys, 2) == (expected, ["_split_sweep", "_row_sweep"])
-
-    def test_a_full_trial_block_at_length_200_runs_the_wavefront(self, monkeypatch):
-        """conjecture's 40 lanes of 201 cells a row, one block of the trial pass, are past it."""
-        trials = optimal._LANE_CELLS // 201
-        assert trials == 40
-        expected = tuple(t_star(*random_pair(trial_rng(8, idx), 2, 200), 2) for idx in range(trials))
-        calls = _spy_kernels(monkeypatch)
-        config = experiments.ExperimentConfig(2, 200, trials, 8)
-        assert experiments.estimate_optimal_time(config).times == expected
-        assert calls == ["_wavefront"]
 
 
 class TestLanes:
@@ -314,16 +257,43 @@ class TestLanes:
     @example((2, [(1, 0, 1, 1)] * 3, [()] * 3, 64))
     @example((4, [(3, 1, 0, 2, 2, 1, 3), (0, 0, 1, 3, 2, 2, 0)], [(0,), (3,)], 1))
     def test_each_lane_equals_its_table_root_and_the_oracle(self, instance):
-        """Rows and the wavefront, each forced by the cell threshold, on the same lanes."""
+        """Blocks of 1 to 64 bytes a mask gather one row at a time as well as several."""
         q, xs, ys, band = instance
         expected = [dp_solve(x, y, q).value(0, 0, 0) for x, y in zip(xs, ys)]
         for x, y, t in zip(xs, ys, expected):
             if len(x) <= 6 and len(y) <= 6:
                 assert t == enumerate_interleavings_min(x, y, q)
-        for row_cells in (0, math.inf):  # the wavefront, then rows
-            with mock.patch.object(optimal, "_CELL_BLOCK", band), \
-                    mock.patch.object(optimal, "_ROW_CELLS", row_cells):
-                assert optimal._t_star_lanes(xs, ys, q) == expected
+        with mock.patch.object(optimal, "_CELL_BLOCK", band):
+            assert optimal._t_star_lanes(xs, ys, q) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_instances())
+    @example((10**9, [(10**9 - 1, 0, 7)] * 40, [(3, 10**9 - 1)] * 40, 1))
+    @example((129, [(128, 5), (0, 0)], [(), ()], 2))
+    @example((128, [(127, 127, 0)], [(0, 127, 0, 5)], 64))
+    @example((2, [(1, 0)] * 3, [(0, 0, 1, 0)] * 3, 3))
+    def test_every_alphabet_and_lane_count_equals_the_table_root_and_the_oracle(self, instance):
+        """Tables (q <= 128) and comparisons, one lane and many, rows blocked one at a time."""
+        q, xs, ys, band = instance
+        with mock.patch.object(optimal, "_CELL_BLOCK", band):
+            got = optimal._t_star_lanes(xs, ys, q)
+        for x, y, t in zip(xs, ys, got):
+            if (len(x) + 1) * (len(y) + 1) * q <= 10**4:
+                assert t == dp_solve(x, y, q).value(0, 0, 0)
+            if len(x) + len(y) <= 8:
+                assert t == enumerate_interleavings_min(x, y, q)
+        assert got == [optimal._row_sweep(x, y, q) for x, y in zip(xs, ys)]
+
+    @pytest.mark.parametrize("q", [127, 128, 129])
+    @pytest.mark.parametrize("lanes, len_x", [(1, 127), (1, 128), (1, 130), (3, 129)])
+    def test_tables_and_comparisons_at_their_bounds(self, q, lanes, len_x):
+        """Tables from q <= 128 and len_x >= q on, comparisons elsewhere, and one row a block."""
+        pairs = [_seeded_pair(q + b, q, len_x, 40) for b in range(lanes)]
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        expected = [optimal._row_sweep(x, y, q) for x, y in pairs]
+        assert optimal._t_star_lanes(xs, ys, q) == expected
+        with mock.patch.object(optimal, "_CELL_BLOCK", 1):
+            assert optimal._t_star_lanes(xs, ys, q) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(solver_instances(), st.integers(1, 64))
@@ -351,16 +321,15 @@ class TestTables:
     """E' and F' read from per-lane symbol tables, where they fit a block and a block is filled."""
 
     @settings(max_examples=100, deadline=None)
-    @given(lane_instances(st.integers(2, 4), lanes=4, length=24))
+    @given(lane_instances(st.integers(2, 4), lanes=1, length=24))
     def test_tables_equal_comparisons_and_the_table_root(self, instance):
-        q, xs, ys, _ = instance
-        assume(len(xs[0]) >= 3 * q)
-        expected = [dp_solve(x, y, q).value(0, 0, 0) for x, y in zip(xs, ys)]
-        cells = len(xs) * (len(ys[0]) + 1)
+        q, (x,), (y,), _ = instance
+        assume(len(x) >= 3 * q)
+        expected = dp_solve(x, y, q).value(0, 0, 0)
         # 3 q rows a block: tables over several blocks; then one block of comparisons
-        for block in (3 * q * cells, 1 << 40):
+        for block in (3 * q * (len(y) + 1), 1 << 40):
             with mock.patch.object(optimal, "_CELL_BLOCK", block):
-                assert optimal._row_sweep(xs, ys, q) == expected
+                assert optimal._row_sweep(x, y, q) == expected
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_tie_bits_equal_under_tables_and_comparisons(self, monkeypatch, q):
@@ -373,13 +342,13 @@ class TestTables:
         assert takes  # the first block setting read the tables
 
     def test_block_past_the_table_budget_compares_symbols(self, monkeypatch):
-        """Tables for q = 10**6 would outgrow a 12-cell block the sweep fills: it compares instead."""
+        """Tables for q = 10**6 would outgrow a 6-cell block the sweep fills: it compares instead."""
         q = 10**6
         takes = _takes(monkeypatch)
         xs = [(q - 1, 0, 5, 5, q - 2, 1) * 2, (3, 3, 2, 1, 0, q - 1) * 2]
         ys = [(0, q - 1, 2, 2, 7), (q - 1, q - 1, 0, 1, 2)]
-        with mock.patch.object(optimal, "_CELL_BLOCK", 2 * 6):  # a block is filled
-            got = optimal._row_sweep(xs, ys, q)
+        with mock.patch.object(optimal, "_CELL_BLOCK", 6):  # a block is filled
+            got = [optimal._row_sweep(x, y, q) for x, y in zip(xs, ys)]
         assert got == [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
         assert takes == []
 
@@ -388,82 +357,11 @@ class TestTables:
         takes = _takes(monkeypatch)
         x, y = _seeded_pair(3, 4, 100, 100)
         assert 101 * 100 < optimal._CELL_BLOCK
-        assert optimal._row_sweep([x], [y], 4) == [dp_solve(x, y, 4).value(0, 0, 0)]
+        assert optimal._row_sweep(x, y, 4) == dp_solve(x, y, 4).value(0, 0, 0)
         assert takes == []
         x, y = _seeded_pair(3, 4, 400, 100)
-        assert optimal._row_sweep([x], [y], 4) == [dp_solve(x, y, 4).value(0, 0, 0)]
+        assert optimal._row_sweep(x, y, 4) == dp_solve(x, y, 4).value(0, 0, 0)
         assert takes
-
-
-@st.composite
-def split_instances(draw, alphabets=st.integers(2, 7)):
-    """lane_instances with len_x >= 1, and a row block size."""
-    q, xs, ys, _ = draw(lane_instances(alphabets, lanes=8, length=16))
-    assume(xs[0])
-    return q, xs, ys, draw(st.integers(1, 64))
-
-
-class TestSplitSweep:
-    """Both halves of x as lanes of one sweep: the backward half on complemented, reversed strands."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(split_instances())
-    @example((2, [(1,)], [()], 1))  # one symbol, no y
-    @example((3, [(2, 0)], [(1,)], 64))  # even len_x: the backward half leads with a pad row
-    @example((4, [(3, 1, 0)] * 2, [(0, 3)] * 2, 5))  # odd len_x, unequal lengths
-    @example((5, [(4,) * 7, (0,) * 7], [(4, 3, 2, 1, 0, 4)] * 2, 2))  # every symbol wraps
-    @example((2, [(0, 1) * 8] * 8, [(1, 0) * 8] * 8, 64))  # eight lanes
-    def test_equals_the_table_root_the_oracle_and_the_unsplit_sweep(self, instance):
-        q, xs, ys, band = instance
-        expected = [dp_solve(x, y, q).value(0, 0, 0) for x, y in zip(xs, ys)]
-        for x, y, t in zip(xs, ys, expected):
-            if len(x) + len(y) <= 12:
-                assert t == enumerate_interleavings_min(x, y, q)
-        assert optimal._row_sweep(xs, ys, q) == expected
-        cells = 2 * len(xs) * (len(ys[0]) + 1)
-        # small blocks; tables of 3 q rows a block; one block of comparisons
-        for block in (band, 3 * q * cells, 1 << 40):
-            with mock.patch.object(optimal, "_CELL_BLOCK", block):
-                assert optimal._split_sweep(xs, ys, q) == expected
-
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7])
-    @pytest.mark.parametrize("lanes, len_x, len_y", [(1, 200, 200), (3, 131, 90), (8, 64, 1)])
-    def test_long_lanes_read_the_tables(self, monkeypatch, q, lanes, len_x, len_y):
-        """The split blocks of 101 and 66 rows fill a rows block; the eight short lanes do not."""
-        pairs = [_seeded_pair(100 * q + b, q, len_x, len_y) for b in range(lanes)]
-        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-        expected = optimal._row_sweep(xs, ys, q)
-        assert expected[0] == t_star(xs[0], ys[0], q) == dp_solve(xs[0], ys[0], q).value(0, 0, 0)
-        takes = _takes(monkeypatch)
-        assert optimal._split_sweep(xs, ys, q) == expected
-        assert bool(takes) == (len_y > 1)
-
-    def test_overflowing_tables_split_on_comparisons(self, monkeypatch):
-        q = 10**6  # tables of 3 q rows pass any block budget
-        takes = _takes(monkeypatch)
-        xs = [(q - 1, 0, 5, 5, q - 2, 1), (3, 3, 2, 1, 0, q - 1)]
-        ys = [(0, q - 1, 2, 2, 7), (q - 1, q - 1, 0, 1, 2)]
-        expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
-        for block in (1, 1 << 40):
-            with mock.patch.object(optimal, "_CELL_BLOCK", block):
-                assert optimal._split_sweep(xs, ys, q) == expected
-        assert takes == []
-
-    @pytest.mark.parametrize("len_x, kernels", [
-        (3, ["_row_sweep"]), (4, ["_split_sweep", "_row_sweep"]), (5, ["_split_sweep", "_row_sweep"]),
-    ])
-    def test_lanes_split_from_the_split_threshold(self, monkeypatch, len_x, kernels):
-        monkeypatch.setattr(optimal, "_SPLIT_ROWS", 4)
-        xs, ys = [(1, 0, 1, 1, 0)[:len_x], (0, 0, 1, 1, 1)[:len_x]], [(1, 1, 0), (0, 1, 0)]
-        expected = [dp_solve(x, y, 2).value(0, 0, 0) for x, y in zip(xs, ys)]
-        assert _kernels_called(monkeypatch, xs, ys, 2) == (expected, kernels)
-
-    def test_split_threshold_reaches_t_star(self, monkeypatch):
-        x, y = _seeded_pair(5, 3, optimal._SPLIT_ROWS, 9)
-        got, calls = _kernels_called(monkeypatch, [x], [y], 3)
-        assert (got, calls) == ([dp_solve(x, y, 3).value(0, 0, 0)], ["_split_sweep", "_row_sweep"])
-        got, calls = _kernels_called(monkeypatch, [x[1:]], [y], 3)
-        assert (got, calls) == ([dp_solve(x[1:], y, 3).value(0, 0, 0)], ["_row_sweep"])
 
 
 class TestSolverRange:
@@ -487,7 +385,7 @@ class TestSolverRange:
         (4, 3, 2**30 // 8, np.int64),  # q * 8 = 2**30
     ])
     def test_value_type_boundary(self, len_x, len_y, q, value):
-        assert optimal._value_type(q, len_x, len_y)[0] is value
+        assert optimal._value_type(q, len_x, len_y) is value
         # each pair opens on a tie at slot q that costs a round; in the first
         # every symbol wraps, so its shifted values come within q of the bound
         xs = [tuple(q - 1 - k for k in range(len_x)), (q - 1, 0, q - 2, 1)[:len_x]]
@@ -495,74 +393,8 @@ class TestSolverRange:
         expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
         assert [t_star(x, y, q) for x, y in zip(xs, ys)] == expected
         # optimal_schedule refuses these optima past MAX_SCHEDULE_SLOTS
-        assert [optimal._row_sweep([x], [y], q, [])[0] for x, y in zip(xs, ys)] == expected
+        assert [optimal._row_sweep(x, y, q, []) for x, y in zip(xs, ys)] == expected
         assert optimal._t_star_lanes(xs, ys, q) == expected
-
-    def test_lane_offsets_widen_the_value_type(self):
-        """Lane b sits b * q * (len_x + len_y + 2) below lane 0, so more lanes need a wider type."""
-        q = (2**30 - 1) // 15  # two lanes of 3 + 3 symbols span q * (2 * 8 - 1) = 15 q
-        assert optimal._value_type(q, 3, 3, 2)[0] is np.int32
-        assert optimal._value_type(q + 1, 3, 3, 2)[0] is np.int64
-        assert optimal._value_type(q + 1, 3, 3)[0] is np.int32
-        # five lanes at q = 10**8 reach 4 * 8 q = 3.2e9 below lane 0, past int32
-        q = 10**8
-        assert optimal._value_type(q, 3, 3)[0] is np.int32
-        assert optimal._value_type(q, 3, 3, 5)[0] is np.int64
-        xs = [(q - 1, q - 2, q - 3), (q - 1, 0, q - 2), (1, 0, 0), (0, 0, 0), (5, 4, 3)]
-        ys = [(q - 1, q - 2, q - 3), (q - 1, q - 1, 3), (0, 1, 1), (q - 1, 0, 0), (5, 4, 3)]
-        expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
-        assert optimal._row_sweep(xs, ys, q) == expected
-        assert optimal._t_star_lanes(xs, ys, q) == expected
-
-    def test_lanes_past_the_int64_offsets_run_the_wavefront(self, monkeypatch):
-        q = (optimal._UNREACHABLE - 1) // 4  # one pair of 2 + 1 symbols fits int64
-        assert optimal._value_type(q, 2, 1) is not None
-        assert optimal._value_type(q, 2, 1, 2) is None
-        got, calls = _kernels_called(monkeypatch, [(1, 0), (q - 1, q - 2)], [(0,), (q - 1,)], q)
-        assert (got, calls) == ([q + 1, 2 * q], ["_wavefront"])
-
-    @pytest.mark.parametrize("q, value", [
-        ((2**30 - 1) // 13, np.int32),  # 13 q = 2**30 - 1
-        ((2**30 - 1) // 13 + 1, np.int64),
-    ])
-    def test_split_value_type_boundary(self, q, value):
-        """A 3 + 3 pair spans 7 q; its split block, two lanes of 2 + 3 symbols, spans 13 q.
-
-        So past 2**30 / 13 the split block falls back to int64 while the pair alone keeps int32.
-        """
-        assert optimal._value_type(q, 3, 3)[0] is np.int32
-        assert optimal._value_type(q, 2, 3, 2)[0] is value
-        # every symbol wraps in the first pair, so its values come within q of the bound
-        xs = [(q - 1, q - 2, q - 3), (q - 1, 0, q - 2), (1, 0, 0), (0, q - 1, 0)]
-        ys = [(q - 1, q - 2, q - 3), (q - 1, q - 1, 3), (0, 1, 1), (q - 1, 0, q - 1)]
-        expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
-        assert [optimal._split_sweep([x], [y], q)[0] for x, y in zip(xs, ys)] == expected
-
-    @pytest.mark.parametrize("lanes", [1, 2, 8, 16])
-    @pytest.mark.parametrize("len_x, len_y", [(1, 0), (2, 3), (33, 1), (101, 200)])
-    def test_identity_rows_cannot_overflow_int32(self, lanes, len_x, len_y):
-        """An identity row adds the sentinel to V', which an int32 block keeps inside its span."""
-        q = (2**30 - 1) // (lanes * (len_x + len_y + 2) - 1)  # the widest int32 alphabet
-        value, sentinel = optimal._value_type(q, len_x, len_y, lanes)
-        assert value is np.int32
-        # lane 0's values, end values included, reach q (len_x + len_y + 1); the last
-        # lane's lie (lanes - 1) q (len_x + len_y + 2) + q - 1 below 0
-        span = q * (lanes * (len_x + len_y + 2) - 1)
-        highest = q * (len_x + len_y + 1)
-        lowest = -(lanes - 1) * q * (len_x + len_y + 2) - (q - 1)
-        assert highest <= span and -span <= lowest
-        assert highest + sentinel < 2**31
-        assert lowest - q >= -2**31  # plus a cross term
-
-    def test_split_block_past_the_int64_range_runs_unsplit(self, monkeypatch):
-        q = (optimal._UNREACHABLE - 1) // 4  # the pair of 2 + 1 symbols spans 4 q
-        monkeypatch.setattr(optimal, "_SPLIT_ROWS", 1)
-        assert optimal._value_type(q, 2, 1) is not None
-        assert optimal._value_type(q, 2, 1, 2) is None  # its split block spans 9 q
-        assert _kernels_called(monkeypatch, [(1, 0)], [(0,)], q) == ([q + 1], ["_row_sweep"])
-        q = (optimal._UNREACHABLE - 1) // 9  # now the split block fits int64
-        assert optimal._split_sweep([(1, 0)], [(0,)], q) == [q + 1]
-        assert optimal._split_sweep([(q - 1, q - 2)], [(q - 1,)], q) == [2 * q]
 
     @settings(max_examples=150, deadline=None)
     @given(lane_instances(st.sampled_from([2, 3, 4, 5, 6, 10**9]), lanes=4, length=6))
@@ -585,8 +417,8 @@ class TestSolverRange:
         x, y = (1, 1, 0, 1) * 20, (0, 1, 0, 0) * 20
 
         def solve():
-            lanes = optimal._row_sweep([x, y, x], [y, x, x], 2)  # one rows block of three lanes
-            return t_star(x, y, 2), optimal_schedule(x, y, 2), dp_solve(x, y, 2).values, lanes
+            rows = [optimal._row_sweep(a, b, 2) for a, b in ((x, y), (y, x), (x, x))]
+            return t_star(x, y, 2), optimal_schedule(x, y, 2), dp_solve(x, y, 2).values, rows
 
         expected = solve()
         assert expected[0] > 127  # would wrap in int8
@@ -627,13 +459,14 @@ class TestSolverRange:
 
     @pytest.mark.parametrize("q, symbols", [(128, np.int8), (129, np.int64)])
     def test_symbol_type_boundary(self, q, symbols):
-        """Symbols and the q - 1 before a strand are int8 up to q = 128; both kernels agree."""
+        """Symbols and the q - 1 before a strand are int8 up to q = 128, where the bit kernel's
+        tables stop too; both kernels agree."""
         assert optimal._symbol_type(q) is symbols
         xs = [(q - 1, 0, q - 1, q - 2), (q - 2, q - 1, 1, q - 1)]
         ys = [(q - 1, q - 1, 0, 1), (0, q - 1, q - 2, q - 1)]
         expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
-        assert optimal._row_sweep(xs, ys, q) == expected
-        assert optimal._wavefront(xs, ys, q).tolist() == expected
+        assert [optimal._row_sweep(x, y, q) for x, y in zip(xs, ys)] == expected
+        assert optimal._t_star_lanes(xs, ys, q) == expected
 
 
 class TestInterleavingOracle:
