@@ -178,6 +178,8 @@ class TestEstimateOptimalTime:
     @pytest.mark.parametrize("cap, length, trials", [
         (optimal._LANE_CELLS, 200, 90),
         (optimal._LANE_CELLS, 1, 5000),
+        (8192, 200, 90),  # blocks of 40 lanes
+        (8192, 1, 5000),
         (50, 60, 3),
     ])
     def test_lane_blocks_stay_under_the_cell_cap(self, monkeypatch, cap, length, trials):

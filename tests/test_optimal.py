@@ -230,6 +230,25 @@ def _stub_kernels(monkeypatch):
     monkeypatch.setattr(optimal, "_t_star_lanes", None)
 
 
+def _mask_reads(monkeypatch):
+    """A list that records each _mask_blocks call as (tables read, rows of each block).
+
+    One lane that reads its tables as ints gathers no block, so it records nothing.
+    """
+    calls = []
+    gather = optimal._mask_blocks
+
+    def counted(x, wraps, yd, yb, tables):
+        rows = []
+        calls.append((tables is not None, rows))
+        for block in gather(x, wraps, yd, yb, tables):
+            rows.append(len(block[0]))
+            yield block
+
+    monkeypatch.setattr(optimal, "_mask_blocks", counted)
+    return calls
+
+
 class TestRowSweep:
     @settings(max_examples=300, deadline=None)
     @given(solver_instances(), st.integers(1, 64))
@@ -241,6 +260,34 @@ class TestRowSweep:
         assert got == dp_solve(x, y, q).value(0, 0, 0)
         if len(x) <= 6 and len(y) <= 6:
             assert got == enumerate_interleavings_min(x, y, q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(solver_instances())
+    def test_one_lane_past_the_crossover_equals_rows(self, instance):
+        """From len_x = q on, t_star's one lane reads its masks from symbol tables."""
+        q, x, y = instance
+        assume(len(x) >= q)
+        assert t_star(x, y, q) == optimal._row_sweep(x, y, q) == dp_solve(x, y, q).value(0, 0, 0)
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_one_lane_equals_rows_at_the_crossover(self, monkeypatch, rng, q):
+        """One lane compares symbols at len_x = q - 1 and reads tables at len_x = q."""
+        reads = _mask_reads(monkeypatch)
+        for len_x in (q - 1, q):
+            x, y = random_pair(rng, q, 300)
+            x = x[:len_x]
+            assert t_star(x, y, q) == optimal._row_sweep(x, y, q)
+        assert reads == [(False, [q - 1])]  # only the shorter x gathered masks
+
+    def test_eleven_lanes_at_length_200_split_rows(self, monkeypatch):
+        """11 lanes of 26 bytes a mask fill a block with 114 rows, so 200 rows take two blocks."""
+        pairs = [random_pair(trial_rng(8, idx), 2, 200) for idx in range(11)]
+        xs, ys = zip(*pairs)
+        reads = _mask_reads(monkeypatch)
+        assert optimal._t_star_lanes(xs, ys, 2) == [optimal._row_sweep(x, y, 2) for x, y in pairs]
+        rows = optimal._CELL_BLOCK // (11 * 26)
+        assert rows == 114
+        assert reads == [(True, [rows, 200 - rows])]
 
 
 class TestLanes:
@@ -364,6 +411,88 @@ class TestTables:
         assert takes
 
 
+@st.composite
+def split_instances(draw, alphabets=st.integers(2, 7)):
+    """lane_instances with len_x >= 1, and a row block size."""
+    q, xs, ys, _ = draw(lane_instances(alphabets, lanes=8, length=16))
+    assume(xs[0])
+    return q, xs, ys, draw(st.integers(1, 64))
+
+
+class TestSplitSweep:
+    """The bit kernel's sweep split into blocks of rows, at most _CELL_BLOCK bytes of each mask a
+    block: splitting changes no optimum, from tables or from comparisons."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(split_instances())
+    @example((2, [(1,)], [()], 1))  # one symbol, no y
+    @example((3, [(2, 0)], [(1,)], 64))  # one lane compares symbols, len_x < q
+    @example((4, [(3, 1, 0)] * 2, [(0, 3)] * 2, 5))  # unequal lengths
+    @example((5, [(4,) * 7, (0,) * 7], [(4, 3, 2, 1, 0, 4)] * 2, 2))  # every symbol wraps
+    @example((2, [(0, 1) * 8] * 8, [(1, 0) * 8] * 8, 64))  # eight lanes
+    def test_equals_the_table_root_the_oracle_and_the_unsplit_sweep(self, instance):
+        q, xs, ys, band = instance
+        expected = [dp_solve(x, y, q).value(0, 0, 0) for x, y in zip(xs, ys)]
+        for x, y, t in zip(xs, ys, expected):
+            if len(x) + len(y) <= 12:
+                assert t == enumerate_interleavings_min(x, y, q)
+        assert [optimal._row_sweep(x, y, q) for x, y in zip(xs, ys)] == expected
+        # blocks of a few rows; then the whole sweep as one block
+        for block in (band, 1 << 40):
+            with mock.patch.object(optimal, "_CELL_BLOCK", block):
+                assert optimal._t_star_lanes(xs, ys, q) == expected
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("lanes, len_x, len_y", [(1, 200, 200), (3, 131, 90), (8, 64, 1)])
+    def test_long_lanes_read_the_tables(self, monkeypatch, q, lanes, len_x, len_y):
+        """Several lanes gather their masks from the tables, in one block or in blocks of 16
+        rows; one lane reads its tables as ints and gathers no block."""
+        pairs = [_seeded_pair(100 * q + b, q, len_x, len_y) for b in range(lanes)]
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        expected = [optimal._row_sweep(x, y, q) for x, y in pairs]
+        assert expected[0] == t_star(xs[0], ys[0], q) == dp_solve(xs[0], ys[0], q).value(0, 0, 0)
+        reads = _mask_reads(monkeypatch)
+        mask = lanes * ((len_y + 9) // 8)  # bytes a mask
+        for block in (optimal._CELL_BLOCK, 16 * mask):
+            with mock.patch.object(optimal, "_CELL_BLOCK", block):
+                assert optimal._t_star_lanes(xs, ys, q) == expected
+        split = [min(16, len_x - at) for at in range(0, len_x, 16)]
+        assert reads == ([] if lanes == 1 else [(True, [len_x]), (True, split)])
+
+    def test_overflowing_tables_split_on_comparisons(self, monkeypatch):
+        """Past q = 128 the kernel builds no tables: it compares symbols, a row a block or all."""
+        q = 10**6
+        reads = _mask_reads(monkeypatch)
+        xs = [(q - 1, 0, 5, 5, q - 2, 1), (3, 3, 2, 1, 0, q - 1)]
+        ys = [(0, q - 1, 2, 2, 7), (q - 1, q - 1, 0, 1, 2)]
+        expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
+        for block in (1, 1 << 40):
+            with mock.patch.object(optimal, "_CELL_BLOCK", block):
+                assert optimal._t_star_lanes(xs, ys, q) == expected
+        assert reads == [(False, [1] * 6), (False, [6])]
+
+    @pytest.mark.parametrize("len_x, kernels", [(3, [3]), (4, [4]), (5, [4, 1])])
+    def test_lanes_split_from_the_split_threshold(self, monkeypatch, len_x, kernels):
+        """Two lanes of 1 byte a mask fill an 8-byte block with 4 rows, so a fifth row splits the
+        sweep; ``kernels`` lists the rows of each block the kernel runs."""
+        monkeypatch.setattr(optimal, "_CELL_BLOCK", 8)
+        xs, ys = [(1, 0, 1, 1, 0)[:len_x], (0, 0, 1, 1, 1)[:len_x]], [(1, 1, 0), (0, 1, 0)]
+        expected = [dp_solve(x, y, 2).value(0, 0, 0) for x, y in zip(xs, ys)]
+        reads = _mask_reads(monkeypatch)
+        assert optimal._t_star_lanes(xs, ys, 2) == expected
+        assert reads == [(True, kernels)]
+
+    def test_split_threshold_reaches_t_star(self, monkeypatch):
+        """t_star's one lane at q = 129 compares symbols, 13 bytes a mask at len_y = 100, so
+        _CELL_BLOCK // 13 rows fill a block and one row more splits the sweep."""
+        rows = optimal._CELL_BLOCK // 13
+        x, y = _seeded_pair(5, 129, rows + 1, 100)
+        reads = _mask_reads(monkeypatch)
+        assert t_star(x, y, 129) == optimal._row_sweep(x, y, 129)
+        assert t_star(x[1:], y, 129) == optimal._row_sweep(x[1:], y, 129)
+        assert reads == [(False, [rows, 1]), (False, [rows])]
+
+
 class TestSolverRange:
     """No value exceeds q * (len_x + len_y), so int64 holds it; larger alphabets are refused first.
 
@@ -395,6 +524,34 @@ class TestSolverRange:
         # optimal_schedule refuses these optima past MAX_SCHEDULE_SLOTS
         assert [optimal._row_sweep(x, y, q, []) for x, y in zip(xs, ys)] == expected
         assert optimal._t_star_lanes(xs, ys, q) == expected
+
+    @pytest.mark.parametrize("q, value", [
+        ((2**30 - 1) // 13, np.int32),  # 13 q = 2**30 - 1
+        ((2**30 - 1) // 13 + 1, np.int64),
+    ])
+    def test_split_value_type_boundary(self, q, value):
+        """A 6 + 6 pair spans 13 q: its row sweep, split into blocks of one row or run whole,
+        holds int32 values up to 2**30 and int64 from it on, and the bit kernel agrees."""
+        assert optimal._value_type(q, 6, 6) is value
+        # every symbol wraps in the first pair, so its values come within q of the bound
+        xs = [tuple(q - 1 - k for k in range(6)), (q - 1, 0, q - 2, 1, 0, q - 1)]
+        ys = [tuple(q - 1 - k for k in range(6)), (q - 1, q - 1, 3, 0, q - 2, 2)]
+        expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
+        for block in (1, 1 << 40):
+            with mock.patch.object(optimal, "_CELL_BLOCK", block):
+                assert [optimal._row_sweep(x, y, q, []) for x, y in zip(xs, ys)] == expected
+        assert optimal._t_star_lanes(xs, ys, q) == expected
+
+    def test_split_block_past_the_int64_range_runs_unsplit(self, monkeypatch):
+        """Lanes hold no value scaled by q, so two lanes of 4 q each, 8 q past 2**60 together,
+        run as one block of lanes, split into blocks of rows or not."""
+        q = (optimal._UNREACHABLE - 1) // 4  # q * (2 + 1 + 1) just below it
+        reads = _mask_reads(monkeypatch)
+        for block in (1, 1 << 40):
+            with mock.patch.object(optimal, "_CELL_BLOCK", block):
+                got = optimal._t_star_lanes([(1, 0), (q - 1, q - 2)], [(0,), (q - 1,)], q)
+            assert got == [q + 1, 2 * q]
+        assert reads == [(False, [1, 1]), (False, [2])]
 
     @settings(max_examples=150, deadline=None)
     @given(lane_instances(st.sampled_from([2, 3, 4, 5, 6, 10**9]), lanes=4, length=6))
