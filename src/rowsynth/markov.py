@@ -17,17 +17,22 @@ binary lookahead chain, with its stationary law and per-slot synthesis rate.
 
 ``chain_step`` is the slot-by-slot reference. The rotation sampler behind
 ``rotation_moments`` and ``drift_series`` steps from advance to advance
-instead: the min(a, b) forced idles after an advance are one step, and
-the named policy's catalog rule, the one the simulator asks, is asked
-once per rotation. An advance takes exactly one uniform draw, in the
-order ``chain_step`` takes it, so the draw stream and every fixed-seed
-result are those of the slot-by-slot chain. Exact stationary laws come
-from sparse fraction-free Gauss-Jordan elimination on rows of Python ints.
+instead, on absolute slots: each strand keeps the slot of its next
+advance since the tie, the earlier one moves on by its draw, and the
+rotation closes when the two meet. The named policy's catalog rule, the
+one the simulator asks, is asked once per rotation. An advance takes
+exactly one uniform draw, in the order ``chain_step`` takes it, so the
+draw stream and every fixed-seed result are those of the slot-by-slot
+chain. ``rotation_moments`` counts equal rotations and folds the counts
+into exact integer sums; ``drift_series`` keeps one running imbalance.
+Exact stationary laws come from sparse fraction-free Gauss-Jordan
+elimination on rows of Python ints.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -189,63 +194,72 @@ def _policy_rotations(q: int, n_rotations: int, rng, policy: str) -> Iterator[tu
 def _rotations(q: int, tie: Tie, gen) -> Iterator[tuple[int, int, int]]:
     """Consecutive full rotations of the offset chain from (0, 0), as (v_x, v_y, slots).
 
-    Steps from advance to advance: after each advance the forced idles,
-    min(a, b) of them, are skipped in one step, and a rotation closes when
-    that skip lands on (0, 0). Every advance takes one draw on [0, q) from
-    the numpy Generator ``gen`` in rng.block_stream's blocks, each read
-    from its end, in the order ``chain_step`` takes it, so a slot-by-slot
+    Steps from advance to advance on absolute slots: slot 0 is the tie
+    that opens the rotation, and each strand keeps the slot of its next
+    advance, q for the strand that lost the tie and draw + 1 for the one
+    that won it. The earlier of the two advances, adding its draw + 1, so
+    the forced idles between advances cost nothing; the rotation closes,
+    ``slots`` long, when both next advances fall on one slot, which is
+    the next (0, 0). Every advance takes one draw on [0, q) from the
+    numpy Generator ``gen`` in rng.block_stream's blocks, each read from
+    its end, in the order ``chain_step`` takes it, so a slot-by-slot
     ``chain_step`` loop on the same stream gives the same rotations. The
     bound tie rule is asked at the (0, 0) slot that opens a rotation, as
     ``tie(adv_x, adv_y, 1, rotation)``: each strand's advances and the ties
     (rotations) before it, at a slot that emits 0.
     """
     draw = block_stream(gen, q)
-    top = q - 1
     adv_x = adv_y = 0
     for rotation in count():
         if tie(adv_x, adv_y, 1, rotation):
-            a, b, v_x, v_y = draw(), top, 1, 0
+            tx, ty, v_x, v_y = draw() + 1, q, 1, 0
         else:
-            a, b, v_x, v_y = top, draw(), 0, 1
-        slots = 1
-        while a != b:
-            if a < b:  # idle down to (0, b - a), then strand 1 advances
-                slots += a + 1
-                b -= a + 1
-                a = draw()
+            tx, ty, v_x, v_y = q, draw() + 1, 0, 1
+        while tx != ty:
+            if tx < ty:
+                tx += draw() + 1
                 v_x += 1
             else:
-                slots += b + 1
-                a -= b + 1
-                b = draw()
+                ty += draw() + 1
                 v_y += 1
         adv_x += v_x
         adv_y += v_y
-        yield v_x, v_y, slots + a
+        yield v_x, v_y, tx
+
+
+# rotation_moments counts this many rotations at a time before folding the
+# counts into its sums, so it holds at most this many distinct rotations at
+# once: a block holds 14 of them at q = 2 and about 700 at q = 5, while from
+# q = 100 on nearly every rotation is distinct.
+_FOLD_BLOCK = 1 << 14
 
 
 def rotation_moments(q: int, n_rotations: int, rng, policy: str = "x-first") -> RotationStats:
     """Empirical rotation moments of the offset chain from (0, 0).
 
     Runs the chain for n_rotations complete rotations, resolving each tie
-    by the named catalog policy (x-first, y-first, lf or round-robin), and
-    accumulates exact integer sums, so the returned statistics are a pure
-    function of the seed. The closed forms hold under x-first.
+    by the named catalog policy (x-first, y-first, lf or round-robin). The
+    moments are sums over rotations, so they depend only on how often each
+    (v_x, v_y, slots) occurs: equal rotations are counted, _FOLD_BLOCK
+    rotations at a time, and each count folds into exact integer sums, so
+    the returned statistics are a pure function of the seed. The closed
+    forms hold under x-first.
     """
     if n_rotations < 1:
         raise ValueError("need at least one rotation")
     rotations = _policy_rotations(q, n_rotations, rng, policy)
     s_vx = s_vy = s_t = 0
     s_vx2 = s_vy2 = s_t2 = s_xy = s_tx = 0
-    for v_x, v_y, t_len in rotations:
-        s_vx += v_x
-        s_vy += v_y
-        s_t += t_len
-        s_vx2 += v_x * v_x
-        s_vy2 += v_y * v_y
-        s_t2 += t_len * t_len
-        s_xy += v_x * v_y
-        s_tx += t_len * v_x
+    while block := Counter(islice(rotations, _FOLD_BLOCK)):
+        for (v_x, v_y, t_len), c in block.items():
+            s_vx += c * v_x
+            s_vy += c * v_y
+            s_t += c * t_len
+            s_vx2 += c * v_x * v_x
+            s_vy2 += c * v_y * v_y
+            s_t2 += c * t_len * t_len
+            s_xy += c * v_x * v_y
+            s_tx += c * t_len * v_x
     n = n_rotations
     m_vx, m_vy, m_t = s_vx / n, s_vy / n, s_t / n
     return RotationStats(
@@ -462,16 +476,15 @@ def drift_series(q: int, n_rotations: int, rng, policy: str = "lf") -> list[tupl
     if n_rotations < 10:
         raise ValueError("need at least 10 rotations")
     rotations = _policy_rotations(q, n_rotations, rng, policy)
-    # 1, 2, 5, 10, 20, 50, ... up to n_rotations's decade, and n_rotations itself
+    # 1, 2, 5, 10, 20, 50, ... up to n_rotations, and n_rotations itself
     checkpoints = {m * 10**e for e in range(len(str(n_rotations))) for m in (1, 2, 5)}
     checkpoints.add(n_rotations)
-    x_tot = y_tot = 0
-    sum_abs_d = 0
+    d = sum_abs_d = done = 0
     out: list[tuple[int, float]] = []
-    for n, (v_x, v_y, _) in enumerate(rotations, 1):
-        x_tot += v_x
-        y_tot += v_y
-        sum_abs_d += abs(x_tot - y_tot)
-        if n in checkpoints:
-            out.append((n, sum_abs_d / n))
+    for n in sorted(c for c in checkpoints if c <= n_rotations):
+        for v_x, v_y, _ in islice(rotations, n - done):
+            d += v_x - v_y
+            sum_abs_d += abs(d)
+        done = n
+        out.append((n, sum_abs_d / n))
     return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import islice, product
@@ -17,6 +18,7 @@ from rowsynth import (
     ChainEvent,
     ChainStep,
     OffsetState,
+    RotationStats,
     TieDecision,
     chain_step,
     closed_form_rotation,
@@ -502,6 +504,83 @@ def test_rotations_consult_tie_rule_once_per_rotation():
         i, j, k = sums[-1]
         sums.append((i + v_x, j + v_y, k + 1))
     assert calls == sums
+
+
+# --- counted moments and stretched drift against per-rotation loops ----------
+
+
+def _per_rotation_moments(q, n_rotations, seed, policy):
+    """Reference: eight running sums, one rotation at a time."""
+    s_vx = s_vy = s_t = 0
+    s_vx2 = s_vy2 = s_t2 = s_xy = s_tx = 0
+    for v_x, v_y, t_len in markov._policy_rotations(q, n_rotations, seed, policy):
+        s_vx += v_x
+        s_vy += v_y
+        s_t += t_len
+        s_vx2 += v_x * v_x
+        s_vy2 += v_y * v_y
+        s_t2 += t_len * t_len
+        s_xy += v_x * v_y
+        s_tx += t_len * v_x
+    n = n_rotations
+    m_vx, m_vy, m_t = s_vx / n, s_vy / n, s_t / n
+    return RotationStats(
+        n=n, mean_vx=m_vx, mean_vy=m_vy, mean_t=m_t,
+        var_vx=s_vx2 / n - m_vx * m_vx, var_vy=s_vy2 / n - m_vy * m_vy,
+        var_t=s_t2 / n - m_t * m_t, cov_vx_vy=s_xy / n - m_vx * m_vy,
+        cov_t_vx=s_tx / n - m_t * m_vx,
+    )
+
+
+def _per_rotation_drift(q, n_rotations, seed, policy):
+    """Reference: both advance totals and a checkpoint lookup every rotation."""
+    checkpoints = {m * 10**e for e in range(len(str(n_rotations))) for m in (1, 2, 5)}
+    checkpoints.add(n_rotations)
+    x_tot = y_tot = sum_abs_d = 0
+    out = []
+    for n, (v_x, v_y, _) in enumerate(markov._policy_rotations(q, n_rotations, seed, policy), 1):
+        x_tot += v_x
+        y_tot += v_y
+        sum_abs_d += abs(x_tot - y_tot)
+        if n in checkpoints:
+            out.append((n, sum_abs_d / n))
+    return out
+
+
+class TestCountedMoments:
+    @settings(max_examples=150, deadline=None)
+    @given(q=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
+           policy=st.sampled_from(["x-first", "y-first", "lf", "round-robin"]),
+           n=st.integers(1, 400), block=st.sampled_from([1, 7, 64]))
+    def test_equals_the_per_rotation_sums(self, q, seed, policy, n, block):
+        with mock.patch.object(markov, "_FOLD_BLOCK", block):
+            stats = rotation_moments(q, n, seed, policy)
+        assert stats == _per_rotation_moments(q, n, seed, policy)
+
+    def test_blocks_stay_bounded_when_every_rotation_is_distinct(self):
+        blocks = []
+
+        def spy(rotations):
+            counts = Counter(rotations)
+            blocks.append((sum(counts.values()), len(counts)))
+            return counts
+
+        with (mock.patch.object(markov, "_FOLD_BLOCK", 16),
+              mock.patch.object(markov, "Counter", spy)):
+            stats = rotation_moments(1000, 100, 5)
+        assert sum(size for size, _ in blocks) == 100
+        assert max(size for size, _ in blocks) == 16
+        assert sum(distinct for _, distinct in blocks) >= 95  # nearly no two rotations alike
+        assert stats == _per_rotation_moments(1000, 100, 5, "x-first")
+
+
+@pytest.mark.parametrize("policy", ["lf", "x-first"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_drift_series_equals_the_per_rotation_loop(policy, q):
+    for n in (10, 11, 19, 20, 21, 99, 100, 101, 1000, 1001, 2345):
+        series = drift_series(q, n, 2026, policy)
+        assert series == _per_rotation_drift(q, n, 2026, policy)
+        assert series[-1][0] == n and all(m <= n for m, _ in series)
 
 
 class TestChainPolicyCheckedBeforeDrawing:
