@@ -40,8 +40,7 @@ class ExperimentConfig:
 
     def validated(self) -> "ExperimentConfig":
         _check_drawable(self.q, self.length)
-        if self.length < 1:
-            raise ConfigError(f"strand length must be >= 1, got {self.length}")
+        _check_length(self.length, 1)
         if self.trials < 1:
             raise ConfigError(f"trial count must be >= 1, got {self.trials}")
         if self.trials > MAX_TRIALS:
@@ -101,11 +100,15 @@ def _check_drawable(q: int, length: int) -> None:
         raise ConfigError(f"strand length {length} is over the draw budget of {MAX_DRAW_LENGTH}")
 
 
+def _check_length(length: int, least: int) -> None:
+    if length < least:
+        raise ConfigError(f"strand length must be >= {least}, got {length}")
+
+
 def random_strand(q: int, length: int, rng: np.random.Generator) -> Strand:
     """A strand of i.i.d. uniform symbols."""
     _check_drawable(q, length)
-    if length < 0:
-        raise ConfigError(f"strand length must be >= 0, got {length}")
+    _check_length(length, 0)
     return tuple(rng.integers(0, q, size=length).tolist())
 
 
@@ -338,8 +341,7 @@ class BoundsRow:
 
 def analytic_bounds(q: int, length: int) -> BoundsRow:
     validate_alphabet(q)
-    if length < 0:
-        raise ConfigError(f"strand length must be >= 0, got {length}")
+    _check_length(length, 0)
     return BoundsRow(
         q=q,
         length=length,

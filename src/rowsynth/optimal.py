@@ -82,7 +82,7 @@ minimum. Then three differences stay small: Y's step along a row is -1, 0
 or 1 (bit vectors HP and HN), X - Y is -1, 0 or 1 (GP1 and GN1), and Y's
 step down a column, v, is 0 or 1. Each cell of v is set, reset or copied
 from the cell before it, so one carry-propagating add scans the row, and a
-row of every lane is about 30 big-int operations.
+row of every lane is 37 big-int operations.
 
 A lane holds len_y + 2 bits, rounded up to whole bytes, bit j for column
 j; lane b's bits start at b times that width, and NS is every bit but each
@@ -106,9 +106,18 @@ from HP = C on bits 2..len_y, HN = 0, GP1 on bits 2..len_y + 1 and GN1 on
 bit 1. At the end, Y = 1 + sum of a + popcount(HP) - popcount(HN) over
 bits 1..len_y, and X is Y plus G at bit len_y + 1. A carry out of a lane
 reaches only the next lane's bit 0, which is in A only when it is in S,
-and bits past len_y + 1 never reach a lower one, so lanes do not mix. One
-lane branches on the scalar a instead of building Am. An empty strand
-leaves the other strand's solo time.
+and bits past len_y + 1 never reach a lower one, so lanes do not mix. An
+empty strand leaves the other strand's solo time.
+
+One lane runs its own loop, with two row bodies picked by a, D's bit 0,
+and no Am. Where a = 1, gN is 0, so A drops its gN & (HN | D) term, and
+gP = B1 & ~GN1 is taken as B1 ^ (B1 & GN1), since an operation on a
+negative int costs more; where a = 0, gP = B1 & GP1 and gN = GN1, v has
+no bit 0 and no vector a bit past the lane, so HP needs no mask. In both,
+gP and gN share no bit, so with w = gP & v1, GP1 = gP ^ w and GN1 = gN |
+(v1 ^ w). A row is then 25 big-int operations where a = 1 and 27 where a
+= 0, besides the test of a, and the end values are int.bit_count of
+masked ints.
 
 The masks are never built for all rows at once. For q <= 128, when x has
 at least q symbols, each lane's D and B1 are tabled per symbol, a build
@@ -396,8 +405,9 @@ def _t_star_lanes(xs, ys, q: int) -> list[int]:
 
     Runs the module docstring's non-ascent recurrence bit-parallel, one row
     per symbol of x, with lane b's bits from b * width on in one Python int
-    per vector. Every x has one length and every y one length, the strands
-    are already valid and _check_range passes: nothing is checked.
+    per vector, and a lone lane through its own two row bodies. Every x has
+    one length and every y one length, the strands are already valid and
+    _check_range passes: nothing is checked.
     """
     x, y = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
     lanes, lx = x.shape
@@ -419,13 +429,6 @@ def _t_star_lanes(xs, ys, q: int) -> list[int]:
     if q <= min(128, lx):  # D and B1 of each lane and symbol, where x has as many rows
         sym = np.arange(q)[:, None]
         tables = _pack(np.less_equal(yd[:, None], sym)), _pack(np.less_equal(sym, yb[:, None]))
-    if lanes == 1 and tables:
-        d_ints = [d | w for d in map(_to_int, tables[0][0]) for w in (0, 1)]
-        b_ints = list(map(_to_int, tables[1][0]))
-        blocks = [([d_ints[c] for c in (2 * x[0] + wraps[:, 0]).tolist()],
-                   [b_ints[s] for s in x[0].tolist()])]
-    else:
-        blocks = _mask_blocks(x, wraps, yd, yb, tables)
     starts = int.from_bytes((b"\1" + bytes(size - 1)) * lanes, "little")  # each lane's bit 0
     ns = (starts << width) - starts - starts  # every bit but each lane's bit 0
     # C: bits 0 and 1, and [y[j - 1] <= y[j - 2]] at bit j from 2 on
@@ -435,16 +438,50 @@ def _t_star_lanes(xs, ys, q: int) -> list[int]:
     c = _to_int(_pack(c_bits))
     hp, hn = c & ((1 << ly + 1) - 4) * starts, 0
     gp, gn = ((1 << ly + 2) - 4) * starts, 2 * starts
-    one = lanes == 1
-    for ds, bs in blocks:
+    if lanes == 1:
+        if tables:
+            d_ints = [d | w for d in map(_to_int, tables[0][0]) for w in (0, 1)]
+            b_ints = list(map(_to_int, tables[1][0]))
+            blocks = [(list(map(d_ints.__getitem__, (2 * x[0] + wraps[:, 0]).tolist())),
+                       list(map(b_ints.__getitem__, x[0].tolist())))]
+        else:
+            blocks = _mask_blocks(x, wraps, yd, yb, tables)
+        for ds, bs in blocks:
+            for d, b1 in zip(ds, bs):
+                if d & 1:  # a = 1, so gN = 0
+                    g_p = b1 ^ (b1 & gn)  # B1 & ~GN1
+                    a = hp ^ hn ^ d ^ g_p  # cells where v may be 1
+                    s = a & ((c ^ hp) | hn)  # cells where v is 1
+                    v = (((a + s) ^ a) & a) | s  # the carry copies s along a
+                    v1 = (v << 1) & ns
+                    t = (hp | v) & (hn | v1)
+                    hp = (hp ^ v ^ t) & ns  # clears bit 0, which v holds
+                    hn ^= v1 ^ t
+                    w = g_p & v1  # GP1 and GN1 share no bit
+                    gp = g_p ^ w
+                    gn = v1 ^ w
+                else:
+                    g_p = b1 & gp
+                    a = hp ^ hn ^ d ^ (g_p | (gn & (hn | d)))
+                    s = a & ((c ^ hp) | hn)
+                    v = (((a + s) ^ a) & a) | s
+                    v1 = (v << 1) & ns
+                    t = (hp | v) & (hn | v1)
+                    hp ^= v ^ t  # v has no bit 0
+                    hn ^= v1 ^ t
+                    w = g_p & v1
+                    gp = g_p ^ w
+                    gn |= v1 ^ w
+        cells = (1 << ly + 1) - 2  # bits 1 to len_y
+        y_end = int(wraps.sum()) + 1 + (hp & cells).bit_count() - (hn & cells).bit_count()
+        x_end = y_end + (gp >> ly + 1 & 1) - (gn >> ly + 1 & 1)
+        return [min(q * x_end + int(x[0, -1]), q * y_end + int(y[0, -1])) - (q - 1)]
+    for ds, bs in _mask_blocks(x, wraps, yd, yb, tables):
         for d, b1 in zip(ds, bs):
-            if one:
-                g_p, g_n = (b1 & ~gn, 0) if d & 1 else (b1 & gp, gn)
-            else:
-                st = d & starts
-                am = (st << width) - st  # every bit of the lanes where a = 1
-                g_p = b1 & (gp | (am & ~gn))
-                g_n = gn & ~am
+            st = d & starts
+            am = (st << width) - st  # every bit of the lanes where a = 1
+            g_p = b1 & (gp | (am & ~gn))
+            g_n = gn & ~am
             a = hp ^ hn ^ d ^ (g_p | (g_n & (hn | d)))  # cells where v may be 1
             s = a & ((c ^ hp) | hn)  # cells where v is 1
             v = (((a + s) ^ a) & a) | s  # the carry copies s along a

@@ -10,6 +10,7 @@ import pytest
 from rowsynth import (
     ConfigError,
     ExperimentConfig,
+    InvalidStrandError,
     completion_time,
     get_policy,
     analytic_bounds,
@@ -86,6 +87,31 @@ class TestConfigValidation:
             ExperimentConfig(2, 0, 5).validated()
         with pytest.raises(ConfigError):
             ExperimentConfig(2, 10, 0).validated()
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: ExperimentConfig(2, 0, 5).validated(), ConfigError,
+         "strand length must be >= 1, got 0"),
+        (lambda: ExperimentConfig(2, -3, 0).validated(), ConfigError,
+         "strand length must be >= 1, got -3"),
+        (lambda: random_strand(2, -1, trial_rng(1, 0)), ConfigError,
+         "strand length must be >= 0, got -1"),
+        (lambda: analytic_bounds(2, -5), ConfigError, "strand length must be >= 0, got -5"),
+        # the alphabet, then the int64 draw, are checked before the length
+        (lambda: ExperimentConfig(1, 0, 5).validated(), InvalidStrandError,
+         "alphabet size must be an integer >= 2, got 1"),
+        (lambda: analytic_bounds(1, -5), InvalidStrandError,
+         "alphabet size must be an integer >= 2, got 1"),
+        (lambda: ExperimentConfig(2**63 + 1, 0, 5).validated(), ConfigError,
+         rf"random strands draw int64 symbols, so q must be <= 2\*\*63, got {2**63 + 1}"),
+        (lambda: random_strand(2**64, -1, trial_rng(1, 0)), ConfigError,
+         rf"random strands draw int64 symbols, so q must be <= 2\*\*63, got {2**64}"),
+    ])
+    def test_length_rules_and_their_precedence(self, call, error, message):
+        with pytest.raises(error, match=rf"^{message}$"):
+            call()
+
+    def test_bounds_take_no_draw_budget(self):
+        assert analytic_bounds(2, experiments.MAX_DRAW_LENGTH + 1).length == 4 * 10**6 + 1
 
     def test_alphabet_past_the_int64_draw_refused_before_any_trial(self, monkeypatch):
         monkeypatch.setattr(experiments, "_map_trials", None)  # any trial would fail

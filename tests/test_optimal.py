@@ -224,6 +224,20 @@ def kernel_instances(draw):
     return q, xs, ys, band
 
 
+@st.composite
+def lone_lane_instances(draw):
+    """lane_instances of 2 to 6 lanes at the alphabets the one-lane loop treats apart; in some,
+    every x, or every y, is one symbol repeated."""
+    alphabets = st.sampled_from([2, 3, 4, 7, 128, 129, 300])
+    q, xs, ys, band = draw(lane_instances(alphabets, lanes=6, length=12))
+    assume(len(xs) >= 2)
+    if xs[0] and draw(st.booleans()):
+        xs = [x[:1] * len(x) for x in xs]
+    if ys[0] and draw(st.booleans()):
+        ys = [y[-1:] * len(y) for y in ys]
+    return q, xs, ys, band
+
+
 def _stub_kernels(monkeypatch):
     """Make both solver kernels fail on any call, so a refusal must come first."""
     monkeypatch.setattr(optimal, "_row_sweep", None)
@@ -341,6 +355,54 @@ class TestLanes:
         assert optimal._t_star_lanes(xs, ys, q) == expected
         with mock.patch.object(optimal, "_CELL_BLOCK", 1):
             assert optimal._t_star_lanes(xs, ys, q) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(lone_lane_instances())
+    @example((2, [(1, 1, 1, 1), (0, 1, 0, 1)], [(0, 0, 0), (1, 0, 1)], 64))
+    @example((129, [(128, 0, 128), (5, 70, 128)], [(128,), (0,)], 1))
+    def test_each_lone_lane_equals_its_block_and_the_table_root(self, instance):
+        """One lane runs its own loop; the same pair inside a many-lane block runs the other."""
+        q, xs, ys, band = instance
+        with mock.patch.object(optimal, "_CELL_BLOCK", band):
+            block = optimal._t_star_lanes(xs, ys, q)
+            lone = [optimal._t_star_lanes([x], [y], q)[0] for x, y in zip(xs, ys)]
+        assert lone == block
+        for x, y, t in zip(xs, ys, lone):
+            if (len(x) + 1) * (len(y) + 1) * q <= 2 * 10**4:
+                assert t == dp_solve(x, y, q).value(0, 0, 0)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 7, 128, 129, 300])
+    @pytest.mark.parametrize("extra", [-1, 5])
+    def test_lone_lane_reads_tables_or_compares_on_rows_of_both_wrap_bits(self, monkeypatch, q,
+                                                                          extra):
+        """len_x = q - 1 compares symbols, len_x = q + 5 reads tables up to q = 128."""
+        pairs = [_seeded_pair(q + b, q, q + extra, 40) for b in range(3)]
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        x = xs[0]
+        if len(x) >= 3:  # a = 1 rows and a = 0 rows
+            assert {x[i] <= x[i - 1] for i in range(1, len(x))} == {True, False}
+        reads = _mask_reads(monkeypatch)
+        lone = optimal._t_star_lanes([x], [ys[0]], q)
+        tabled = q <= 128 and extra > 0
+        assert reads == ([] if tabled else [(False, [len(x)])])
+        assert lone == optimal._t_star_lanes(xs, ys, q)[:1] == [optimal._row_sweep(x, ys[0], q)]
+
+    @pytest.mark.parametrize("q", [2, 4, 129])
+    def test_lone_lane_on_one_symbol_and_ascending_strands(self, q):
+        """x of one symbol makes every row an a = 1 row; an ascending x makes all but row 1 a = 0."""
+        ascending = tuple(range(min(q, 6)))
+        for x, y in [((q - 1,) * 9, (0,) * 7), ((0,) * 9, (q - 1,) * 7), ((1,) * 9, (1,) * 9),
+                     (ascending, ascending[::-1]), (ascending, (0,) * 5), ((0,), ascending)]:
+            expected = dp_solve(x, y, q).value(0, 0, 0)
+            assert optimal._t_star_lanes([x], [y], q) == [expected]
+            assert optimal._t_star_lanes([x, y[:1] * len(x)], [y, x[:1] * len(y)], q)[0] == expected
+
+    @pytest.mark.parametrize("q", [2, 4, 129])
+    def test_t_star_at_length_2000_equals_the_block(self, q):
+        """At q = 129 the lone lane compares symbols over several blocks of rows."""
+        pairs = [_seeded_pair(40 + b, q, 2000, 1999) for b in range(3)]
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        assert [t_star(x, y, q) for x, y in pairs] == optimal._t_star_lanes(xs, ys, q)
 
     @settings(max_examples=200, deadline=None)
     @given(solver_instances(), st.integers(1, 64))
