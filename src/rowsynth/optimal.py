@@ -20,48 +20,6 @@ the reference, runs this recurrence on plain values and expands the two W
 of every cell into the (i, j, r) table, _CELL_BLOCK entries at a time;
 reconstruct walks that table.
 
-The row sweep runs on shifted values. Advancing symbol a right after
-symbol s costs (a - s - 1) mod q + 1 = a - s + q [a <= s] slots, so the
-solo cost of a strand's first k symbols telescopes to q N + z[k - 1] - (q -
-1), where N counts its wraps: the symbols not above the one before, the
-first compared with q - 1. With N(i, j) the wraps of x[:i] and y[:j], the
-values
-
-    U'(i, j) = W(i, j, X) + q N(i, j) + x[i - 1] - (q - 1)
-    V'(i, j) = W(i, j, Y) + q N(i, j) + y[j - 1] - (q - 1)
-
-obey
-
-    U'(i, j) = min(U'(i + 1, j), V'(i, j + 1) + E'(i, j))
-    V'(i, j) = min(U'(i + 1, j) + F'(i, j), V'(i, j + 1))
-
-with E' = q ([y[j] <= x[i - 1]] - [y[j] <= y[j - 1]]) and F' = q ([x[i] <=
-y[j - 1]] - [x[i] <= x[i - 1]]): a strand that advances again after itself
-pays nothing, and a cross term is two symbol comparisons, so no table of
-advance costs is needed and no array is sized by q. At the root both shifts
-vanish, so U'(0, 0), all that _row_sweep returns, is the optimum.
-
-_row_sweep solves one pair row by row, i = len_x down to 0, with y read
-backwards: a row's V' is a running minimum, as in Gotoh's horizontal-gap
-state (J. Mol. Biol. 162:705, 1982), so V'(i, .) is one
-np.minimum.accumulate of U'(i + 1, .) + F'(i, .) and U'(i, .) one add and
-one minimum. It takes E' and F' _CELL_BLOCK = 2**15 cells at a time, in
-rows, at least one, and keeps O(len_y) values besides its block. A row
-reads x only through x[i], [x[i] <= x[i - 1]] (F') and x[i - 1] (E'), so
-a sweep that fills at least one block and whose tables fit in one, 3 q
-(len_y + 1) <= _CELL_BLOCK <= len_x (len_y + 1), builds 2 q rows of F' and
-q rows of E', one per symbol and wrap bit, and reads a block's F' and E'
-with one np.take each, where the comparisons cost three numpy calls and
-three passes over the block each. The row for len_x is then E' of x[len_x
-- 1], read from the table. A table build costs about ten numpy calls, so a
-smaller sweep, or an alphabet whose tables would not fit (large q times
-long rows), compares symbols. The tables were measured with BENCH_23.json.
-
-No value exceeds q (len_x + len_y), so with S = q (len_x + len_y + 1) the
-row sweep's values are int32 when S < 2**30 and int64 above; callers refuse
-S >= _UNREACHABLE before allocating. int32 values halve the bytes each
-numpy call moves; they were measured with BENCH_14.json.
-
 t_star and conjecture's lanes need the optimum alone, which a bit-parallel
 kernel on Python ints computes, as Myers' edit distance (JACM 46:395, 1999)
 and Hyyrö's LCS (2004) do. Scheduling both strands is solo-synthesizing
@@ -119,9 +77,11 @@ gP and gN share no bit, so with w = gP & v1, GP1 = gP ^ w and GN1 = gN |
 = 0, besides the test of a, and the end values are int.bit_count of
 masked ints.
 
-The masks are never built for all rows at once. For q <= 128, when x has
-at least q symbols, each lane's D and B1 are tabled per symbol, a build
-that costs about what comparing q rows does: one lane reads Python ints
+The masks are never built for all rows at once. Where x uses at most 128
+symbols, and no more than it has rows, each lane's D and B1 are tabled per
+symbol, a build that costs about what comparing that many rows does: for
+q <= 128 the table holds all q symbols, once x has q rows, and above it
+the symbols x uses, which its rows then index. One lane reads Python ints
 from its tables, and many lanes gather a block of rows' packed bytes,
 _CELL_BLOCK bytes a mask at most, and read each row with one
 int.from_bytes; Am is then (st << width) - st, st being D's lane-start
@@ -133,11 +93,43 @@ falling.
 An optimal schedule never idles while a strand can advance, so both
 schedule builders run the greedy simulator's walk (model._run) with a tie
 rule that reads the solver. Where both strands can advance in the same
-slot, x[i] == y[j], advancing either from the X-last state costs the same,
-so taking X iff W(i + 1, j, X) <= W(i, j + 1, Y) is taking the first
-candidate of U'(i, j)'s minimum: optimal_schedule has _row_sweep keep that
-as one tie bit per cell, packed eight to a byte, and reads the bit, where
-reconstruct compares the table's two entries after the tie.
+slot, x[i] == y[j] = c, the walk takes X iff W(i + 1, j, X) <= W(i, j + 1,
+Y): reconstruct compares the table's two entries after the tie, and
+optimal_schedule reads one tie bit per cell that _tie_rows, the same bit
+kernel run on the reversed pair, keeps. Both W follow symbol c, so each is
+the fewest slots q M + z[-1], less c, over merges z of x[i:] and y[j:]
+that open with x[i], or with y[j], M counting z's non-ascents after its
+first symbol. Reversed and complemented, x~[k] = q - 1 - x[len_x - 1 - k]
+and y~ the same way, a merge keeps its non-ascents, and the reversed
+merge's first symbol counts one against q - 1, so M + 1 is the kernel's X,
+or Y, on x~ and y~ at cell (len_x - i, len_y - j), save for the term
+z[-1]: the strand the schedule ends on, x[-1] or y[-1], now enters at the
+reversed start. To carry it the kernel runs two lanes of one int. Lane p
+starts at p = q - 1 - max(x[-1], y[-1]), so it counts a merge's reversed
+first symbol only where the merge ends on the larger end symbol. Lane u
+counts every merge's: it starts at q - 1, as t_star's lanes do, where
+x[-1] >= y[-1], and else below p, where it counts none and is read plus
+one. Either way row 1 wraps in both lanes or in neither, iff x[-1] >=
+y[-1], and HN's bit 1 is set in lane u iff x[-1] < y[-1] and in lane p iff
+y[-1] < x[-1]. Then X_u - X_p is 1 iff some merge of fewest non-ascents
+ends on the smaller end symbol, and with e(1) = min(x[-1], y[-1]) and e(0)
+= max(x[-1], y[-1]) the two W are q X_u + e(X_u - X_p) and q Y_u + e(Y_u -
+Y_p), less one constant. As e(0) - e(1) < q, Y wins iff G_u > 0, or G_u =
+0, f = 1 and G_p != 0, with G = X - Y (GP1 and GN1) and f = Y_u - Y_p in
+{0, 1}. f starts as columns 1 to len_y iff y~[0] > p, and each row applies
+f ^= v_u ^ v_p. Where f = 1 and G_u = -1, G_p is at most 0, so a row's tie
+bits are GP1_u | (f & GP1_p), on lane u's bits 2 to len_y + 1, with f held
+one bit on, as GP1 is.
+
+The lanes share every row's wrap bit, so the kernel runs the one-lane
+bodies on masks copied into both lanes: where a = 1, gN is 0 in both, and
+where a = 0, v has bit 0 in neither. 7 big-int operations more a row keep
+f and the tie bits. At cell (len_x, len_y)
+
+    t* = min(q X_u + e(X_u - X_p), q Y_u + e(Y_u - Y_p)) - (q - 1)
+
+with X_u - X_p = G_u + f - G_p. Where the end symbols are equal, lane p
+is lane u and f stays 0, so there is no special case.
 
 Alongside the solver live two fully independent cross-checks: a
 brute-force minimum over all interleavings, and the binary runs/LCS
@@ -175,18 +167,17 @@ from .model import (
 MAX_TABLE_STATES = 2 * 10**7
 
 # Largest (len_x + 1) * (len_y + 1) cell count optimal_schedule keeps a tie
-# bit for: 125 MB of bits, enough for two strands of about 31,600 symbols.
+# bit for, enough for two strands of 31,621 symbols. A row's bits are one
+# int, 4 bytes per 30 bits plus 28, and 8 more for its list slot: 134.5 MB
+# at that size, measured with tracemalloc.
 MAX_TIE_BITS = 10**9
 
-# Stands for U or V at a cell past the end of a strand; larger than any
+# Stands for W at a cell past the end of a strand; larger than any
 # completion time, so a term through such a cell never wins a minimum.
 _UNREACHABLE = 1 << 60
 
-# Cells of E' (and of F') the row sweep computes at a time, in rows, at
-# least one; its cross-term tables are built only where they fit in one
-# block and the sweep fills one. Bytes of each mask the bit kernel gathers
-# at a time, and entries dp_solve expands from numpy to Python ints at a
-# time. See the module docstring.
+# Bytes of each mask the bit kernel gathers at a time, and entries dp_solve
+# expands from numpy to Python ints at a time. See the module docstring.
 _CELL_BLOCK = 1 << 15
 
 # Most cells a row of one of conjecture's lane blocks holds, lanes * (L +
@@ -212,116 +203,11 @@ class DpTable:
 
 
 def _check_range(q: int, len_x: int, len_y: int) -> None:
-    """Refuse an instance that _value_type gives no value type for."""
-    if _value_type(q, len_x, len_y) is None:
+    """Refuse an alphabet so large that q (len_x + len_y + 1) reaches _UNREACHABLE."""
+    if q * (len_x + len_y + 1) >= _UNREACHABLE:
         raise UnsupportedAlphabetError(
             f"the exact solver needs q * (len_x + len_y + 1) < 2**60, "
             f"got q = {q} with {len_x} + {len_y} symbols")
-
-
-def _value_type(q: int, len_x: int, len_y: int):
-    """The row sweep's value dtype, by the module docstring's rule.
-
-    None when q (len_x + len_y + 1) is _UNREACHABLE or more.
-    """
-    span = q * (len_x + len_y + 1)
-    if span < 1 << 30:
-        return np.int32
-    return np.int64 if span < _UNREACHABLE else None
-
-
-def _symbol_type(q: int):
-    """The row sweep's symbol dtype: int8 while every symbol and q - 1 fit it, else int64.
-
-    int8 symbols let the sweep's comparisons read an eighth of the bytes.
-    """
-    return np.int8 if q <= 128 else np.int64
-
-
-def _row_sweep(x, y, q: int, ties: list | None = None) -> int:
-    """The pair's U'(0, 0), solved row by row with y read backwards.
-
-    The strands are valid and _value_type(q, len_x, len_y) is not None. Row
-    i holds cell (i, j) at len_y - j. Given ``ties``, rows len_x - 1 down to
-    0 each append their tie bits packed big-endian into bytes: bit len_y - 1
-    - j is U'(i + 1, j) > V'(i, j + 1) + E'(i, j), the second candidate
-    winning.
-    """
-    lx, ly = len(x), len(y)
-    value = _value_type(q, lx, ly)
-    # the strands read backwards, each followed by the q - 1 before its
-    # first symbol: y, then x. With k = len_y - j, y[j - 1] sits at k and
-    # y[j] at k - 1; x[i] sits at len_y + len_x - i and x[i - 1] one on
-    sym = np.empty(lx + ly + 2, dtype=_symbol_type(q))
-    sym[:ly][::-1], sym[ly + 1:-1][::-1] = y, x
-    sym[ly::lx + 1] = q - 1  # at len_y and at the end
-    # 1 where a symbol is not above the one before it in its strand: y[j] <=
-    # y[j - 1] at k - 1, x[i] <= x[i - 1] at len_y + len_x - i; 0 at len_y
-    wrap = np.less_equal(sym[:-1], sym[1:]).view(np.int8)
-    wrap[ly] = 0
-    n = ly + 1
-    y_cells, wrap_y = sym[:n], wrap[:n]
-    u = np.empty(n, dtype=value)
-    rows = max(1, min(lx, _CELL_BLOCK // n))
-    f_tab = None
-    if 3 * q * n <= _CELL_BLOCK <= lx * n:
-        # per symbol a, F' = q [a <= y[j - 1]] - q w at table row w q + a, w
-        # = [x[i] <= x[i - 1]], and E' = q [y[j] <= a] - q [y[j] <= y[j -
-        # 1]] at row a: column k serves cell k, and E' reads column k - 1, as
-        # the comparisons below do
-        a = np.arange(q, dtype=sym.dtype)[:, None]
-        e_tab = np.subtract(np.less_equal(y_cells, a), wrap_y).astype(value)
-        e_tab *= q
-        f_up = np.less_equal(a, y_cells).astype(value)
-        f_up *= q
-        f_tab = np.concatenate((f_up, f_up - q))
-        # e_rows[r], the E' row of row len_x - r, reads x[len_x - 1 - r] (the
-        # q - 1 at r = len_x); f_rows[r], the F' row of row len_x - 1 - r,
-        # reads that symbol and its wrap bit
-        e_rows = sym[ly + 1:].astype(np.intp)
-        f_rows = np.multiply(wrap[ly + 1:], q, dtype=np.intp)
-        f_rows += e_rows[:-1]
-        e_top = e_tab[e_rows[0], :ly]  # E'(len_x, .)
-    else:
-        # x[i] and x[i] <= x[i - 1] at row len_x - 1 - i, as (row, 1) views
-        x_rows, wrap_x = sym[ly + 1:, None], wrap[ly + 1:, None]
-        e_top = np.multiply(np.subtract(np.less_equal(sym[:ly], sym[ly + 1]), wrap[:ly]), q,
-                            dtype=value)
-    # row len_x: V' is V'(len_x, len_y) all along, so U'(len_x, j) is that
-    # plus E'(len_x, j), e_top above, and U'(len_x, len_y) is that plus
-    # x[len_x - 1] - y[len_y - 1]; U'(i, len_y) = U'(len_x, len_y) in every
-    # row. V'(len_x, len_y) is q N(len_x, len_y) - (q - 1) + y[len_y - 1]
-    y_last, x_last = int(sym[0]), int(sym[ly + 1])
-    start = q * int(wrap.sum()) - (q - 1) + y_last
-    np.add(e_top, value(start), out=u[1:])
-    u[0] = start + x_last - y_last
-    v = np.empty(n, dtype=value)
-    u_on, v_before = u[1:], v[:-1]  # U'(., j) and V'(., j + 1) for j < len_y
-    bits = np.empty((rows, n - 1), dtype=bool) if ties is not None else [None] * rows
-    add, minimum, accumulate, greater, take = (
-        np.add, np.minimum, np.minimum.accumulate, np.greater, np.take)
-    for at in range(0, lx, rows):
-        # F' and E' of rows len_x - 1 - at on down as (row, cell) arrays, E'
-        # from k = 1
-        if f_tab is not None:
-            f = take(f_tab, f_rows[at:at + rows], axis=0)
-            e = take(e_tab, e_rows[at + 1:at + rows + 1], axis=0)
-        else:
-            x_at = x_rows[at:at + rows + 1]  # x[i], then x[i - 1] one row on
-            f = np.multiply(np.subtract(np.less_equal(x_at[:-1], y_cells), wrap_x[at:at + rows]),
-                            q, dtype=value)
-            e = np.multiply(np.subtract(np.less_equal(y_cells, x_at[1:]), wrap_y), q,
-                            dtype=value)
-        for fi, ei, tie in zip(f, e[:, :-1], bits):
-            add(u, fi, out=fi)
-            accumulate(fi, out=v)  # V'(i, .)
-            add(v_before, ei, out=ei)
-            if tie is not None:
-                greater(u_on, ei, out=tie)
-            minimum(u_on, ei, out=u_on)  # U'(i, .)
-        if ties is not None:
-            ties += map(bytes, np.packbits(bits[:len(f)], axis=1))
-    return int(u[ly])
 
 
 def dp_solve(x, y, q: int) -> DpTable:
@@ -414,38 +300,12 @@ def _t_star_lanes(xs, ys, q: int) -> list[int]:
     ly = y.shape[1]
     if not lx or not ly:
         return [_solo_time(z, q) for z in (x if lx else y).tolist()]
-    size = (ly + 9) // 8  # bytes a lane: bits 0 to len_y + 1, rounded up
-    width = 8 * size
-    # a = [x[i - 1] <= x[i - 2]] of row i, by row and lane; row 1 wraps
-    wraps = np.ones((lx, lanes), dtype=np.uint8)
-    np.less_equal(x[:, 1:], x[:, :-1], out=wraps[1:].T.view(bool))
-    # D's [y[j - 1] <= s] and B1's [s <= y[j - 2]] at bit j compare s with
-    # y placed one and two bits on; the padding compares false
-    yd = np.full((lanes, width), q, dtype=np.int64)
-    yd[:, 1:ly + 1] = y
-    yb = np.full((lanes, width), -1, dtype=np.int64)
-    yb[:, 2:ly + 2] = y
-    tables = None
-    if q <= min(128, lx):  # D and B1 of each lane and symbol, where x has as many rows
-        sym = np.arange(q)[:, None]
-        tables = _pack(np.less_equal(yd[:, None], sym)), _pack(np.less_equal(sym, yb[:, None]))
-    starts = int.from_bytes((b"\1" + bytes(size - 1)) * lanes, "little")  # each lane's bit 0
+    width, wraps, yd, yb, rows, tables, starts, c = _lanes(x, y, q)
     ns = (starts << width) - starts - starts  # every bit but each lane's bit 0
-    # C: bits 0 and 1, and [y[j - 1] <= y[j - 2]] at bit j from 2 on
-    c_bits = np.zeros((lanes, width), dtype=bool)
-    c_bits[:, :2] = True
-    np.less_equal(y[:, 1:], y[:, :-1], out=c_bits[:, 2:ly + 1])
-    c = _to_int(_pack(c_bits))
     hp, hn = c & ((1 << ly + 1) - 4) * starts, 0
     gp, gn = ((1 << ly + 2) - 4) * starts, 2 * starts
     if lanes == 1:
-        if tables:
-            d_ints = [d | w for d in map(_to_int, tables[0][0]) for w in (0, 1)]
-            b_ints = list(map(_to_int, tables[1][0]))
-            blocks = [(list(map(d_ints.__getitem__, (2 * x[0] + wraps[:, 0]).tolist())),
-                       list(map(b_ints.__getitem__, x[0].tolist())))]
-        else:
-            blocks = _mask_blocks(x, wraps, yd, yb, tables)
+        blocks = _copied_blocks(rows, wraps, yd, yb, tables, starts)
         for ds, bs in blocks:
             for d, b1 in zip(ds, bs):
                 if d & 1:  # a = 1, so gN = 0
@@ -476,7 +336,7 @@ def _t_star_lanes(xs, ys, q: int) -> list[int]:
         y_end = int(wraps.sum()) + 1 + (hp & cells).bit_count() - (hn & cells).bit_count()
         x_end = y_end + (gp >> ly + 1 & 1) - (gn >> ly + 1 & 1)
         return [min(q * x_end + int(x[0, -1]), q * y_end + int(y[0, -1])) - (q - 1)]
-    for ds, bs in _mask_blocks(x, wraps, yd, yb, tables):
+    for ds, bs in _mask_blocks(rows, wraps, yd, yb, tables):
         for d, b1 in zip(ds, bs):
             st = d & starts
             am = (st << width) - st  # every bit of the lanes where a = 1
@@ -494,8 +354,8 @@ def _t_star_lanes(xs, ys, q: int) -> list[int]:
 
     # each vector's (lane, bit) array
     hp, hn, gp, gn = np.unpackbits(
-        np.frombuffer(b"".join(z.to_bytes(lanes * size, "little") for z in (hp, hn, gp, gn)),
-                      np.uint8).reshape(4, lanes, size), axis=2, bitorder="little").view(np.int8)
+        np.frombuffer(b"".join(z.to_bytes(lanes * width // 8, "little") for z in (hp, hn, gp, gn)),
+                      np.uint8).reshape(4, lanes, -1), axis=2, bitorder="little").view(np.int8)
     y_end = wraps.sum(0, dtype=np.int64) + 1 + hp[:, 1:ly + 1].sum(1) - hn[:, 1:ly + 1].sum(1)
     x_end = y_end + gp[:, ly + 1] - gn[:, ly + 1]
     return (np.minimum(q * x_end + x[:, -1], q * y_end + y[:, -1]) - (q - 1)).tolist()
@@ -510,12 +370,48 @@ def _to_int(packed) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
+def _lanes(x, y, q: int):
+    """A block's set-up from its (lane, symbol) arrays: the lane width, the rows' wrap bits, y
+    placed for D and B1, the mask rows and tables, each lane's bit 0 and C."""
+    lanes, lx = x.shape
+    ly = y.shape[1]
+    size = (ly + 9) // 8  # bytes a lane: bits 0 to len_y + 1, rounded up
+    # a = [x[i - 1] <= x[i - 2]] of row i, by row and lane; row 1 wraps
+    wraps = np.ones((lx, lanes), dtype=np.uint8)
+    np.less_equal(x[:, 1:], x[:, :-1], out=wraps[1:].T.view(bool))
+    # D's [y[j - 1] <= s] and B1's [s <= y[j - 2]] at bit j compare s with
+    # y placed one and two bits on; the padding compares false
+    yd = np.full((lanes, 8 * size), q, dtype=np.int64)
+    yd[:, 1:ly + 1] = y
+    yb = np.full((lanes, 8 * size), -1, dtype=np.int64)
+    yb[:, 2:ly + 2] = y
+    starts = int.from_bytes((b"\1" + bytes(size - 1)) * lanes, "little")
+    # C: bits 0 and 1, and [y[j - 1] <= y[j - 2]] at bit j from 2 on
+    c = _to_int(_pack(np.less_equal(yd, yb))) | 3 * starts
+    return 8 * size, wraps, yd, yb, *_mask_tables(x, yd, yb, q), starts, c
+
+
+def _mask_tables(x, yd, yb, q: int):
+    """The rows' table indices and the lanes' D and B1 tables, or x and None without tables.
+
+    A table holds one row per symbol: all q of them for q <= 128, else the
+    symbols x uses. It is built where those are at most 128 and at most
+    len_x, so building it costs no more than comparing x's rows would.
+    """
+    syms = np.arange(q) if q <= 128 else np.unique(x)
+    if len(syms) > min(128, x.shape[1]):
+        return x, None
+    sym = syms[:, None]
+    tables = _pack(np.less_equal(yd[:, None], sym)), _pack(np.less_equal(sym, yb[:, None]))
+    return (x if q <= 128 else np.searchsorted(syms, x)), tables
+
+
 def _mask_blocks(x, wraps, yd, yb, tables):
     """D and B1 of each row as ints, a list of each a block of rows.
 
-    A block gathers the rows' masks from the lanes' ``tables`` or, without
-    them, compares the rows' symbols with yd and yb, and fills at most
-    _CELL_BLOCK bytes a mask.
+    A block gathers the rows' masks from the lanes' ``tables``, x then
+    holding each row's table index, or, without them, compares the rows'
+    symbols x with yd and yb, and fills at most _CELL_BLOCK bytes a mask.
     """
     lanes, lx = x.shape
     n = lanes * yd.shape[1] // 8  # bytes a mask
@@ -529,6 +425,83 @@ def _mask_blocks(x, wraps, yd, yb, tables):
         d[:, :, 0] |= wraps[at:at + len(s)]
         yield [[int.from_bytes(m[o:o + n], "little") for o in range(0, len(m), n)]
                for m in (d.tobytes(), b.tobytes())]
+
+
+def _copied_blocks(rows, wraps, yd, yb, tables, starts):
+    """_mask_blocks' blocks for one lane, or for lanes that each read the same masks.
+
+    With tables, one block read from Python ints of each symbol's masks,
+    copied into every lane, which costs less than gathering packed bytes.
+    """
+    if not tables:
+        return _mask_blocks(rows, wraps, yd, yb, None)
+    d_ints = [_to_int(d) | w for d in tables[0].swapaxes(0, 1) for w in (0, starts)]
+    b_ints = list(map(_to_int, tables[1].swapaxes(0, 1)))
+    return [(list(map(d_ints.__getitem__, (2 * rows[0] + wraps[:, 0]).tolist())),
+             list(map(b_ints.__getitem__, rows[0].tolist())))]
+
+
+def _tie_rows(x, y, q: int) -> tuple[int, list[int]]:
+    """The pair's optimum and one int of tie bits a row, from two lanes on the reversed pair.
+
+    Runs the bit kernel on x~ and y~ as the module docstring sets out: row
+    r, r = 1 to len_x, appends an int whose bit len_y + 1 - j is set where
+    Y wins the tie at cell (len_x - r, j). The strands are already valid and
+    _check_range passes: nothing is checked. An empty strand leaves no tie.
+    """
+    lx, ly = len(x), len(y)
+    if not lx or not ly:
+        return _solo_time(x if lx else y, q), []
+    low, high = sorted((x[-1], y[-1]))  # e(1) and e(0)
+    # lane p starts at p = q - 1 - high, lane u at q - 1 where x ends on high
+    # and else below y~[0] = p, one count less: row 1 then wraps in both or
+    # in neither, and HN's bit 1 is set where y~[0] is above the start
+    shift, flat = int(x[-1] < y[-1]), int(y[-1] < x[-1])
+    z = np.subtract(q - 1, (x[::-1] + y[::-1]) * 2, dtype=np.int64).reshape(2, lx + ly)
+    width, wraps, yd, yb, rows, tables, starts, c = _lanes(z[:, :lx], z[:, lx:], q)  # x~, y~
+    wraps[0] = 1 - shift
+    ns = (starts << width) - starts - starts
+    hp, hn = c & ((1 << ly + 1) - 4) * starts, (shift | flat << width) << 1
+    gp, gn = ((1 << ly + 2) - 4) * starts, 2 * starts
+    cells = (1 << ly + 2) - 4  # lane u's columns 1 to len_y, as GP1 holds them
+    f = cells * flat  # Y_u - Y_p, as GP1 holds it
+    ties: list[int] = []
+    tie = ties.append
+    for ds, bs in _copied_blocks(rows, wraps, yd, yb, tables, starts):
+        for d, b1 in zip(ds, bs):  # _t_star_lanes' one-lane bodies
+            if d & 1:
+                g_p = b1 ^ (b1 & gn)
+                a = hp ^ hn ^ d ^ g_p
+                s = a & ((c ^ hp) | hn)
+                v = (((a + s) ^ a) & a) | s
+                v1 = (v << 1) & ns
+                t = (hp | v) & (hn | v1)
+                hp = (hp ^ v ^ t) & ns
+                hn ^= v1 ^ t
+                w = g_p & v1
+                gp = g_p ^ w
+                gn = v1 ^ w
+            else:
+                g_p = b1 & gp
+                a = hp ^ hn ^ d ^ (g_p | (gn & (hn | d)))
+                s = a & ((c ^ hp) | hn)
+                v = (((a + s) ^ a) & a) | s
+                v1 = (v << 1) & ns
+                t = (hp | v) & (hn | v1)
+                hp ^= v ^ t
+                hn ^= v1 ^ t
+                w = g_p & v1
+                gp = g_p ^ w
+                gn |= v1 ^ w
+            f ^= v1 ^ (v1 >> width)
+            tie((gp | (f & (gp >> width))) & cells)
+    lane = (1 << ly + 1) - 2  # lane u's bits 1 to len_y
+    y_u = int(wraps[:, 0].sum()) + shift + 1 + (hp & lane).bit_count() - (hn & lane).bit_count()
+    g_u = (gp >> ly + 1 & 1) - (gn >> ly + 1 & 1)
+    g_p = (gp >> width + ly + 1 & 1) - (gn >> width + ly + 1 & 1)
+    f = f >> ly + 1 & 1
+    end = high, low
+    return min(q * (y_u + g_u) + end[g_u + f - g_p], q * y_u + end[f]) - (q - 1), ties
 
 
 @dataclass(frozen=True)
@@ -583,7 +556,7 @@ def optimal_schedule(x, y, q: int) -> OptimalResult:
     Equals reconstruct(x, y, dp_solve(x, y, q)). The schedule is the greedy
     walk of model._run: the strand whose next symbol comes round first
     advances after that many idles, and when both come round in the same
-    slot the tie bit _row_sweep keeps for the cell picks X iff W(i + 1, j,
+    slot the tie bit _tie_rows keeps for the cell picks X iff W(i + 1, j,
     X) <= W(i, j + 1, Y), reconstruct's rule. Refuses, before allocating, more
     than MAX_TIE_BITS cells or q * (len_x + len_y + 1) >= 2**60, and before
     the walk an optimum of more than MAX_SCHEDULE_SLOTS slots; raises
@@ -597,16 +570,14 @@ def optimal_schedule(x, y, q: int) -> OptimalResult:
     cells = (lx + 1) * (ly + 1)
     if cells > MAX_TIE_BITS:
         raise BudgetExceededError(cells, MAX_TIE_BITS, what="tie-bit table", unit="bits")
-    ties: list[bytes] = []  # row i at ties[lx - 1 - i]
-    slots = _row_sweep(x, y, q, ties)
+    slots, ties = _tie_rows(x, y, q)  # row i at ties[lx - 1 - i]
     if slots > MAX_SCHEDULE_SLOTS:
         raise BudgetExceededError(slots, MAX_SCHEDULE_SLOTS, what="optimal schedule",
                                   unit="slots")
-    last_x, last_y = lx - 1, ly - 1
+    last_x, top = lx - 1, ly + 1
 
     def tie_bit(i, j, t, n):
-        k = last_y - j  # cell (i, j) within its row
-        return not (ties[last_x - i][k >> 3] >> (7 - (k & 7))) & 1
+        return not ties[last_x - i] >> (top - j) & 1  # Y's win at cell (i, j)
 
     return _walk(x, y, q, tie_bit, slots, "tie-bit walk", "the solver")
 

@@ -177,23 +177,23 @@ class TestOptimalSchedule:
         assert "bits" in str(err.value)
 
     def test_rejects_tie_bits_that_miss_the_optimum(self, monkeypatch):
-        row_sweep = optimal._row_sweep
+        tie_rows = optimal._tie_rows
 
-        def flipped(x, y, q, ties):
-            root = row_sweep(x, y, q, ties)
-            ties[:] = [bytes(255 - b for b in row) for row in ties]
-            return root
+        def flipped(x, y, q):
+            root, ties = tie_rows(x, y, q)
+            every = (1 << len(y) + 2) - 4  # a row's tie bits, columns 1 to len_y
+            return root, [row ^ every for row in ties]
 
-        monkeypatch.setattr(optimal, "_row_sweep", flipped)
+        monkeypatch.setattr(optimal, "_tie_rows", flipped)
         with pytest.raises(TableIntegrityError):
             optimal_schedule((0, 1), (0, 0), 2)
 
     def test_t_star_builds_no_tie_bits(self, monkeypatch):
         """t_star never runs the tie-bit kernel."""
         def refuse(*args, **kwargs):
-            raise AssertionError("t_star ran the row sweep")
+            raise AssertionError("t_star ran the tie-bit kernel")
 
-        monkeypatch.setattr(optimal, "_row_sweep", refuse)
+        monkeypatch.setattr(optimal, "_tie_rows", refuse)
         assert t_star(X1, Y1, 4) == 11
 
 
@@ -240,7 +240,7 @@ def lone_lane_instances(draw):
 
 def _stub_kernels(monkeypatch):
     """Make both solver kernels fail on any call, so a refusal must come first."""
-    monkeypatch.setattr(optimal, "_row_sweep", None)
+    monkeypatch.setattr(optimal, "_tie_rows", None)
     monkeypatch.setattr(optimal, "_t_star_lanes", None)
 
 
@@ -264,13 +264,15 @@ def _mask_reads(monkeypatch):
 
 
 class TestRowSweep:
+    """The tie-bit kernel's root, and t_star's lone lane at the table crossover."""
+
     @settings(max_examples=300, deadline=None)
     @given(solver_instances(), st.integers(1, 64))
     def test_equals_table_root_and_the_oracle(self, instance, band):
-        """Blocks of 1 to 64 cells split rows as well as holding several."""
+        """Blocks of 1 to 64 bytes a mask gather one row at a time as well as several."""
         q, x, y = instance
         with mock.patch.object(optimal, "_CELL_BLOCK", band):
-            got = optimal._row_sweep(x, y, q)
+            got = optimal._tie_rows(x, y, q)[0]
         assert got == dp_solve(x, y, q).value(0, 0, 0)
         if len(x) <= 6 and len(y) <= 6:
             assert got == enumerate_interleavings_min(x, y, q)
@@ -281,7 +283,7 @@ class TestRowSweep:
         """From len_x = q on, t_star's one lane reads its masks from symbol tables."""
         q, x, y = instance
         assume(len(x) >= q)
-        assert t_star(x, y, q) == optimal._row_sweep(x, y, q) == dp_solve(x, y, q).value(0, 0, 0)
+        assert t_star(x, y, q) == optimal._tie_rows(x, y, q)[0] == dp_solve(x, y, q).value(0, 0, 0)
 
     @pytest.mark.parametrize("q", [2, 4])
     def test_one_lane_equals_rows_at_the_crossover(self, monkeypatch, rng, q):
@@ -290,7 +292,7 @@ class TestRowSweep:
         for len_x in (q - 1, q):
             x, y = random_pair(rng, q, 300)
             x = x[:len_x]
-            assert t_star(x, y, q) == optimal._row_sweep(x, y, q)
+            assert t_star(x, y, q) == dp_solve(x, y, q).value(0, 0, 0)
         assert reads == [(False, [q - 1])]  # only the shorter x gathered masks
 
     def test_eleven_lanes_at_length_200_split_rows(self, monkeypatch):
@@ -298,10 +300,58 @@ class TestRowSweep:
         pairs = [random_pair(trial_rng(8, idx), 2, 200) for idx in range(11)]
         xs, ys = zip(*pairs)
         reads = _mask_reads(monkeypatch)
-        assert optimal._t_star_lanes(xs, ys, 2) == [optimal._row_sweep(x, y, 2) for x, y in pairs]
+        expected = [dp_solve(x, y, 2).value(0, 0, 0) for x, y in pairs]
+        assert optimal._t_star_lanes(xs, ys, 2) == expected
         rows = optimal._CELL_BLOCK // (11 * 26)
         assert rows == 114
         assert reads == [(True, [rows, 200 - rows])]
+
+
+@st.composite
+def pair_instances(draw):
+    """A pair at each alphabet the tie-bit kernel treats apart, lengths 0 to 14, and a block of
+    1 to 8 bytes a mask; in some the strands end on one symbol, in some a strand is one symbol
+    repeated."""
+    q = draw(st.sampled_from([2, 3, 4, 7, 128, 129, 300]))
+    strand = st.lists(st.integers(0, q - 1), max_size=14).map(tuple)
+    x, y = draw(strand), draw(strand)
+    if x and y and draw(st.booleans()):
+        y = y[:-1] + x[-1:]
+    if x and draw(st.booleans()):
+        x = x[:1] * len(x)
+    if y and draw(st.booleans()):
+        y = y[-1:] * len(y)
+    return q, x, y, draw(st.integers(1, 8))
+
+
+class TestTieRows:
+    @settings(max_examples=400, deadline=None)
+    @given(pair_instances())
+    @example((2, (0, 1), (0, 0), 1))
+    @example((7, (6, 0, 6, 1, 5), (1, 6, 0, 6), 2))  # unequal end symbols, compared in blocks
+    @example((300, (299, 0, 299), (299,), 1))
+    def test_tie_bits_follow_the_table_and_the_root_is_t_star(self, instance):
+        """At every tie cell the bit is reconstruct's rule on dp_solve's table: set iff Y's entry
+        after the tie is the smaller. Comparisons gather their masks in blocks of rows."""
+        q, x, y, band = instance
+        table = dp_solve(x, y, q)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimal, "_CELL_BLOCK", band)
+            reads = _mask_reads(patch)
+            root, ties = optimal._tie_rows(x, y, q)
+        assert root == t_star(x, y, q) == table.value(0, 0, 0)
+        lx, ly = len(x), len(y)
+        assert len(ties) == (lx if ly else 0)
+        for i, j in product(range(lx), range(ly)):
+            if x[i] == y[j]:
+                after = (x[i] + 1) % q  # the emission after the tie's slot
+                y_wins = table.value(i + 1, j, after) > table.value(i, j + 1, after)
+                assert (ties[lx - 1 - i] >> (ly + 1 - j) & 1) == y_wins
+        if lx and ly and q <= 128 and lx < q:  # comparisons, 2 lanes of whole bytes a mask
+            rows = max(1, band // (2 * ((ly + 9) // 8)))
+            assert reads == [(False, [min(rows, lx - at) for at in range(0, lx, rows)])]
+        else:
+            assert reads == []
 
 
 class TestLanes:
@@ -343,15 +393,16 @@ class TestLanes:
                 assert t == dp_solve(x, y, q).value(0, 0, 0)
             if len(x) + len(y) <= 8:
                 assert t == enumerate_interleavings_min(x, y, q)
-        assert got == [optimal._row_sweep(x, y, q) for x, y in zip(xs, ys)]
+        assert got == [optimal._tie_rows(x, y, q)[0] for x, y in zip(xs, ys)]
 
     @pytest.mark.parametrize("q", [127, 128, 129])
     @pytest.mark.parametrize("lanes, len_x", [(1, 127), (1, 128), (1, 130), (3, 129)])
     def test_tables_and_comparisons_at_their_bounds(self, q, lanes, len_x):
-        """Tables from q <= 128 and len_x >= q on, comparisons elsewhere, and one row a block."""
+        """Tables of all q symbols from q <= 128 and len_x >= q on, of x's own symbols above q = 128,
+        comparisons elsewhere, and one row a block."""
         pairs = [_seeded_pair(q + b, q, len_x, 40) for b in range(lanes)]
         xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-        expected = [optimal._row_sweep(x, y, q) for x, y in pairs]
+        expected = [dp_solve(x, y, q).value(0, 0, 0) for x, y in pairs]
         assert optimal._t_star_lanes(xs, ys, q) == expected
         with mock.patch.object(optimal, "_CELL_BLOCK", 1):
             assert optimal._t_star_lanes(xs, ys, q) == expected
@@ -375,7 +426,8 @@ class TestLanes:
     @pytest.mark.parametrize("extra", [-1, 5])
     def test_lone_lane_reads_tables_or_compares_on_rows_of_both_wrap_bits(self, monkeypatch, q,
                                                                           extra):
-        """len_x = q - 1 compares symbols, len_x = q + 5 reads tables up to q = 128."""
+        """len_x = q - 1 compares symbols, len_x = q + 5 reads tables up to q = 128; above it, x
+        reads tables of its own symbols where it uses at most 128."""
         pairs = [_seeded_pair(q + b, q, q + extra, 40) for b in range(3)]
         xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
         x = xs[0]
@@ -383,9 +435,9 @@ class TestLanes:
             assert {x[i] <= x[i - 1] for i in range(1, len(x))} == {True, False}
         reads = _mask_reads(monkeypatch)
         lone = optimal._t_star_lanes([x], [ys[0]], q)
-        tabled = q <= 128 and extra > 0
+        tabled = extra > 0 if q <= 128 else len(set(x)) <= 128
         assert reads == ([] if tabled else [(False, [len(x)])])
-        assert lone == optimal._t_star_lanes(xs, ys, q)[:1] == [optimal._row_sweep(x, ys[0], q)]
+        assert lone == optimal._t_star_lanes(xs, ys, q)[:1] == [dp_solve(x, ys[0], q).value(0, 0, 0)]
 
     @pytest.mark.parametrize("q", [2, 4, 129])
     def test_lone_lane_on_one_symbol_and_ascending_strands(self, q):
@@ -404,6 +456,28 @@ class TestLanes:
         xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
         assert [t_star(x, y, q) for x, y in pairs] == optimal._t_star_lanes(xs, ys, q)
 
+    @pytest.mark.parametrize("q", [129, 300, 10**6])
+    def test_large_alphabets_table_the_symbols_x_uses(self, monkeypatch, q):
+        """Strands of 5 symbols of a large alphabet read tables of those symbols, one lane or
+        three, in t_star and in the tie-bit kernel; dp_solve's table agrees, or at q = 10**6,
+        where its table would hold q values a cell, the oracle."""
+        gen = trial_rng(q, 0)
+        syms = (0, 1, q // 2, q - 2, q - 1)
+        pairs = [tuple(tuple(gen.choice(syms, n).tolist()) for n in (10, 5)) for _ in range(3)]
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        reads = _mask_reads(monkeypatch)
+        got = [t_star(x, y, q) for x, y in pairs]
+        assert got == optimal._t_star_lanes(xs, ys, q)
+        assert got == [optimal._tie_rows(x, y, q)[0] for x, y in pairs]
+        assert reads == [(True, [10])]  # only the three lanes gathered, from their tables
+        for (x, y), t in zip(pairs, got):
+            if q < 10**6:
+                table = dp_solve(x, y, q)
+                assert table.value(0, 0, 0) == t
+                assert optimal_schedule(x, y, q) == reconstruct(x, y, table)
+            else:
+                assert enumerate_interleavings_min(x, y, q) == t
+
     @settings(max_examples=200, deadline=None)
     @given(solver_instances(), st.integers(1, 64))
     def test_band_size_changes_no_table_and_no_schedule(self, instance, band):
@@ -413,64 +487,58 @@ class TestLanes:
             assert (dp_solve(x, y, q), optimal_schedule(x, y, q)) == reference
 
 
-def _takes(monkeypatch):
-    """A list that counts np.take calls, the cross-term tables' only reader in the solver."""
-    calls = []
-    take = np.take
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return take(*args, **kwargs)
-
-    monkeypatch.setattr(optimal.np, "take", counted)
-    return calls
+def _no_tables():
+    """Make both bit kernels compare every row's symbols with y, as where tables would not pay."""
+    return mock.patch.object(optimal, "_mask_tables", lambda x, yd, yb, q: (x, None))
 
 
 class TestTables:
-    """E' and F' read from per-lane symbol tables, where they fit a block and a block is filled."""
+    """The bit kernels' D and B1 read from per-symbol tables where those pay, and compared from y
+    elsewhere: both give the same roots and the same tie bits."""
 
     @settings(max_examples=100, deadline=None)
     @given(lane_instances(st.integers(2, 4), lanes=1, length=24))
     def test_tables_equal_comparisons_and_the_table_root(self, instance):
-        q, (x,), (y,), _ = instance
-        assume(len(x) >= 3 * q)
+        q, (x,), (y,), band = instance
+        assume(len(x) >= q)  # both kernels table every symbol
         expected = dp_solve(x, y, q).value(0, 0, 0)
-        # 3 q rows a block: tables over several blocks; then one block of comparisons
-        for block in (3 * q * (len(y) + 1), 1 << 40):
-            with mock.patch.object(optimal, "_CELL_BLOCK", block):
-                assert optimal._row_sweep(x, y, q) == expected
+        tabled = optimal._tie_rows(x, y, q)
+        assert tabled[0] == t_star(x, y, q) == expected
+        # comparisons, in blocks of rows of 1 to 64 bytes a mask
+        with _no_tables(), mock.patch.object(optimal, "_CELL_BLOCK", band):
+            assert optimal._tie_rows(x, y, q) == tabled
+            assert t_star(x, y, q) == expected
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_tie_bits_equal_under_tables_and_comparisons(self, monkeypatch, q):
         x, y = _seeded_pair(23 + q, q, 40, 33)
         reference = reconstruct(x, y, dp_solve(x, y, q))
-        takes = _takes(monkeypatch)
-        for block in (3 * q * 34, 1 << 40):
-            with mock.patch.object(optimal, "_CELL_BLOCK", block):
-                assert optimal_schedule(x, y, q) == reference
-        assert takes  # the first block setting read the tables
+        reads = _mask_reads(monkeypatch)
+        assert optimal_schedule(x, y, q) == reference
+        with _no_tables():
+            assert optimal_schedule(x, y, q) == reference
+        assert reads == [(False, [40])]  # only the second compared symbols
 
     def test_block_past_the_table_budget_compares_symbols(self, monkeypatch):
-        """Tables for q = 10**6 would outgrow a 6-cell block the sweep fills: it compares instead."""
+        """An x of 129 symbols of a q = 10**6 alphabet is past the 128 symbols a table holds: both
+        kernels compare its rows with y. Without its first symbol, x reads tables of its own."""
         q = 10**6
-        takes = _takes(monkeypatch)
-        xs = [(q - 1, 0, 5, 5, q - 2, 1) * 2, (3, 3, 2, 1, 0, q - 1) * 2]
-        ys = [(0, q - 1, 2, 2, 7), (q - 1, q - 1, 0, 1, 2)]
-        with mock.patch.object(optimal, "_CELL_BLOCK", 6):  # a block is filled
-            got = [optimal._row_sweep(x, y, q) for x, y in zip(xs, ys)]
-        assert got == [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
-        assert takes == []
+        x = tuple(trial_rng(31, 0).choice(q, 129, replace=False).tolist())
+        y = (x[5],)
+        expected = [enumerate_interleavings_min(z, y, q) for z in (x, x[1:])]
+        reads = _mask_reads(monkeypatch)
+        assert [t_star(z, y, q) for z in (x, x[1:])] == expected
+        assert [optimal._tie_rows(z, y, q)[0] for z in (x, x[1:])] == expected
+        assert reads == [(False, [129])] * 2
 
     def test_one_block_compares_symbols(self, monkeypatch):
-        """A sweep of fewer cells than a block builds no tables: they would not pay."""
-        takes = _takes(monkeypatch)
-        x, y = _seeded_pair(3, 4, 100, 100)
-        assert 101 * 100 < optimal._CELL_BLOCK
-        assert optimal._row_sweep(x, y, 4) == dp_solve(x, y, 4).value(0, 0, 0)
-        assert takes == []
-        x, y = _seeded_pair(3, 4, 400, 100)
-        assert optimal._row_sweep(x, y, 4) == dp_solve(x, y, 4).value(0, 0, 0)
-        assert takes
+        """An x shorter than its alphabet builds no tables for the tie-bit kernel: they would not
+        pay. From len_x = q on it reads them."""
+        reads = _mask_reads(monkeypatch)
+        for len_x in (3, 4):
+            x, y = _seeded_pair(3, 4, len_x, 100)
+            assert optimal_schedule(x, y, 4) == reconstruct(x, y, dp_solve(x, y, 4))
+        assert reads == [(False, [3])]
 
 
 @st.composite
@@ -498,7 +566,7 @@ class TestSplitSweep:
         for x, y, t in zip(xs, ys, expected):
             if len(x) + len(y) <= 12:
                 assert t == enumerate_interleavings_min(x, y, q)
-        assert [optimal._row_sweep(x, y, q) for x, y in zip(xs, ys)] == expected
+        assert [optimal._tie_rows(x, y, q)[0] for x, y in zip(xs, ys)] == expected
         # blocks of a few rows; then the whole sweep as one block
         for block in (band, 1 << 40):
             with mock.patch.object(optimal, "_CELL_BLOCK", block):
@@ -511,8 +579,8 @@ class TestSplitSweep:
         rows; one lane reads its tables as ints and gathers no block."""
         pairs = [_seeded_pair(100 * q + b, q, len_x, len_y) for b in range(lanes)]
         xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-        expected = [optimal._row_sweep(x, y, q) for x, y in pairs]
-        assert expected[0] == t_star(xs[0], ys[0], q) == dp_solve(xs[0], ys[0], q).value(0, 0, 0)
+        expected = [dp_solve(x, y, q).value(0, 0, 0) for x, y in pairs]
+        assert expected[0] == t_star(xs[0], ys[0], q)
         reads = _mask_reads(monkeypatch)
         mask = lanes * ((len_y + 9) // 8)  # bytes a mask
         for block in (optimal._CELL_BLOCK, 16 * mask):
@@ -546,20 +614,19 @@ class TestSplitSweep:
 
     def test_split_threshold_reaches_t_star(self, monkeypatch):
         """t_star's one lane at q = 129 compares symbols, 13 bytes a mask at len_y = 100, so
-        _CELL_BLOCK // 13 rows fill a block and one row more splits the sweep."""
+        _CELL_BLOCK // 13 rows fill a block and one row more splits the sweep. dp_solve's table
+        would be past its budget here, so the tie-bit kernel's root is the reference."""
         rows = optimal._CELL_BLOCK // 13
         x, y = _seeded_pair(5, 129, rows + 1, 100)
+        assert len(set(x)) == len(set(x[1:])) == 129  # past what a table holds
+        expected = [optimal._tie_rows(z, y, 129)[0] for z in (x, x[1:])]
         reads = _mask_reads(monkeypatch)
-        assert t_star(x, y, 129) == optimal._row_sweep(x, y, 129)
-        assert t_star(x[1:], y, 129) == optimal._row_sweep(x[1:], y, 129)
+        assert [t_star(z, y, 129) for z in (x, x[1:])] == expected
         assert reads == [(False, [rows, 1]), (False, [rows])]
 
 
 class TestSolverRange:
-    """No value exceeds q * (len_x + len_y), so int64 holds it; larger alphabets are refused first.
-
-    Below q * (len_x + len_y + 1) = 2**30 the kernels' values are int32.
-    """
+    """No value exceeds q * (len_x + len_y), so int64 holds it; larger alphabets are refused first."""
 
     def test_large_alphabet(self):
         assert t_star((0,), (1,), 10**8) == 2
@@ -576,7 +643,7 @@ class TestSolverRange:
         (4, 3, 2**30 // 8, np.int64),  # q * 8 = 2**30
     ])
     def test_value_type_boundary(self, len_x, len_y, q, value):
-        assert optimal._value_type(q, len_x, len_y) is value
+        """``value`` is the type the row sweep, since replaced by the tie-bit kernel, held them in."""
         # each pair opens on a tie at slot q that costs a round; in the first
         # every symbol wraps, so its shifted values come within q of the bound
         xs = [tuple(q - 1 - k for k in range(len_x)), (q - 1, 0, q - 2, 1)[:len_x]]
@@ -584,7 +651,7 @@ class TestSolverRange:
         expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
         assert [t_star(x, y, q) for x, y in zip(xs, ys)] == expected
         # optimal_schedule refuses these optima past MAX_SCHEDULE_SLOTS
-        assert [optimal._row_sweep(x, y, q, []) for x, y in zip(xs, ys)] == expected
+        assert [optimal._tie_rows(x, y, q)[0] for x, y in zip(xs, ys)] == expected
         assert optimal._t_star_lanes(xs, ys, q) == expected
 
     @pytest.mark.parametrize("q, value", [
@@ -592,16 +659,16 @@ class TestSolverRange:
         ((2**30 - 1) // 13 + 1, np.int64),
     ])
     def test_split_value_type_boundary(self, q, value):
-        """A 6 + 6 pair spans 13 q: its row sweep, split into blocks of one row or run whole,
-        holds int32 values up to 2**30 and int64 from it on, and the bit kernel agrees."""
-        assert optimal._value_type(q, 6, 6) is value
+        """A 6 + 6 pair spans 13 q, which the row sweep since replaced held as int32 values up to
+        2**30 and int64 from it on (``value``): the tie-bit kernel, its masks gathered a row a
+        block or all at once, and the bit kernel agree with the oracle on each side."""
         # every symbol wraps in the first pair, so its values come within q of the bound
         xs = [tuple(q - 1 - k for k in range(6)), (q - 1, 0, q - 2, 1, 0, q - 1)]
         ys = [tuple(q - 1 - k for k in range(6)), (q - 1, q - 1, 3, 0, q - 2, 2)]
         expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
         for block in (1, 1 << 40):
             with mock.patch.object(optimal, "_CELL_BLOCK", block):
-                assert [optimal._row_sweep(x, y, q, []) for x, y in zip(xs, ys)] == expected
+                assert [optimal._tie_rows(x, y, q)[0] for x, y in zip(xs, ys)] == expected
         assert optimal._t_star_lanes(xs, ys, q) == expected
 
     def test_split_block_past_the_int64_range_runs_unsplit(self, monkeypatch):
@@ -636,7 +703,7 @@ class TestSolverRange:
         x, y = (1, 1, 0, 1) * 20, (0, 1, 0, 0) * 20
 
         def solve():
-            rows = [optimal._row_sweep(a, b, 2) for a, b in ((x, y), (y, x), (x, x))]
+            rows = [optimal._tie_rows(a, b, 2)[0] for a, b in ((x, y), (y, x), (x, x))]
             return t_star(x, y, 2), optimal_schedule(x, y, 2), dp_solve(x, y, 2).values, rows
 
         expected = solve()
@@ -667,24 +734,22 @@ class TestSolverRange:
 
     @pytest.mark.parametrize("len_x, len_y", [(0, 0), (2, 1), (5, 9), (400, 3)])
     def test_range_check_refuses_exactly_where_no_value_type_holds(self, len_x, len_y):
-        """Each side of q (len_x + len_y + 1) = 2**60: below it a type holds the values and
-        _check_range passes; from it on neither does, and _check_range refuses."""
+        """Each side of q (len_x + len_y + 1) = 2**60: below it int64 holds the values and
+        _check_range passes; from it on _check_range refuses."""
         q = (2**60 - 1) // (len_x + len_y + 1)  # the widest alphabet below the bound
-        assert optimal._value_type(q, len_x, len_y) is not None
         optimal._check_range(q, len_x, len_y)
-        assert optimal._value_type(q + 1, len_x, len_y) is None
         with pytest.raises(UnsupportedAlphabetError, match="2\\*\\*60"):
             optimal._check_range(q + 1, len_x, len_y)
 
     @pytest.mark.parametrize("q, symbols", [(128, np.int8), (129, np.int64)])
     def test_symbol_type_boundary(self, q, symbols):
-        """Symbols and the q - 1 before a strand are int8 up to q = 128, where the bit kernel's
-        tables stop too; both kernels agree."""
-        assert optimal._symbol_type(q) is symbols
+        """The row sweep since replaced held symbols as int8 up to q = 128 (``symbols``), where the
+        bit kernels' tables of all q symbols stop too; past it they table the symbols the xs use,
+        and both kernels agree with the oracle."""
         xs = [(q - 1, 0, q - 1, q - 2), (q - 2, q - 1, 1, q - 1)]
         ys = [(q - 1, q - 1, 0, 1), (0, q - 1, q - 2, q - 1)]
         expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
-        assert [optimal._row_sweep(x, y, q) for x, y in zip(xs, ys)] == expected
+        assert [optimal._tie_rows(x, y, q)[0] for x, y in zip(xs, ys)] == expected
         assert optimal._t_star_lanes(xs, ys, q) == expected
 
 
