@@ -77,11 +77,9 @@ gP and gN share no bit, so with w = gP & v1, GP1 = gP ^ w and GN1 = gN |
 = 0, besides the test of a, and the end values are int.bit_count of
 masked ints.
 
-The masks are never built for all rows at once. Where x uses at most 128
-symbols, and no more than it has rows, each lane's D and B1 are tabled per
-symbol, a build that costs about what comparing that many rows does: for
-q <= 128 the table holds all q symbols, once x has q rows, and above it
-the symbols x uses, which its rows then index. One lane reads Python ints
+The masks are never built for all rows at once. For q <= 128, when x has
+at least q symbols, each lane's D and B1 are tabled per symbol, a build
+that costs about what comparing q rows does: one lane reads Python ints
 from its tables, and many lanes gather a block of rows' packed bytes,
 _CELL_BLOCK bytes a mask at most, and read each row with one
 int.from_bytes; Am is then (st << width) - st, st being D's lane-start
@@ -300,12 +298,12 @@ def _t_star_lanes(xs, ys, q: int) -> list[int]:
     ly = y.shape[1]
     if not lx or not ly:
         return [_solo_time(z, q) for z in (x if lx else y).tolist()]
-    width, wraps, yd, yb, rows, tables, starts, c = _lanes(x, y, q)
+    width, wraps, yd, yb, tables, starts, c = _lanes(x, y, q)
     ns = (starts << width) - starts - starts  # every bit but each lane's bit 0
     hp, hn = c & ((1 << ly + 1) - 4) * starts, 0
     gp, gn = ((1 << ly + 2) - 4) * starts, 2 * starts
     if lanes == 1:
-        blocks = _copied_blocks(rows, wraps, yd, yb, tables, starts)
+        blocks = _copied_blocks(x, wraps, yd, yb, tables, starts)
         for ds, bs in blocks:
             for d, b1 in zip(ds, bs):
                 if d & 1:  # a = 1, so gN = 0
@@ -336,7 +334,7 @@ def _t_star_lanes(xs, ys, q: int) -> list[int]:
         y_end = int(wraps.sum()) + 1 + (hp & cells).bit_count() - (hn & cells).bit_count()
         x_end = y_end + (gp >> ly + 1 & 1) - (gn >> ly + 1 & 1)
         return [min(q * x_end + int(x[0, -1]), q * y_end + int(y[0, -1])) - (q - 1)]
-    for ds, bs in _mask_blocks(rows, wraps, yd, yb, tables):
+    for ds, bs in _mask_blocks(x, wraps, yd, yb, tables):
         for d, b1 in zip(ds, bs):
             st = d & starts
             am = (st << width) - st  # every bit of the lanes where a = 1
@@ -372,7 +370,7 @@ def _to_int(packed) -> int:
 
 def _lanes(x, y, q: int):
     """A block's set-up from its (lane, symbol) arrays: the lane width, the rows' wrap bits, y
-    placed for D and B1, the mask rows and tables, each lane's bit 0 and C."""
+    placed for D and B1, the mask tables or None, each lane's bit 0 and C."""
     lanes, lx = x.shape
     ly = y.shape[1]
     size = (ly + 9) // 8  # bytes a lane: bits 0 to len_y + 1, rounded up
@@ -388,30 +386,19 @@ def _lanes(x, y, q: int):
     starts = int.from_bytes((b"\1" + bytes(size - 1)) * lanes, "little")
     # C: bits 0 and 1, and [y[j - 1] <= y[j - 2]] at bit j from 2 on
     c = _to_int(_pack(np.less_equal(yd, yb))) | 3 * starts
-    return 8 * size, wraps, yd, yb, *_mask_tables(x, yd, yb, q), starts, c
-
-
-def _mask_tables(x, yd, yb, q: int):
-    """The rows' table indices and the lanes' D and B1 tables, or x and None without tables.
-
-    A table holds one row per symbol: all q of them for q <= 128, else the
-    symbols x uses. It is built where those are at most 128 and at most
-    len_x, so building it costs no more than comparing x's rows would.
-    """
-    syms = np.arange(q) if q <= 128 else np.unique(x)
-    if len(syms) > min(128, x.shape[1]):
-        return x, None
-    sym = syms[:, None]
-    tables = _pack(np.less_equal(yd[:, None], sym)), _pack(np.less_equal(sym, yb[:, None]))
-    return (x if q <= 128 else np.searchsorted(syms, x)), tables
+    tables = None
+    if q <= min(128, lx):  # D and B1 of each lane and symbol, where x has as many rows
+        sym = np.arange(q)[:, None]
+        tables = _pack(np.less_equal(yd[:, None], sym)), _pack(np.less_equal(sym, yb[:, None]))
+    return 8 * size, wraps, yd, yb, tables, starts, c
 
 
 def _mask_blocks(x, wraps, yd, yb, tables):
     """D and B1 of each row as ints, a list of each a block of rows.
 
-    A block gathers the rows' masks from the lanes' ``tables``, x then
-    holding each row's table index, or, without them, compares the rows'
-    symbols x with yd and yb, and fills at most _CELL_BLOCK bytes a mask.
+    A block gathers the rows' masks from the lanes' ``tables`` or, without
+    them, compares the rows' symbols with yd and yb, and fills at most
+    _CELL_BLOCK bytes a mask.
     """
     lanes, lx = x.shape
     n = lanes * yd.shape[1] // 8  # bytes a mask
@@ -427,18 +414,18 @@ def _mask_blocks(x, wraps, yd, yb, tables):
                for m in (d.tobytes(), b.tobytes())]
 
 
-def _copied_blocks(rows, wraps, yd, yb, tables, starts):
+def _copied_blocks(x, wraps, yd, yb, tables, starts):
     """_mask_blocks' blocks for one lane, or for lanes that each read the same masks.
 
     With tables, one block read from Python ints of each symbol's masks,
     copied into every lane, which costs less than gathering packed bytes.
     """
     if not tables:
-        return _mask_blocks(rows, wraps, yd, yb, None)
+        return _mask_blocks(x, wraps, yd, yb, None)
     d_ints = [_to_int(d) | w for d in tables[0].swapaxes(0, 1) for w in (0, starts)]
     b_ints = list(map(_to_int, tables[1].swapaxes(0, 1)))
-    return [(list(map(d_ints.__getitem__, (2 * rows[0] + wraps[:, 0]).tolist())),
-             list(map(b_ints.__getitem__, rows[0].tolist())))]
+    return [(list(map(d_ints.__getitem__, (2 * x[0] + wraps[:, 0]).tolist())),
+             list(map(b_ints.__getitem__, x[0].tolist())))]
 
 
 def _tie_rows(x, y, q: int) -> tuple[int, list[int]]:
@@ -458,7 +445,8 @@ def _tie_rows(x, y, q: int) -> tuple[int, list[int]]:
     # in neither, and HN's bit 1 is set where y~[0] is above the start
     shift, flat = int(x[-1] < y[-1]), int(y[-1] < x[-1])
     z = np.subtract(q - 1, (x[::-1] + y[::-1]) * 2, dtype=np.int64).reshape(2, lx + ly)
-    width, wraps, yd, yb, rows, tables, starts, c = _lanes(z[:, :lx], z[:, lx:], q)  # x~, y~
+    x_r = z[:, :lx]  # x~ in both lanes, then y~
+    width, wraps, yd, yb, tables, starts, c = _lanes(x_r, z[:, lx:], q)
     wraps[0] = 1 - shift
     ns = (starts << width) - starts - starts
     hp, hn = c & ((1 << ly + 1) - 4) * starts, (shift | flat << width) << 1
@@ -467,7 +455,7 @@ def _tie_rows(x, y, q: int) -> tuple[int, list[int]]:
     f = cells * flat  # Y_u - Y_p, as GP1 holds it
     ties: list[int] = []
     tie = ties.append
-    for ds, bs in _copied_blocks(rows, wraps, yd, yb, tables, starts):
+    for ds, bs in _copied_blocks(x_r, wraps, yd, yb, tables, starts):
         for d, b1 in zip(ds, bs):  # _t_star_lanes' one-lane bodies
             if d & 1:
                 g_p = b1 ^ (b1 & gn)

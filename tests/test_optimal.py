@@ -347,11 +347,27 @@ class TestTieRows:
                 after = (x[i] + 1) % q  # the emission after the tie's slot
                 y_wins = table.value(i + 1, j, after) > table.value(i, j + 1, after)
                 assert (ties[lx - 1 - i] >> (ly + 1 - j) & 1) == y_wins
-        if lx and ly and q <= 128 and lx < q:  # comparisons, 2 lanes of whole bytes a mask
+        if lx and ly and lx < q:  # comparisons, 2 lanes of whole bytes a mask
             rows = max(1, band // (2 * ((ly + 9) // 8)))
             assert reads == [(False, [min(rows, lx - at) for at in range(0, lx, rows)])]
         else:
             assert reads == []
+
+
+def _ranked_root(x, y, q):
+    """t* from dp_solve's root on the pair with each symbol replaced by its rank among theirs.
+
+    A schedule emitting the merge z takes q N + z[-1] - (q - 1) slots, N
+    counting z's first symbol and its non-ascents, and z[-1] < q, so t* is
+    the least (N, z[-1]); ranks keep every comparison, hence that least pair.
+    """
+    syms = sorted(set(x + y))
+    if not syms:
+        return 0
+    rank = {s: k for k, s in enumerate(syms)}
+    r = max(2, len(syms))
+    t = dp_solve(tuple(map(rank.get, x)), tuple(map(rank.get, y)), r).value(0, 0, 0) + r - 1
+    return q * (t // r) + syms[t % r] - (q - 1)
 
 
 class TestLanes:
@@ -384,13 +400,16 @@ class TestLanes:
     @example((128, [(127, 127, 0)], [(0, 127, 0, 5)], 64))
     @example((2, [(1, 0)] * 3, [(0, 0, 1, 0)] * 3, 3))
     def test_every_alphabet_and_lane_count_equals_the_table_root_and_the_oracle(self, instance):
-        """Tables (q <= 128) and comparisons, one lane and many, rows blocked one at a time."""
+        """Tables (q <= 128) and comparisons, one lane and many, rows blocked one at a time. Where
+        dp_solve's table at q would be large, its table on the symbols' ranks is the reference."""
         q, xs, ys, band = instance
         with mock.patch.object(optimal, "_CELL_BLOCK", band):
             got = optimal._t_star_lanes(xs, ys, q)
         for x, y, t in zip(xs, ys, got):
             if (len(x) + 1) * (len(y) + 1) * q <= 10**4:
                 assert t == dp_solve(x, y, q).value(0, 0, 0)
+            else:
+                assert t == _ranked_root(x, y, q)
             if len(x) + len(y) <= 8:
                 assert t == enumerate_interleavings_min(x, y, q)
         assert got == [optimal._tie_rows(x, y, q)[0] for x, y in zip(xs, ys)]
@@ -398,8 +417,7 @@ class TestLanes:
     @pytest.mark.parametrize("q", [127, 128, 129])
     @pytest.mark.parametrize("lanes, len_x", [(1, 127), (1, 128), (1, 130), (3, 129)])
     def test_tables_and_comparisons_at_their_bounds(self, q, lanes, len_x):
-        """Tables of all q symbols from q <= 128 and len_x >= q on, of x's own symbols above q = 128,
-        comparisons elsewhere, and one row a block."""
+        """Tables from q <= 128 and len_x >= q on, comparisons elsewhere, and one row a block."""
         pairs = [_seeded_pair(q + b, q, len_x, 40) for b in range(lanes)]
         xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
         expected = [dp_solve(x, y, q).value(0, 0, 0) for x, y in pairs]
@@ -426,8 +444,7 @@ class TestLanes:
     @pytest.mark.parametrize("extra", [-1, 5])
     def test_lone_lane_reads_tables_or_compares_on_rows_of_both_wrap_bits(self, monkeypatch, q,
                                                                           extra):
-        """len_x = q - 1 compares symbols, len_x = q + 5 reads tables up to q = 128; above it, x
-        reads tables of its own symbols where it uses at most 128."""
+        """len_x = q - 1 compares symbols, len_x = q + 5 reads tables up to q = 128."""
         pairs = [_seeded_pair(q + b, q, q + extra, 40) for b in range(3)]
         xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
         x = xs[0]
@@ -435,7 +452,7 @@ class TestLanes:
             assert {x[i] <= x[i - 1] for i in range(1, len(x))} == {True, False}
         reads = _mask_reads(monkeypatch)
         lone = optimal._t_star_lanes([x], [ys[0]], q)
-        tabled = extra > 0 if q <= 128 else len(set(x)) <= 128
+        tabled = q <= 128 and extra > 0
         assert reads == ([] if tabled else [(False, [len(x)])])
         assert lone == optimal._t_star_lanes(xs, ys, q)[:1] == [dp_solve(x, ys[0], q).value(0, 0, 0)]
 
@@ -457,10 +474,10 @@ class TestLanes:
         assert [t_star(x, y, q) for x, y in pairs] == optimal._t_star_lanes(xs, ys, q)
 
     @pytest.mark.parametrize("q", [129, 300, 10**6])
-    def test_large_alphabets_table_the_symbols_x_uses(self, monkeypatch, q):
-        """Strands of 5 symbols of a large alphabet read tables of those symbols, one lane or
-        three, in t_star and in the tie-bit kernel; dp_solve's table agrees, or at q = 10**6,
-        where its table would hold q values a cell, the oracle."""
+    def test_large_alphabets_on_few_symbols_equal_the_table_root(self, monkeypatch, q):
+        """Strands of 5 symbols of a large alphabet compare their rows with y, one lane or three,
+        in t_star and in the tie-bit kernel; dp_solve's table agrees, or at q = 10**6, where its
+        table would hold q values a cell, the oracle."""
         gen = trial_rng(q, 0)
         syms = (0, 1, q // 2, q - 2, q - 1)
         pairs = [tuple(tuple(gen.choice(syms, n).tolist()) for n in (10, 5)) for _ in range(3)]
@@ -469,7 +486,7 @@ class TestLanes:
         got = [t_star(x, y, q) for x, y in pairs]
         assert got == optimal._t_star_lanes(xs, ys, q)
         assert got == [optimal._tie_rows(x, y, q)[0] for x, y in pairs]
-        assert reads == [(True, [10])]  # only the three lanes gathered, from their tables
+        assert reads == [(False, [10])] * 7  # 3 lone lanes, the block of 3, 3 tie-bit solves
         for (x, y), t in zip(pairs, got):
             if q < 10**6:
                 table = dp_solve(x, y, q)
@@ -489,7 +506,13 @@ class TestLanes:
 
 def _no_tables():
     """Make both bit kernels compare every row's symbols with y, as where tables would not pay."""
-    return mock.patch.object(optimal, "_mask_tables", lambda x, yd, yb, q: (x, None))
+    lanes = optimal._lanes
+
+    def untabled(x, y, q):
+        width, wraps, yd, yb, _, starts, c = lanes(x, y, q)
+        return width, wraps, yd, yb, None, starts, c
+
+    return mock.patch.object(optimal, "_lanes", untabled)
 
 
 class TestTables:
@@ -520,16 +543,16 @@ class TestTables:
         assert reads == [(False, [40])]  # only the second compared symbols
 
     def test_block_past_the_table_budget_compares_symbols(self, monkeypatch):
-        """An x of 129 symbols of a q = 10**6 alphabet is past the 128 symbols a table holds: both
-        kernels compare its rows with y. Without its first symbol, x reads tables of its own."""
+        """Past q = 128 no table is built, even where x is longer than its alphabet would need:
+        both kernels compare its rows with y."""
         q = 10**6
-        x = tuple(trial_rng(31, 0).choice(q, 129, replace=False).tolist())
-        y = (x[5],)
-        expected = [enumerate_interleavings_min(z, y, q) for z in (x, x[1:])]
+        xs = [(q - 1, 0, 5, 5, q - 2, 1) * 2, (3, 3, 2, 1, 0, q - 1) * 2]
+        ys = [(0, q - 1, 2, 2, 7), (q - 1, q - 1, 0, 1, 2)]
+        expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
         reads = _mask_reads(monkeypatch)
-        assert [t_star(z, y, q) for z in (x, x[1:])] == expected
-        assert [optimal._tie_rows(z, y, q)[0] for z in (x, x[1:])] == expected
-        assert reads == [(False, [129])] * 2
+        assert [t_star(x, y, q) for x, y in zip(xs, ys)] == expected
+        assert [optimal._tie_rows(x, y, q)[0] for x, y in zip(xs, ys)] == expected
+        assert reads == [(False, [12])] * 4
 
     def test_one_block_compares_symbols(self, monkeypatch):
         """An x shorter than its alphabet builds no tables for the tie-bit kernel: they would not
@@ -615,14 +638,15 @@ class TestSplitSweep:
     def test_split_threshold_reaches_t_star(self, monkeypatch):
         """t_star's one lane at q = 129 compares symbols, 13 bytes a mask at len_y = 100, so
         _CELL_BLOCK // 13 rows fill a block and one row more splits the sweep. dp_solve's table
-        would be past its budget here, so the tie-bit kernel's root is the reference."""
+        would be past its budget here, so the optima are literals, recorded on the numpy row sweep
+        the tie-bit kernel replaced."""
         rows = optimal._CELL_BLOCK // 13
         x, y = _seeded_pair(5, 129, rows + 1, 100)
-        assert len(set(x)) == len(set(x[1:])) == 129  # past what a table holds
-        expected = [optimal._tie_rows(z, y, 129)[0] for z in (x, x[1:])]
+        expected = [161835, 161706]  # x, then x without its first symbol
         reads = _mask_reads(monkeypatch)
         assert [t_star(z, y, 129) for z in (x, x[1:])] == expected
         assert reads == [(False, [rows, 1]), (False, [rows])]
+        assert [optimal._tie_rows(z, y, 129)[0] for z in (x, x[1:])] == expected
 
 
 class TestSolverRange:
@@ -638,14 +662,14 @@ class TestSolverRange:
         lanes = optimal._t_star_lanes([(1, 0), (q - 1, q - 2)], [(0,), (q - 1,)], q)
         assert lanes == [q + 1, 2 * q]
 
-    @pytest.mark.parametrize("len_x, len_y, q, value", [
-        (3, 3, (2**30 - 1) // 7, np.int32),  # q * 7 = 2**30 - 1
-        (4, 3, 2**30 // 8, np.int64),  # q * 8 = 2**30
+    @pytest.mark.parametrize("len_x, len_y, q", [  # each id's last part only keeps it stable
+        pytest.param(3, 3, (2**30 - 1) // 7, id="3-3-153391689-int32"),  # q * 7 = 2**30 - 1
+        pytest.param(4, 3, 2**30 // 8, id="4-3-134217728-int64"),  # q * 8 = 2**30
     ])
-    def test_value_type_boundary(self, len_x, len_y, q, value):
-        """``value`` is the type the row sweep, since replaced by the tie-bit kernel, held them in."""
+    def test_value_type_boundary(self, len_x, len_y, q):
+        """Each side of q (len_x + len_y + 1) = 2**30, every kernel agrees with the oracle."""
         # each pair opens on a tie at slot q that costs a round; in the first
-        # every symbol wraps, so its shifted values come within q of the bound
+        # every symbol wraps
         xs = [tuple(q - 1 - k for k in range(len_x)), (q - 1, 0, q - 2, 1)[:len_x]]
         ys = [tuple(q - 1 - k for k in range(len_y)), (q - 1, q - 1, 3)]
         expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
@@ -654,15 +678,14 @@ class TestSolverRange:
         assert [optimal._tie_rows(x, y, q)[0] for x, y in zip(xs, ys)] == expected
         assert optimal._t_star_lanes(xs, ys, q) == expected
 
-    @pytest.mark.parametrize("q, value", [
-        ((2**30 - 1) // 13, np.int32),  # 13 q = 2**30 - 1
-        ((2**30 - 1) // 13 + 1, np.int64),
+    @pytest.mark.parametrize("q", [  # each id's last part only keeps it stable
+        pytest.param((2**30 - 1) // 13, id="82595524-int32"),  # 13 q = 2**30 - 1
+        pytest.param((2**30 - 1) // 13 + 1, id="82595525-int64"),
     ])
-    def test_split_value_type_boundary(self, q, value):
-        """A 6 + 6 pair spans 13 q, which the row sweep since replaced held as int32 values up to
-        2**30 and int64 from it on (``value``): the tie-bit kernel, its masks gathered a row a
-        block or all at once, and the bit kernel agree with the oracle on each side."""
-        # every symbol wraps in the first pair, so its values come within q of the bound
+    def test_split_value_type_boundary(self, q):
+        """A 6 + 6 pair spans 13 q: on each side of 13 q = 2**30 the tie-bit kernel, its masks
+        gathered a row a block or all at once, and the bit kernel agree with the oracle."""
+        # every symbol wraps in the first pair
         xs = [tuple(q - 1 - k for k in range(6)), (q - 1, 0, q - 2, 1, 0, q - 1)]
         ys = [tuple(q - 1 - k for k in range(6)), (q - 1, q - 1, 3, 0, q - 2, 2)]
         expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
@@ -741,11 +764,11 @@ class TestSolverRange:
         with pytest.raises(UnsupportedAlphabetError, match="2\\*\\*60"):
             optimal._check_range(q + 1, len_x, len_y)
 
-    @pytest.mark.parametrize("q, symbols", [(128, np.int8), (129, np.int64)])
-    def test_symbol_type_boundary(self, q, symbols):
-        """The row sweep since replaced held symbols as int8 up to q = 128 (``symbols``), where the
-        bit kernels' tables of all q symbols stop too; past it they table the symbols the xs use,
-        and both kernels agree with the oracle."""
+    @pytest.mark.parametrize("q", [  # each id's last part only keeps it stable
+        pytest.param(128, id="128-int8"), pytest.param(129, id="129-int64")])
+    def test_symbol_type_boundary(self, q):
+        """Each side of q = 128, where the bit kernels' tables stop, both kernels agree with the
+        oracle."""
         xs = [(q - 1, 0, q - 1, q - 2), (q - 2, q - 1, 1, q - 1)]
         ys = [(q - 1, q - 1, 0, 1), (0, q - 1, q - 2, q - 1)]
         expected = [enumerate_interleavings_min(x, y, q) for x, y in zip(xs, ys)]
